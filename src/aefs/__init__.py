@@ -32,7 +32,7 @@ from .embedding import (
     record_batch_activation,
 )
 from .metrics import Metrics, auc, emit_report, logloss, parse_report, welch_t_test
-from .numerics import Adam, AdamState, BatchNorm1d, Linear, Tensor, adam_step, grad_check, \
+from .numerics import Adam, AdamState, BatchNorm1d, Linear, RowGrad, Tensor, grad_check, \
     sigmoid, softmax, xavier_init
 from .predictors import Controller, PredictorConfig, bce, build_predictor
 from .selection import (

@@ -7,18 +7,19 @@ each field keeps its own table view, Xavier block, and lookup counter.
 
 "Activated parameters" for one instance counts the full table of every
 selected field (vocab_size x dim) plus, when an auxiliary set is present,
-all auxiliary tables. Accounting sums are kept as exact rationals so the
-decomposition identities hold without floating-point rounding.
+all auxiliary tables. Accounting keeps exact integer totals and returns
+averages as exact rationals, so the decomposition identities hold without
+floating-point rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor, xavier_init
+from .numerics import DimensionError, RowGrad, Tensor, scatter_rows, xavier_init
 
 
 class SelectionIndexError(ValueError):
@@ -51,6 +52,8 @@ class EmbeddingTable:
         g = self.owner.weight.grad
         if g is None:
             return None
+        if isinstance(g, RowGrad):
+            g = g.dense()
         o = self.owner.offsets[self.field_index]
         return g[o:o + self.vocab_size]
 
@@ -110,18 +113,9 @@ class EmbeddingSet:
         if x.ndim != 2 or x.shape[1] != self.n_fields:
             raise DimensionError(f"id batch {x.shape}, expected (*, {self.n_fields})")
         self._check_ids(x)
-        flat = x + self.offsets[None, :]
-        weight = self.weight
-        out = weight.data[flat]
+        out = self._lookup(x + self.offsets[None, :])
         self.lookup_counts += x.shape[0]
-
-        def bw(g):
-            if weight.requires_grad:
-                if weight.grad is None:
-                    weight.grad = np.zeros_like(weight.data)
-                np.add.at(weight.grad, flat.reshape(-1), g.reshape(-1, self._dim))
-
-        return Tensor(out, parents=(weight,), backward=bw)
+        return out
 
     def embed_selected(self, x: np.ndarray, indices: np.ndarray) -> Tensor:
         """Embed only the fields in `indices`, in their given order.
@@ -147,25 +141,22 @@ class EmbeddingSet:
         rows = np.arange(b)[:, None]
         ids = x[rows, indices]
         self._check_ids(ids, indices)
-        flat = ids + self.offsets[indices]
-        weight = self.weight
-        out = weight.data[flat]
+        out = self._lookup(ids + self.offsets[indices])
         self.lookup_counts += np.bincount(indices.reshape(-1), minlength=self.n_fields)
+        return out
+
+    def _lookup(self, flat: np.ndarray) -> Tensor:
+        """Rows `flat` of the shared matrix, (B, n) -> (B, n, d); backward
+        gives the matrix a row-sparse gradient over the rows read."""
+        weight = self.weight
 
         def bw(g):
-            if weight.requires_grad:
-                if weight.grad is None:
-                    weight.grad = np.zeros_like(weight.data)
-                np.add.at(weight.grad, flat.reshape(-1), g.reshape(-1, self._dim))
+            scatter_rows(weight, flat.reshape(-1), g.reshape(-1, self._dim))
 
-        return Tensor(out, parents=(weight,), backward=bw)
+        return Tensor(weight.data[flat], parents=(weight,), backward=bw)
 
     def named_params(self, prefix: str = ""):
         return [(prefix + "weight", self.weight)]
-
-
-def table_param_count(emb_set: EmbeddingSet) -> int:
-    return emb_set.param_count()
 
 
 def full_param_count(vocab_sizes: Sequence[int], dim: int) -> int:
@@ -174,36 +165,37 @@ def full_param_count(vocab_sizes: Sequence[int], dim: int) -> int:
 
 @dataclass
 class ActivationLedger:
-    """Accumulates per-batch means of activated embedding parameters and of
-    main-model lookups per instance, both as exact rationals."""
+    """Accumulates exact totals of activated embedding parameters and of
+    main-model lookups over the instances observed, so the averages are
+    per-instance means whatever the batch sizes."""
 
-    batches_observed: int = 0
-    sum_activated_params: Fraction = dc_field(default_factory=lambda: Fraction(0))
-    sum_lookups: Fraction = dc_field(default_factory=lambda: Fraction(0))
+    instances_observed: int = 0
+    sum_activated_params: int = 0
+    sum_lookups: int = 0
 
-    def add_batch(self, activated_mean: Fraction, lookups_mean: Fraction):
-        self.batches_observed += 1
-        self.sum_activated_params += activated_mean
-        self.sum_lookups += lookups_mean
+    def add_batch(self, instances: int, activated_params: int, lookups: int):
+        self.instances_observed += instances
+        self.sum_activated_params += activated_params
+        self.sum_lookups += lookups
 
     def merge(self, other: "ActivationLedger") -> "ActivationLedger":
         return ActivationLedger(
-            batches_observed=self.batches_observed + other.batches_observed,
+            instances_observed=self.instances_observed + other.instances_observed,
             sum_activated_params=self.sum_activated_params + other.sum_activated_params,
             sum_lookups=self.sum_lookups + other.sum_lookups,
         )
 
     def activated_params_avg(self) -> Fraction:
-        self._require_batches()
-        return self.sum_activated_params / self.batches_observed
+        self._require_instances()
+        return Fraction(self.sum_activated_params, self.instances_observed)
 
     def lookups_avg(self) -> Fraction:
-        self._require_batches()
-        return self.sum_lookups / self.batches_observed
+        self._require_instances()
+        return Fraction(self.sum_lookups, self.instances_observed)
 
-    def _require_batches(self):
-        if self.batches_observed == 0:
-            raise ValueError("ledger has observed no batches")
+    def _require_instances(self):
+        if self.instances_observed == 0:
+            raise ValueError("ledger has observed no instances")
 
 
 def record_batch_activation(ledger: ActivationLedger,
@@ -219,9 +211,7 @@ def record_batch_activation(ledger: ActivationLedger,
     aux_full = aux_set.param_count() if aux_set is not None else 0
     main_sizes = np.asarray(main_set.vocab_sizes, dtype=np.int64) * main_set.dim
     total_main = int(main_sizes[sel].sum())
-    activated_mean = Fraction(aux_full * b + total_main, b)
-    lookups_mean = Fraction(sel.size, b)
-    ledger.add_batch(activated_mean, lookups_mean)
+    ledger.add_batch(b, aux_full * b + total_main, sel.size)
     return ledger
 
 

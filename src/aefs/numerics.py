@@ -4,7 +4,8 @@ A small tape-based engine over numpy arrays: enough ops to express
 embedding lookups, affine towers, batch normalization, softmax scoring,
 per-instance gather/scatter selection, and the losses built on them.
 Everything runs at 64-bit precision so finite-difference gradient checks
-can be held to tight tolerances.
+can be held to tight tolerances. A table read by row lookups gets a
+row-sparse gradient (``RowGrad``) holding only the rows it touched.
 """
 from __future__ import annotations
 
@@ -146,6 +147,8 @@ def _raise_scalar(t: Tensor):
 def _accum(t: Tensor, g: Array):
     if not t.requires_grad:
         return
+    if isinstance(t.grad, RowGrad):
+        t.grad = t.grad.dense()
     if t.grad is None:
         # materialize broadcast views and detach from caller-owned buffers
         t.grad = np.array(g, dtype=np.float64)
@@ -376,33 +379,62 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
     return Tensor(out, parents=tuple(parts), backward=bw)
 
 
-def stack(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
-    out = np.stack([p.data for p in parts], axis=axis)
+class RowGrad:
+    """Gradient of a 2-D table that is zero outside a set of rows.
 
-    def bw(g):
-        for i, p in enumerate(parts):
-            _accum(p, np.take(g, i, axis=axis))
+    ``values[i]`` is the gradient of row ``rows[i]`` of an ``n_rows``-row
+    table; ``rows`` is ascending and distinct. ``shape``, ``size`` and
+    ``any`` describe the stored rows, ``dense()`` the whole table.
+    """
 
-    return Tensor(out, parents=tuple(parts), backward=bw)
+    __slots__ = ("rows", "values", "n_rows")
+
+    def __init__(self, rows: Array, values: Array, n_rows: int):
+        self.rows = rows
+        self.values = values
+        self.n_rows = n_rows
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def any(self, axis=None):
+        return self.values.any(axis=axis)
+
+    def dense(self) -> Array:
+        out = np.zeros((self.n_rows,) + self.values.shape[1:])
+        out[self.rows] = self.values
+        return out
 
 
-def gather_rows(table: Tensor, ids: Array) -> Tensor:
-    """Select rows of a 2-D table; gradient scatters back into touched rows only."""
-    ids = np.asarray(ids)
-    if table.ndim != 2:
-        raise DimensionError("gather_rows expects a 2-D table")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError("row id out of range [0, %d)" % table.shape[0])
+def scatter_rows(table: Tensor, ids: Array, g: Array) -> None:
+    """Accumulate ``g[i]`` into row ``ids[i]`` of ``table.grad`` as a RowGrad.
 
-    out = table.data[ids]
-
-    def bw(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
-
-    return Tensor(out, parents=(table,), backward=bw)
+    Every row sums the gradient already there and then its new
+    contributions in index order, the order ``np.add.at`` uses, so the
+    stored rows are bit-identical to a scatter into a dense zero gradient.
+    """
+    n, d = table.data.shape
+    prior = table.grad
+    if prior is not None:
+        if not isinstance(prior, RowGrad):
+            prior = RowGrad(np.arange(n), prior, n)
+        ids = np.concatenate([prior.rows, ids])
+        g = np.concatenate([prior.values, g])
+    touched = np.zeros(n, dtype=bool)
+    touched[ids] = True
+    rows = np.flatnonzero(touched)
+    slot = np.empty(n, dtype=np.intp)
+    slot[rows] = np.arange(rows.size)
+    # one bincount over (row slot, column) pairs: each bin adds its
+    # weights in input order, starting from zero
+    bins = (slot[ids] * d)[:, None] + np.arange(d)
+    values = np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=rows.size * d)
+    table.grad = RowGrad(rows, values.reshape(rows.size, d), n)
 
 
 def gather_fields(x: Tensor, idx: Array) -> Tensor:
@@ -533,27 +565,24 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(param: Array, grad: Array, state: AdamState) -> tuple[Array, AdamState]:
-    """One bias-corrected Adam update, in place on `param` and `state`."""
-    if param.shape != grad.shape or param.shape != state.m.shape:
-        raise DimensionError(f"adam_step shapes param={param.shape} grad={grad.shape}")
-    state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return param, state
-
-
 class Adam:
-    """Adam over a list of parameter tensors."""
+    """Adam over a list of parameter tensors, updated in place.
+
+    Each step applies the bias-corrected update ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g``, ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` to
+    every entry, evaluated op for op in that order, with the table-sized
+    intermediates in two buffers reused across steps. A RowGrad adds its
+    gradient terms to its rows only; every row's moments still decay and
+    every row still moves, exactly as under the equal dense gradient.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.states = [AdamState.for_param(p.data, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
                        for p in self.params]
+        largest = max((p.data.size for p in self.params), default=0)
+        self._scratch = (np.empty(largest), np.empty(largest))
 
     def zero_grad(self):
         for p in self.params:
@@ -562,7 +591,32 @@ class Adam:
     def step(self):
         for p, st in zip(self.params, self.states):
             if p.grad is not None:
-                adam_step(p.data, p.grad, st)
+                self._update(p.data, p.grad, st)
+
+    def _update(self, param: Array, grad, st: AdamState):
+        if isinstance(grad, RowGrad):
+            at, g = grad.rows, grad.values
+            fits = grad.n_rows == param.shape[0] and g.shape[1:] == param.shape[1:]
+        else:
+            at, g = slice(None), grad
+            fits = g.shape == param.shape
+        if not fits:
+            raise DimensionError(f"Adam shapes param={param.shape} grad={grad.shape}")
+        st.t += 1
+        st.m *= st.beta1
+        st.m[at] += (1.0 - st.beta1) * g
+        g2 = (1.0 - st.beta2) * g
+        g2 *= g
+        st.v *= st.beta2
+        st.v[at] += g2
+        step, denom = (buf[:param.size].reshape(param.shape) for buf in self._scratch)
+        np.divide(st.m, 1.0 - st.beta1 ** st.t, out=step)
+        np.divide(st.v, 1.0 - st.beta2 ** st.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += st.eps
+        step *= st.lr
+        step /= denom
+        param -= step
 
 
 def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
@@ -578,7 +632,9 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
     for p in params:
         p.grad = None
     loss_fn().backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    analytic = [np.zeros_like(p.data) if p.grad is None
+                else p.grad.dense() if isinstance(p.grad, RowGrad) else p.grad.copy()
+                for p in params]
 
     worst = 0.0
     for p, ga in zip(params, analytic):

@@ -23,7 +23,7 @@ from .data import DataError, Dataset, FieldSchema, RawRecord, Vocabulary, build_
     quantize_all, split_dataset
 from .embedding import ActivationLedger, record_batch_activation
 from .metrics import Metrics, auc as auc_metric, logloss as logloss_metric
-from .numerics import Adam, sigmoid
+from .numerics import Adam, RowGrad, sigmoid
 from .predictors import VARIANTS, bce
 from .selection import (
     DualModel,
@@ -45,7 +45,7 @@ class ConfigError(ValueError):
 
 
 class NumericAbort(ArithmeticError):
-    """Training hit a non-finite loss; aborted with diagnostics."""
+    """Training hit a non-finite loss or gradient; aborted with diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -358,9 +358,9 @@ def pretrain(fitted: FittedModel, train_data: Dataset, config: TrainConfig,
     if fitted.method == "aefs":
         pair: DualModel = fitted.model
         head = pair.pretrain_head()
-        params = [t for _, t in pair.aux_embeddings.named_params()]
-        params += [t for _, t in pair.controller.named_params()]
-        params += [t for _, t in head.named_params()]
+        named = (pair.aux_embeddings.named_params("aux.emb.")
+                 + pair.controller.named_params("aux.")
+                 + head.named_params("pretrain_head."))
 
         def forward(x):
             e_a = pair.aux_embeddings.embed(x)
@@ -370,7 +370,7 @@ def pretrain(fitted: FittedModel, train_data: Dataset, config: TrainConfig,
             return sigmoid(head(flat)).reshape(x.shape[0])
     elif fitted.method == "adafs":
         model: LateSelectionModel = fitted.model
-        params = [t for _, t in model.named_params()]
+        named = model.named_params()
 
         def forward(x):
             p, _, _ = model.forward(x, training=True, mode="soft")
@@ -378,7 +378,7 @@ def pretrain(fitted: FittedModel, train_data: Dataset, config: TrainConfig,
     else:
         return
 
-    opt = Adam(params, lr=config.lr)
+    opt = Adam([t for _, t in named], lr=config.lr)
     n = len(train_data)
     for epoch in range(config.pretrain_epochs):
         order = shuffle_rng.permutation(n)
@@ -390,7 +390,17 @@ def pretrain(fitted: FittedModel, train_data: Dataset, config: TrainConfig,
                 raise NumericAbort(f"non-finite pretrain loss at epoch {epoch + 1}")
             opt.zero_grad()
             loss.backward()
+            _check_gradients(named, f"pretrain epoch {epoch + 1}")
             opt.step()
+
+
+def _check_gradients(named_params, where: str) -> None:
+    """Abort on the first parameter whose gradient holds a NaN or an
+    infinity; a row-sparse gradient is checked on the rows it touched."""
+    for name, t in named_params:
+        g = t.grad
+        if g is not None and not np.isfinite(g.values if isinstance(g, RowGrad) else g).all():
+            raise NumericAbort(f"non-finite gradient in {name} at {where}")
 
 
 def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
@@ -447,8 +457,8 @@ def train(data: PreparedData, config: TrainConfig) -> TrainResult:
                          np.random.default_rng(subset_ss))
     pretrain(fitted, data.train, config, np.random.default_rng(pre_ss))
 
-    params = [t for _, t in fitted.named_params()]
-    opt = Adam(params, lr=config.lr)
+    named = fitted.named_params()
+    opt = Adam([t for _, t in named], lr=config.lr)
     shuffle_rng = np.random.default_rng(shuffle_ss)
     report = TrainReport(method=config.method)
     best_state: dict | None = None
@@ -471,6 +481,7 @@ def train(data: PreparedData, config: TrainConfig) -> TrainResult:
                     f"non-finite loss {val} at epoch {epoch}, batch {n_batches + 1}")
             opt.zero_grad()
             loss.backward()
+            _check_gradients(named, f"epoch {epoch}, batch {n_batches + 1}")
             opt.step()
             record_batch_activation(ledger, sel, fitted.main_embeddings, aux_set)
             for key, term in terms.items():

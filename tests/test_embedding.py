@@ -12,7 +12,6 @@ from aefs.embedding import (
     delta_pae,
     full_param_count,
     record_batch_activation,
-    table_param_count,
 )
 
 def build_set(vocab_sizes, dim, seed=0):
@@ -122,7 +121,7 @@ class TestParamCounts:
 
     def test_set_count_matches(self):
         es = build_set([100, 900], dim=10)
-        assert table_param_count(es) == 10_000
+        assert es.param_count() == 10_000
 
 
 class TestLedger:

@@ -10,14 +10,16 @@ from aefs.numerics import (
     DegenerateBatchError,
     DimensionError,
     Linear,
+    RowGrad,
     Tensor,
-    adam_step,
     affine,
     grad_check,
     sigmoid,
     softmax,
+    scatter_rows,
     xavier_init,
 )
+from oracles import adam_step, dense_scatter, same_bits
 
 
 def matmul_oracle(a, b):
@@ -142,35 +144,44 @@ class TestBatchNorm:
         assert err < 1e-6
 
 
+def adam_on(values, **kw):
+    p = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+    return p, Adam([p], **kw)
+
+
 class TestAdam:
     def test_zero_grad_is_identity(self):
-        p = np.array([[1.0, -2.0]])
-        st_ = AdamState.for_param(p)
-        adam_step(p, np.zeros_like(p), st_)
-        np.testing.assert_array_equal(p, [[1.0, -2.0]])
+        p, opt = adam_on([[1.0, -2.0]])
+        p.grad = np.zeros_like(p.data)
+        opt.step()
+        np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
 
     def test_first_step_closed_form(self):
-        p = np.array([[1.0]])
-        st_ = AdamState.for_param(p, lr=1e-3)
-        adam_step(p, np.array([[1.0]]), st_)
+        p, opt = adam_on([[1.0]], lr=1e-3)
+        p.grad = np.array([[1.0]])
+        opt.step()
         # lr * g / (|g| + eps) on the first bias-corrected step
         expected = 1.0 - 1e-3 * 1.0 / (1.0 + 1e-8)
-        np.testing.assert_allclose(p[0, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(p.data[0, 0], expected, rtol=1e-12)
 
     def test_three_steps_descend_quadratic(self):
-        x = np.array([[1.0]])
-        st_ = AdamState.for_param(x, lr=0.05)
+        x, opt = adam_on([[1.0]], lr=0.05)
         vals = []
         for _ in range(3):
-            vals.append(x[0, 0] ** 2)
-            adam_step(x, 2.0 * x, st_)
-        vals.append(x[0, 0] ** 2)
+            vals.append(x.data[0, 0] ** 2)
+            x.grad = 2.0 * x.data
+            opt.step()
+        vals.append(x.data[0, 0] ** 2)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_shape_mismatch(self):
-        p = np.ones((2, 2))
+        p, opt = adam_on(np.ones((2, 2)))
+        p.grad = np.ones((2, 3))
         with pytest.raises(DimensionError):
-            adam_step(p, np.ones((2, 3)), AdamState.for_param(p))
+            opt.step()
+        p.grad = RowGrad(np.array([0]), np.ones((1, 3)), 2)
+        with pytest.raises(DimensionError):
+            opt.step()
 
     def test_optimizer_skips_params_without_grad(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -180,6 +191,121 @@ class TestAdam:
         opt.step()
         assert not np.array_equal(a.data, np.ones((2, 2)))
         np.testing.assert_array_equal(b.data, np.ones((2, 2)))
+
+
+class TestAdamMatchesReference:
+    """Adam.step against the allocating reference formula, bit for bit."""
+
+    STEPS = 40
+
+    def twin(self, shape, seed=0, **kw):
+        init = np.random.default_rng(seed).normal(size=shape)
+        p, opt = adam_on(init, **kw)
+        return p, opt, init, AdamState.for_param(init, **kw)
+
+    def test_dense_gradient(self):
+        rng = np.random.default_rng(1)
+        p, opt, ref, ref_state = self.twin((6, 3), lr=0.01)
+        for step in range(self.STEPS):
+            g = rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-6, 3)
+            g[rng.random(g.shape) < 0.3] = 0.0
+            p.grad = g.copy()
+            opt.step()
+            adam_step(ref, g, ref_state)
+            assert same_bits(p.data, ref), f"step {step + 1}"
+            assert same_bits(opt.states[0].m, ref_state.m)
+            assert same_bits(opt.states[0].v, ref_state.v)
+
+    def test_row_gradient_with_long_untouched_rows(self):
+        rng = np.random.default_rng(2)
+        n, d = 50, 4
+        p, opt, ref, ref_state = self.twin((n, d), lr=0.02)
+        for step in range(self.STEPS):
+            # rows 0-9 every step; row 45 at steps 1 and 35 only; 10-44 never
+            ids = rng.integers(0, 10, size=12)
+            if step in (0, 34):
+                ids = np.append(ids, 45)
+            g = rng.normal(size=(ids.size, d))
+            dense = Tensor(np.zeros((n, d)), requires_grad=True)
+            dense_scatter(dense, ids, g)
+            p.grad = None
+            scatter_rows(p, ids, g)
+            assert isinstance(p.grad, RowGrad)
+            opt.step()
+            adam_step(ref, dense.grad, ref_state)
+            assert same_bits(p.data, ref), f"step {step + 1}"
+            if step == 1:
+                row_45 = p.data[45].copy()
+            if step == 33:
+                # untouched since step 1, its decaying moments still move it
+                assert not np.array_equal(p.data[45], row_45)
+
+    def test_row_gradient_of_a_table_scattered_twice(self, monkeypatch):
+        # one backward pass reaches the same table through two lookups
+        import aefs.embedding as embedding_mod
+        from aefs.embedding import EmbeddingSet
+        rng = np.random.default_rng(3)
+        vocab = [12, 9, 15]
+        es = EmbeddingSet(vocab, 3, np.random.default_rng(0))
+        opt = Adam([es.weight], lr=0.01)
+        ref = es.weight.data.copy()
+        ref_state = AdamState.for_param(ref, lr=0.01)
+
+        def gradient(x, idx, c_all, c_sel):
+            es.weight.grad = None
+            ((es.embed(x) * Tensor(c_all)).sum()
+             + (es.embed_selected(x, idx) * Tensor(c_sel)).sum()).backward()
+            return es.weight.grad
+
+        for step in range(self.STEPS):
+            x = rng.integers(0, vocab, size=(5, 3))
+            idx = np.argsort(rng.random((5, 3)), axis=1)[:, :2]
+            upstream = (x, idx, rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 2, 3)))
+            with monkeypatch.context() as m:
+                m.setattr(embedding_mod, "scatter_rows", dense_scatter)
+                dense = gradient(*upstream)
+            rows = gradient(*upstream)
+            assert isinstance(rows, RowGrad) and same_bits(rows.dense(), dense)
+            opt.step()
+            adam_step(ref, dense, ref_state)
+            assert same_bits(es.weight.data, ref), f"step {step + 1}"
+
+
+class TestRowGrad:
+    def test_lookups_sum_like_dense_scatter(self):
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.normal(size=(40, 5)), requires_grad=True)
+        ids = np.concatenate([rng.integers(0, 40, size=200), [7] * 50])
+        g = rng.normal(size=(ids.size, 5)) * 10.0 ** rng.integers(-8, 8, size=(ids.size, 1))
+        dense = Tensor(w.data, requires_grad=True)
+        dense_scatter(dense, ids, g)
+        scatter_rows(w, ids, g)
+        np.testing.assert_array_equal(w.grad.rows, np.unique(ids))
+        assert w.grad.shape == (np.unique(ids).size, 5)
+        assert same_bits(w.grad.dense(), dense.grad)
+
+    def test_dense_term_after_lookup_densifies(self):
+        rng = np.random.default_rng(5)
+        ids, g = rng.integers(0, 8, size=20), rng.normal(size=(20, 2))
+        upstream = rng.normal(size=(8, 2))
+        w = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
+        ref = Tensor(w.data, requires_grad=True)
+        scatter_rows(w, ids, g)
+        dense_scatter(ref, ids, g)
+        (w * Tensor(upstream)).sum().backward()
+        ref.grad += upstream
+        assert same_bits(w.grad, ref.grad)
+
+    def test_lookup_after_dense_term_adds_in_order(self):
+        rng = np.random.default_rng(6)
+        ids, g = rng.integers(0, 8, size=20), rng.normal(size=(20, 2))
+        upstream = rng.normal(size=(8, 2))
+        w = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
+        ref = Tensor(w.data, requires_grad=True)
+        w.grad, ref.grad = upstream.copy(), upstream.copy()
+        scatter_rows(w, ids, g)
+        dense_scatter(ref, ids, g)
+        assert same_bits(w.grad.dense(), ref.grad)
 
 
 class TestXavier:

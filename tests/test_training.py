@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from aefs.data import DataError, SyntheticSpec, generate_synthetic
-from aefs.numerics import Tensor
+import aefs.embedding as embedding_mod
+import aefs.training as training_mod
+from aefs.data import DataError, Dataset, SyntheticSpec, generate_synthetic
+from aefs.numerics import Adam, RowGrad, Tensor
 from aefs.training import (
     ConfigError,
     NumericAbort,
@@ -19,6 +21,7 @@ from aefs.training import (
     selection_stats,
     train,
 )
+from oracles import dense_scatter, reference_adam_step, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -340,3 +343,109 @@ class TestConstantPredictor:
         m = evaluate(fitted, small_data.test, cfg.batch_size)
         assert m.logloss == pytest.approx(np.log(2.0), abs=1e-12)
         assert m.auc == 0.5
+
+
+class TestLedgerIsPerInstance:
+    def test_evaluate_is_batch_size_invariant(self, tmp_path):
+        # unequal field sizes, so instances with different selections
+        # activate different parameter counts; 2400 rows leave a partial
+        # last batch at both batch sizes
+        import json
+        from fractions import Fraction
+        vocab = [3, 50, 7, 20, 11, 90]
+        rng = np.random.default_rng(41)
+        data = Dataset(x=rng.integers(0, vocab, size=(2400, 6)),
+                       y=rng.integers(0, 2, size=2400).astype(float))
+        fitted = build_model(vocab, small_config(), np.random.default_rng(42),
+                             np.random.default_rng(43))
+        main_sizes = np.array(vocab) * fitted.main_embeddings.dim
+        aux_full = fitted.model.aux_embeddings.param_count()
+        for batch in (2048, 128):
+            dump = tmp_path / f"sel{batch}.jsonl"
+            m = evaluate(fitted, data, batch, selection_dump_path=dump)
+            sel = np.array([json.loads(line)["indices"]
+                            for line in dump.read_text().splitlines()])
+            per_instance = aux_full + main_sizes[sel].sum(axis=1)
+            assert np.unique(per_instance).size > 1
+            assert m.activated_params_avg == float(Fraction(int(per_instance.sum()), len(data)))
+            assert m.lookups_avg == 3.0
+
+
+def poison_after_backward(monkeypatch, target, poison):
+    """After every backward pass, let `poison` corrupt `target()`'s gradient."""
+    real_backward = Tensor.backward
+
+    def backward(self):
+        real_backward(self)
+        poison(target().grad)
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+
+
+class TestNonFiniteGradientGuard:
+    def capture_model(self, monkeypatch):
+        built = {}
+        real_build = training_mod.build_model
+
+        def build(*args, **kwargs):
+            built["fitted"] = real_build(*args, **kwargs)
+            return built["fitted"]
+
+        monkeypatch.setattr(training_mod, "build_model", build)
+        return built
+
+    def test_dense_parameter_named(self, small_data, monkeypatch):
+        built = self.capture_model(monkeypatch)
+        target = lambda: dict(built["fitted"].named_params())["mlp.out.bias"]
+        poison_after_backward(monkeypatch, target,
+                              lambda g: g.__setitem__(0, np.inf))
+        with pytest.raises(NumericAbort,
+                           match=r"^non-finite gradient in mlp.out.bias at epoch 1, batch 1$"):
+            train(small_data, small_config(method="none", max_epochs=1))
+        assert np.isfinite(target().data).all()  # no step was taken
+
+    def test_touched_embedding_rows_checked(self, small_data, monkeypatch):
+        built = self.capture_model(monkeypatch)
+        target = lambda: dict(built["fitted"].named_params())["main.emb.weight"]
+
+        def poison(g):
+            assert isinstance(g, RowGrad)
+            g.values[-1, 0] = np.inf
+
+        poison_after_backward(monkeypatch, target, poison)
+        with pytest.raises(NumericAbort, match="main.emb.weight at epoch 1, batch 1"):
+            train(small_data, small_config(max_epochs=1))
+
+    def test_pretrain_aborts(self, small_data, monkeypatch):
+        cfg = small_config(pretrain_epochs=1)
+        fitted = build_model(small_data.vocab.vocab_sizes, cfg,
+                             np.random.default_rng(7), np.random.default_rng(8))
+        target = lambda: fitted.model.controller.fc.weight
+        poison_after_backward(monkeypatch, target, lambda g: g.__setitem__((0, 0), np.nan))
+        with pytest.raises(NumericAbort, match="aux.controller.fc.weight at pretrain epoch 1"):
+            pretrain(fitted, small_data.train, cfg, np.random.default_rng(9))
+
+
+@pytest.fixture(scope="module")
+def many_row_data():
+    # about 2.4k table rows per model; a batch of 64 touches a few percent
+    sd = generate_synthetic(SyntheticSpec(n_fields=6, n_informative=3, vocab_size=400,
+                                          n_records=2000, teacher_seed=5))
+    return prepare(sd.records, sd.schema, seed=0, min_freq=1)
+
+
+class TestRowSparseTrainingIsExact:
+    @pytest.mark.parametrize("method", ["none", "aefs"])
+    def test_matches_dense_gradients_and_reference_adam(self, many_row_data, method,
+                                                        monkeypatch):
+        cfg = small_config(method=method, max_epochs=2, batch_size=64, pretrain_epochs=1)
+        fast = train(many_row_data, cfg)
+        monkeypatch.setattr(embedding_mod, "scatter_rows", dense_scatter)
+        monkeypatch.setattr(Adam, "step", reference_adam_step)
+        dense = train(many_row_data, cfg)
+        for (name, a), (_, b) in zip(fast.fitted.named_params(), dense.fitted.named_params()):
+            assert same_bits(a.data, b.data), name
+        for a, b in zip(fast.report.rows, dense.report.rows):
+            da, db = dict(a.__dict__), dict(b.__dict__)
+            da.pop("seconds"), db.pop("seconds")
+            assert da == db
