@@ -4,7 +4,8 @@ parameter accounting.
 Every run writes a manifest (command, config hash, seed, inputs, timestamps)
 into an append-only run directory named by the config hash and seed. Exit
 codes: 1 for configuration or usage errors, 2 for data errors, 3 for a
-numeric abort during training.
+numeric abort during training. A run that ends in one of these errors is
+marked failed in its manifest, with the exit code and the message.
 
 The output root defaults to ./runs and can be overridden with the
 AEFS_OUT_ROOT environment variable or the --out flag.
@@ -16,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .data import (
     write_format_b,
 )
 from .embedding import delta_el, delta_pae, full_param_count
-from .metrics import auc, emit_report, metrics_row, welch_t_test
+from .metrics import SingleClassError, auc, emit_report, metrics_row, welch_t_test
 from .selection import k_for
 from .training import (
     ConfigError,
@@ -50,6 +52,21 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# handled error -> (exit code, message prefix); anything else is a bug and
+# escapes as a traceback
+_HANDLED = {
+    ConfigError: (EXIT_CONFIG, "config error"),
+    DataError: (EXIT_DATA, "data error"),
+    SingleClassError: (EXIT_DATA, "data error"),
+    NumericAbort: (EXIT_NUMERIC, "numeric abort"),
+}
+
+
+def _handled(exc: Exception) -> tuple[int, str]:
+    """Exit code and one-line message of a handled error."""
+    code, prefix = next(v for cls, v in _HANDLED.items() if isinstance(exc, cls))
+    return code, f"{prefix}: {exc}"
+
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are configuration errors, not data errors
@@ -64,26 +81,41 @@ def _out_root(flag_value: str | None) -> Path:
     return Path(os.environ.get("AEFS_OUT_ROOT", "runs"))
 
 
-def _write_manifest(run_dir: Path, command: str, config_hash: str, seed: int,
-                    inputs: list[str], status: str, started_at: str,
-                    finished_at: str | None = None):
+def _now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+
+
+@contextmanager
+def _manifest(run_dir: Path, command: str, config_hash: str, seed: int, inputs: list[str]):
+    """Keep `manifest.json` at status running while the body runs, then mark
+    it done, or failed with the exit code and message of a handled error."""
     manifest = {
         "command": command,
         "config_hash": config_hash,
         "seed": seed,
         "inputs": inputs,
         "output_dir": str(run_dir),
-        "started_at": started_at,
-        "finished_at": finished_at,
-        "status": status,
+        "started_at": _now(),
+        "finished_at": None,
+        "status": "running",
+        "exit_code": None,
+        "error": None,
         "version": __version__,
     }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
 
+    def write(**updates):
+        manifest.update(updates)
+        (run_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    write()
+    try:
+        yield
+    except tuple(_HANDLED) as exc:
+        code, message = _handled(exc)
+        write(status="failed", finished_at=_now(), exit_code=code, error=message)
+        raise
+    write(status="done", finished_at=_now(), exit_code=0)
 
 
 def _make_run_dir(root: Path, name: str, force: bool) -> Path:
@@ -113,26 +145,22 @@ def cmd_synth(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = _now()
-    _write_manifest(out_dir, "synth", f"synth-{spec.teacher_seed}", spec.teacher_seed,
-                    [], "running", started)
-    sd = generate_synthetic(spec)
-    write_format_b(sd.records, sd.schema, out_dir / "data.csv", out_dir / "schema.json")
-    labels = [r.label for r in sd.records]
-    teacher_auc = auc(sd.teacher_logits, labels) if spec.n_informative else 0.5
-    meta = {
-        "n_fields": spec.n_fields,
-        "n_informative": spec.n_informative,
-        "vocab_size": spec.vocab_size,
-        "n_records": spec.n_records,
-        "teacher_seed": spec.teacher_seed,
-        "informative_fields": sd.informative_fields,
-        "teacher_auc": teacher_auc,
-        "positive_rate": float(np.mean(labels)),
-    }
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "synth", f"synth-{spec.teacher_seed}", spec.teacher_seed,
-                    [], "done", started, _now())
+    with _manifest(out_dir, "synth", f"synth-{spec.teacher_seed}", spec.teacher_seed, []):
+        sd = generate_synthetic(spec)
+        write_format_b(sd.records, sd.schema, out_dir / "data.csv", out_dir / "schema.json")
+        labels = [r.label for r in sd.records]
+        teacher_auc = auc(sd.teacher_logits, labels) if spec.n_informative else 0.5
+        meta = {
+            "n_fields": spec.n_fields,
+            "n_informative": spec.n_informative,
+            "vocab_size": spec.vocab_size,
+            "n_records": spec.n_records,
+            "teacher_seed": spec.teacher_seed,
+            "informative_fields": sd.informative_fields,
+            "teacher_auc": teacher_auc,
+            "positive_rate": float(np.mean(labels)),
+        }
+        (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {spec.n_records} records, {spec.n_fields} fields to {out_dir}")
     print(f"teacher_auc: {teacher_auc:.4f}")
     return 0
@@ -220,15 +248,11 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     root = _out_root(args.out)
     run_dir = _make_run_dir(root, f"{config.config_hash()}-seed{config.seed}", args.force)
-    started = _now()
-    _write_manifest(run_dir, "train", config.config_hash(), config.seed,
-                    [str(data_dir)], "running", started)
-    records, schema, informative = _load_dataset(data_dir)
-    data = prepare(records, schema, seed=config.seed, min_freq=config.min_freq,
-                   informative_fields=informative)
-    row = _run_single(config, data, run_dir, dump_selection=args.dump_selection)
-    _write_manifest(run_dir, "train", config.config_hash(), config.seed,
-                    [str(data_dir)], "done", started, _now())
+    with _manifest(run_dir, "train", config.config_hash(), config.seed, [str(data_dir)]):
+        records, schema, informative = _load_dataset(data_dir)
+        data = prepare(records, schema, seed=config.seed, min_freq=config.min_freq,
+                       informative_fields=informative)
+        row = _run_single(config, data, run_dir, dump_selection=args.dump_selection)
     n_fields_known = "delta_pae" in row and row["delta_pae"] is not None
     print(f"run dir: {run_dir}")
     print(f"test AUC: {row['auc']:.4f}  Logloss: {row['logloss']:.4f}")
@@ -255,56 +279,51 @@ def cmd_compare(args) -> int:
     root = _out_root(args.out)
     tag = base.config_hash()
     run_dir = _make_run_dir(root, f"compare-{tag}-{'-'.join(methods)}", args.force)
-    started = _now()
-    _write_manifest(run_dir, "compare", tag, seeds[0], [str(data_dir)], "running", started)
+    with _manifest(run_dir, "compare", tag, seeds[0], [str(data_dir)]):
+        records, schema, informative = _load_dataset(data_dir)
+        prepared_by_seed: dict[int, object] = {}
+        per_method: dict[str, list[dict]] = {}
+        for method in methods:
+            per_method[method] = []
+            for seed in seeds:
+                config = apply_overrides(base, {"method": method, "seed": seed})
+                if seed not in prepared_by_seed:
+                    prepared_by_seed[seed] = prepare(records, schema, seed=seed,
+                                                     min_freq=config.min_freq,
+                                                     informative_fields=informative)
+                cell_dir = run_dir / f"{method}-seed{seed}"
+                cell_dir.mkdir(parents=True, exist_ok=True)
+                row = _run_single(config, prepared_by_seed[seed], cell_dir)
+                per_method[method].append(row)
+                print(f"{method} seed {seed}: auc={row['auc']:.4f}", flush=True)
 
-    records, schema, informative = _load_dataset(data_dir)
-    prepared_by_seed: dict[int, object] = {}
-    per_method: dict[str, list[dict]] = {}
-    for method in methods:
-        per_method[method] = []
-        for seed in seeds:
-            config = apply_overrides(base, {"method": method, "seed": seed})
-            if seed not in prepared_by_seed:
-                prepared_by_seed[seed] = prepare(records, schema, seed=seed,
-                                                 min_freq=config.min_freq,
-                                                 informative_fields=informative)
-            cell_dir = run_dir / f"{method}-seed{seed}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            row = _run_single(config, prepared_by_seed[seed], cell_dir)
-            per_method[method].append(row)
-            print(f"{method} seed {seed}: auc={row['auc']:.4f}", flush=True)
+        rows = []
+        for method, cells in per_method.items():
+            aucs = [c["auc"] for c in cells]
+            logs = [c["logloss"] for c in cells]
+            rows.append({
+                "method": method,
+                "auc": float(np.mean(aucs)),
+                "auc_std": float(np.std(aucs)),
+                "logloss": float(np.mean(logs)),
+                "delta_pae": cells[0]["delta_pae"],
+                "n_seeds": len(cells),
+            })
+        emit_report(rows, run_dir / "report.jsonl", run_dir / "report.txt")
 
-    rows = []
-    for method, cells in per_method.items():
-        aucs = [c["auc"] for c in cells]
-        logs = [c["logloss"] for c in cells]
-        rows.append({
-            "method": method,
-            "auc": float(np.mean(aucs)),
-            "auc_std": float(np.std(aucs)),
-            "logloss": float(np.mean(logs)),
-            "delta_pae": cells[0]["delta_pae"],
-            "n_seeds": len(cells),
-        })
-    emit_report(rows, run_dir / "report.jsonl", run_dir / "report.txt")
+        ttests = []
+        for i, a in enumerate(methods):
+            for b in methods[i + 1:]:
+                p = welch_t_test([c["auc"] for c in per_method[a]],
+                                 [c["auc"] for c in per_method[b]])
+                ttests.append({"method_a": a, "method_b": b, "p_auc": p})
+        (run_dir / "ttests.jsonl").write_text(
+            "".join(json.dumps(t, sort_keys=True) + "\n" for t in ttests))
 
-    ttests = []
-    for i, a in enumerate(methods):
-        for b in methods[i + 1:]:
-            p = welch_t_test([c["auc"] for c in per_method[a]],
-                             [c["auc"] for c in per_method[b]])
-            ttests.append({"method_a": a, "method_b": b, "p_auc": p})
-    (run_dir / "ttests.jsonl").write_text(
-        "".join(json.dumps(t, sort_keys=True) + "\n" for t in ttests))
-
-    with open(run_dir / "report.txt", "a") as fh:
-        fh.write("\npairwise Welch p-values (AUC)\n")
-        for t in ttests:
-            fh.write(f"{t['method_a']} vs {t['method_b']}: p={t['p_auc']:.4f}\n")
-
-    _write_manifest(run_dir, "compare", tag, seeds[0], [str(data_dir)], "done",
-                    started, _now())
+        with open(run_dir / "report.txt", "a") as fh:
+            fh.write("\npairwise Welch p-values (AUC)\n")
+            for t in ttests:
+                fh.write(f"{t['method_a']} vs {t['method_b']}: p={t['p_auc']:.4f}\n")
     print((run_dir / "report.txt").read_text())
     return 0
 
@@ -409,15 +428,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericAbort as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(_HANDLED) as exc:
+        code, message = _handled(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -322,6 +322,8 @@ def read_format_a(data_path: Path) -> tuple[list[RawRecord], list[FieldSchema]]:
                 label = int(parts[0])
             except ValueError as exc:
                 raise DataError(f"{data_path}:{lineno}: bad label {parts[0]!r}") from exc
+            if label not in (0, 1):
+                raise DataError(f"{data_path}:{lineno}: label must be 0 or 1")
             records.append(RawRecord(label=label, tokens=tuple(parts[1:])))
     if not records:
         raise DataError(f"{data_path}: no records")

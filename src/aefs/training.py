@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
@@ -574,42 +575,81 @@ def embedding_discrepancy(fitted: FittedModel, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_MAGIC = "aefs-checkpoint-v1"
+CHECKPOINT_MAGIC = b"aefs-checkpoint-v2\n"
+
+
+def _checkpoint_tensors(fitted: FittedModel) -> dict[tuple[str, str], np.ndarray]:
+    tensors = {("param", name): t.data for name, t in fitted.named_params()}
+    tensors.update((("buffer", name), arr) for name, arr in fitted.named_buffers())
+    return tensors
 
 
 def save_checkpoint(fitted: FittedModel, path: Path) -> None:
-    """Textual dump of all tensors with shape headers; exact float64
-    round-trip via hex floats."""
-    lines = [CHECKPOINT_MAGIC]
-    entries = [("param", name, t.data) for name, t in fitted.named_params()]
-    entries += [("buffer", name, arr) for name, arr in fitted.named_buffers()]
-    for kind, name, arr in entries:
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(f"{kind} {name} {arr.ndim} {dims}".rstrip())
-        lines.append(" ".join(float(v).hex() for v in arr.reshape(-1)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Binary dump of every parameter and buffer, exact and byte-deterministic.
+
+    The file is the magic line ``aefs-checkpoint-v2``, then per tensor one
+    text header line ``param|buffer <name> <ndim> <dims...>`` followed by
+    exactly ``8 * prod(dims)`` bytes of little-endian float64. Tensors are
+    written one at a time, so no file-sized buffer is built.
+    """
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        for (kind, name), arr in _checkpoint_tensors(fitted).items():
+            dims = " ".join(str(d) for d in arr.shape)
+            fh.write(f"{kind} {name} {arr.ndim} {dims}".rstrip().encode() + b"\n")
+            fh.write(np.ascontiguousarray(arr, "<f8").data)
+
+
+def _parse_header(line: bytes) -> tuple[str, str, tuple[int, ...]]:
+    """(kind, name, shape) of a header line; ValueError if it is not one."""
+    kind, name, ndim, *dims = line.decode("ascii").split(" ")
+    shape = tuple(int(d) for d in dims)
+    if int(ndim) != len(shape) or any(d < 0 for d in shape):
+        raise ValueError(line)
+    return kind, name, shape
 
 
 def load_checkpoint(fitted: FittedModel, path: Path) -> None:
-    text = Path(path).read_text().splitlines()
-    if not text or text[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a recognized checkpoint")
-    params = dict(fitted.named_params())
-    buffers = dict(fitted.named_buffers())
-    i = 1
+    """Read a `save_checkpoint` file into the model's own arrays, in place.
+
+    Any file that is not exactly one well-formed entry per model tensor
+    raises a one-line ValueError naming the file and the tensor.
+    """
+    buf = Path(path).read_bytes()
+    if not buf.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not an {CHECKPOINT_MAGIC.decode().strip()} file")
+    targets = _checkpoint_tensors(fitted)
     seen = set()
-    while i < len(text):
-        header = text[i].split()
-        kind, name, ndim = header[0], header[1], int(header[2])
-        shape = tuple(int(d) for d in header[3:3 + ndim])
-        values = np.array([float.fromhex(tok) for tok in text[i + 1].split()])
-        target = params[name].data if kind == "param" else buffers[name]
+    pos = len(CHECKPOINT_MAGIC)
+    while pos < len(buf):
+        if len(seen) == len(targets):
+            raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
+        end = buf.find(b"\n", pos)
+        end = len(buf) if end < 0 else end
+        line = buf[pos:end]
+        try:
+            kind, name, shape = _parse_header(line)
+        except ValueError:  # a UnicodeDecodeError too
+            raise ValueError(f"{path}: malformed tensor header {line[:80]!r} "
+                             f"at byte {pos}") from None
+        if kind not in ("param", "buffer"):
+            raise ValueError(f"{path}: tensor {name}: unknown kind {kind!r}")
+        if (kind, name) not in targets:
+            raise ValueError(f"{path}: unknown {kind} {name!r}")
+        if (kind, name) in seen:
+            raise ValueError(f"{path}: {kind} {name} given twice")
+        target = targets[kind, name]
         if target.shape != shape:
             raise ValueError(f"{path}: shape mismatch for {name}: "
                              f"{shape} in file, {target.shape} in model")
-        target[:] = values.reshape(shape)
-        seen.add(name)
-        i += 2
-    missing = (set(params) | set(buffers)) - seen
+        count = math.prod(shape)
+        pos = end + 1
+        if len(buf) - pos < 8 * count:
+            raise ValueError(f"{path}: {kind} {name} truncated: {len(buf) - pos} bytes "
+                             f"of {8 * count}")
+        target[...] = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape)
+        seen.add((kind, name))
+        pos += 8 * count
+    missing = set(targets) - seen
     if missing:
-        raise ValueError(f"{path}: missing tensors {sorted(missing)}")
+        raise ValueError(f"{path}: missing tensors {sorted(name for _, name in missing)}")

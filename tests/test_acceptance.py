@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
-Criteria 6 and 7 share a module-scoped grid of 25 desk-scale training runs
-on the default 200k-record synthetic dataset; everything else is fast.
-Run with `pytest tests/test_acceptance.py -v -s` to see the pass lines.
+Criteria 6 (AEFS AUC close to no selection across seeds) and 7
+(informative-field selection precision) have no test yet; they are open
+(ROADMAP item 4). Every test here is fast. Run with
+`pytest tests/test_acceptance.py -v -s` to see the pass lines.
 """
 from fractions import Fraction
 
@@ -23,16 +24,7 @@ from aefs.predictors import (
     fm_pairwise_interaction,
 )
 from aefs.selection import aefs_forward, embedding_alignment_loss, prediction_alignment_loss
-from aefs.training import (
-    TrainConfig,
-    evaluate,
-    prediction_discrepancy,
-    prepare,
-    selection_stats,
-    train,
-)
-
-SEEDS = [0, 1, 2, 3, 4]
+from aefs.training import prepare
 
 
 def ok(criterion: str, detail: str):

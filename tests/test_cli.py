@@ -1,8 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
+import aefs.cli as cli_mod
 from aefs.cli import main
+from aefs.data import read_format_b
+from aefs.training import (
+    NumericAbort,
+    build_model,
+    evaluate,
+    load_checkpoint,
+    parse_config_text,
+    prepare,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +75,7 @@ class TestTrain:
             assert (run / name).exists(), name
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["status"] == "done"
+        assert (manifest["exit_code"], manifest["error"]) == (0, None)
 
     def test_reference_delta_pae_printed(self, synth_dir, tmp_path, capsys):
         # 16-field config: d1=32, d2=4, r=0.5
@@ -129,10 +141,66 @@ class TestTrain:
         rc = main(["train", "--data", str(empty), "--out", str(tmp_path / "r"),
                    "--max-epochs", "1"])
         assert rc == 2
+        manifest = json.loads((next((tmp_path / "r").iterdir()) / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"]) == ("failed", 2)
+        assert manifest["error"].startswith("data error: no data.csv")
 
     def test_usage_error_exit_code(self, synth_dir, tmp_path):
         rc = main(["train", "--data", str(synth_dir), "--method", "bogus"])
         assert rc == 1
+
+    def test_single_class_split_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "one-class"
+        data.mkdir()
+        (data / "data.csv").write_text(
+            "label,f0,f1\n" + "".join(f"0,a{i % 5},b{i % 3}\n" for i in range(200)))
+        (data / "schema.json").write_text(json.dumps({"fields": [
+            {"name": "f0", "kind": "categorical"}, {"name": "f1", "kind": "categorical"}]}))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                   "--method", "none", "--d1", "4", "--max-epochs", "1",
+                   "--batch-size", "64", "--min-freq", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: "), err
+        manifest = json.loads((next((tmp_path / "r").iterdir()) / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", 2, err[0])
+
+    def test_checkpoint_reproduces_reported_auc(self, synth_dir, tmp_path):
+        assert main(train_args(synth_dir, tmp_path / "runs")) == 0
+        run = next((tmp_path / "runs").iterdir())
+        config = parse_config_text((run / "config.txt").read_text())
+        records, schema = read_format_b(synth_dir / "data.csv", synth_dir / "schema.json")
+        data = prepare(records, schema, seed=config.seed, min_freq=config.min_freq)
+        fresh = build_model(data.vocab.vocab_sizes, config,
+                            np.random.default_rng(123), np.random.default_rng(4))
+        load_checkpoint(fresh, run / "model.ckpt")
+        report = json.loads((run / "report.jsonl").read_text().splitlines()[0])
+        assert evaluate(fresh, data.test, config.batch_size).auc == report["auc"]
+
+
+class TestFailedRunManifest:
+    def read_manifest(self, out):
+        return json.loads((next(out.iterdir()) / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("command", [["train"], ["compare", "--methods", "none,aefs",
+                                                      "--seeds", "0,1"]])
+    def test_numeric_abort_marks_run_failed(self, synth_dir, tmp_path, monkeypatch,
+                                            capsys, command):
+        def abort(data, config):
+            raise NumericAbort("non-finite loss inf at epoch 1, batch 1")
+
+        monkeypatch.setattr(cli_mod, "train", abort)
+        out = tmp_path / "runs"
+        rc = main(command + ["--data", str(synth_dir), "--out", str(out), "--d1", "8",
+                             "--d2", "2", "--max-epochs", "1", "--min-freq", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err.strip()
+        manifest = self.read_manifest(out)
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == 3
+        assert manifest["error"] == err == "numeric abort: non-finite loss inf at epoch 1, batch 1"
+        assert manifest["finished_at"] is not None
 
 
 class TestCompare:

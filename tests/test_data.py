@@ -227,6 +227,14 @@ class TestFormats:
         with pytest.raises(DataError):
             read_format_a(p)
 
+    def test_format_a_label_outside_0_1(self, tmp_path):
+        good = "\t".join(["1"] + ["4"] * 13 + ["aa"] * 26)
+        bad = "\t".join(["2"] + ["4"] * 13 + ["aa"] * 26)
+        p = tmp_path / "labels.tsv"
+        p.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(DataError, match=r"labels\.tsv:2: label must be 0 or 1"):
+            read_format_a(p)
+
 
 class TestDataset:
     def test_pack(self):

@@ -299,6 +299,95 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(fitted, p)
 
+    @pytest.fixture
+    def fitted(self, small_data):
+        return build_model(small_data.vocab.vocab_sizes, small_config(),
+                           np.random.default_rng(0), np.random.default_rng(1))
+
+    @staticmethod
+    def entries(fitted):
+        return ([["param", name, t.data] for name, t in fitted.named_params()]
+                + [["buffer", name, arr] for name, arr in fitted.named_buffers()])
+
+    @staticmethod
+    def v2_bytes(entries) -> bytes:
+        """The documented layout, built without save_checkpoint."""
+        out = [b"aefs-checkpoint-v2\n"]
+        for kind, name, arr in entries:
+            header = " ".join([kind, name, str(arr.ndim)] + [str(d) for d in arr.shape])
+            out += [header.encode() + b"\n", np.asarray(arr, dtype="<f8").tobytes()]
+        return b"".join(out)
+
+    @staticmethod
+    def rejects(fitted, path, *needles):
+        """load_checkpoint raises one line naming the file and each needle."""
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(fitted, path)
+        msg = str(info.value)
+        assert "\n" not in msg and str(path) in msg, msg
+        for needle in needles:
+            assert needle in msg, msg
+
+    def test_layout_is_header_lines_and_raw_float64(self, small_data, tmp_path):
+        res = train(small_data, small_config(max_epochs=1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(res.fitted, path)
+        assert path.read_bytes() == self.v2_bytes(self.entries(res.fitted))
+        assert any(kind == "buffer" for kind, _, _ in self.entries(res.fitted))
+
+    def test_v1_hex_text_rejected(self, fitted, tmp_path):
+        lines = ["aefs-checkpoint-v1"]
+        for kind, name, arr in self.entries(fitted):
+            lines.append(" ".join([kind, name, str(arr.ndim)] + [str(d) for d in arr.shape]))
+            lines.append(" ".join(float(v).hex() for v in arr.reshape(-1)))
+        path = tmp_path / "v1.ckpt"
+        path.write_text("\n".join(lines) + "\n")
+        self.rejects(fitted, path, "aefs-checkpoint-v2")
+
+    def test_unknown_tensor_name_rejected(self, fitted, tmp_path):
+        entries = self.entries(fitted)
+        entries[3][1] = "main.emb.bogus"
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(self.v2_bytes(entries))
+        self.rejects(fitted, path, "main.emb.bogus")
+
+    def test_unknown_kind_rejected(self, fitted, tmp_path):
+        entries = self.entries(fitted)
+        entries[-1][0] = "weights"
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(self.v2_bytes(entries))
+        self.rejects(fitted, path, entries[-1][1], "'weights'")
+
+    @pytest.mark.parametrize("header", [
+        b"param", b"param aux.emb.0", b"param aux.emb.0 two 10 2",
+        b"param aux.emb.0 2 10", b"param aux.emb.0 2 10 -2", b"param \xff 1 3"])
+    def test_malformed_header_rejected(self, fitted, tmp_path, header):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(b"aefs-checkpoint-v2\n" + header + b"\n")
+        self.rejects(fitted, path, "malformed tensor header", repr(header))
+
+    def test_truncated_payload_rejected(self, fitted, tmp_path):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(self.v2_bytes(self.entries(fitted))[:-8])
+        self.rejects(fitted, path, self.entries(fitted)[-1][1], "truncated")
+
+    def test_trailing_bytes_rejected(self, fitted, tmp_path):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(self.v2_bytes(self.entries(fitted)) + b"\0")
+        self.rejects(fitted, path, "1 trailing bytes after the last tensor")
+
+    def test_tensor_given_twice_rejected(self, fitted, tmp_path):
+        entries = self.entries(fitted)
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(self.v2_bytes(entries[:1] + entries[:-1]))
+        self.rejects(fitted, path, entries[0][1], "twice")
+
+    def test_missing_tensor_rejected(self, fitted, tmp_path):
+        entries = self.entries(fitted)
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(self.v2_bytes(entries[:-1]))
+        self.rejects(fitted, path, entries[-1][1], "missing")
+
 
 class TestAlignmentInvariants:
     def test_eal_lowers_embedding_discrepancy(self, small_data):
