@@ -33,7 +33,14 @@ from .data import (
     write_format_b,
 )
 from .embedding import delta_el, delta_pae, full_param_count
-from .metrics import SingleClassError, auc, emit_report, metrics_row, welch_t_test
+from .metrics import (
+    DegenerateSampleError,
+    SingleClassError,
+    auc,
+    emit_report,
+    metrics_row,
+    welch_t_test,
+)
 from .selection import k_for
 from .training import (
     ConfigError,
@@ -58,6 +65,7 @@ _HANDLED = {
     ConfigError: (EXIT_CONFIG, "config error"),
     DataError: (EXIT_DATA, "data error"),
     SingleClassError: (EXIT_DATA, "data error"),
+    DegenerateSampleError: (EXIT_DATA, "data error"),
     NumericAbort: (EXIT_NUMERIC, "numeric abort"),
 }
 
@@ -273,6 +281,12 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least 2 methods")
     if len(seeds) < 2:
         raise ConfigError("compare needs at least 2 seeds for significance")
+    # a repeated seed trains an identical cell and a repeated method
+    # overwrites its own cells; neither adds a sample
+    for kind, values in (("method", methods), ("seed", seeds)):
+        repeated = [v for v in values if values.count(v) > 1]
+        if repeated:
+            raise ConfigError(f"compare got a repeated {kind}: {repeated[0]}")
 
     base = _load_config(args)
     data_dir = Path(args.data)

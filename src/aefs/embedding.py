@@ -79,10 +79,6 @@ class EmbeddingSet:
         self.lookup_counts = np.zeros(len(self._vocab_sizes), dtype=np.int64)
         self.tables = [EmbeddingTable(self, n) for n in range(len(self._vocab_sizes))]
 
-    @classmethod
-    def build(cls, vocab_sizes: Sequence[int], dim: int, rng: np.random.Generator) -> "EmbeddingSet":
-        return cls(vocab_sizes, dim, rng)
-
     @property
     def n_fields(self) -> int:
         return len(self._vocab_sizes)

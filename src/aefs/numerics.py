@@ -35,7 +35,10 @@ class Tensor:
 
     Leaf tensors created with ``requires_grad=True`` accumulate gradients in
     ``.grad`` after ``backward()`` is called on a scalar result. Interior
-    nodes carry a closure that routes the upstream gradient to their parents.
+    nodes carry a closure that routes the upstream gradient to their parents;
+    ``backward()`` releases an interior node's ``.grad`` (sets it to None)
+    as soon as its closure has run, so a parent may take over that buffer
+    without a copy. Leaves keep theirs.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -67,9 +70,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_scalar(self)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -94,6 +94,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # arithmetic sugar; non-Tensor operands become constants
     def __add__(self, other):
@@ -144,12 +145,19 @@ def _raise_scalar(t: Tensor):
     raise DimensionError("item() on non-scalar tensor of shape %s" % (t.shape,))
 
 
-def _accum(t: Tensor, g: Array):
+def _accum(t: Tensor, g: Array, owned: bool = False):
+    """Add `g` to ``t.grad``. An `owned` array is one no one else holds or
+    will write (fresh from the closure, or the released gradient of the
+    node being processed, or a view of it); the first gradient of `t` then
+    takes it over instead of copying it."""
     if not t.requires_grad:
         return
     if isinstance(t.grad, RowGrad):
         t.grad = t.grad.dense()
     if t.grad is None:
+        if owned and isinstance(g, np.ndarray) and g.shape == t.data.shape:
+            t.grad = g
+            return
         # materialize broadcast views and detach from caller-owned buffers
         t.grad = np.array(g, dtype=np.float64)
         if t.grad.shape != t.data.shape:
@@ -173,9 +181,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _sum_to_shape(g, a.data.shape))
+            ga = _sum_to_shape(g, a.data.shape)
+            # g itself is handed over uncopied once: to b when b takes it too
+            shared = ga is g and b.requires_grad and b.data.shape == g.shape
+            _accum(a, ga, owned=not shared)
         if b.requires_grad:
-            _accum(b, _sum_to_shape(g, b.data.shape))
+            _accum(b, _sum_to_shape(g, b.data.shape), owned=True)
 
     return Tensor(out, parents=(a, b), backward=bw)
 
@@ -185,9 +196,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _sum_to_shape(g, a.data.shape))
+            _accum(a, _sum_to_shape(g, a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _sum_to_shape(-g, b.data.shape))
+            _accum(b, _sum_to_shape(-g, b.data.shape), owned=True)
 
     return Tensor(out, parents=(a, b), backward=bw)
 
@@ -197,9 +208,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _sum_to_shape(g * b.data, a.data.shape))
+            _accum(a, _sum_to_shape(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _sum_to_shape(g * a.data, b.data.shape))
+            _accum(b, _sum_to_shape(g * a.data, b.data.shape), owned=True)
 
     return Tensor(out, parents=(a, b), backward=bw)
 
@@ -209,9 +220,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _sum_to_shape(g / b.data, a.data.shape))
+            _accum(a, _sum_to_shape(g / b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _sum_to_shape(-g * a.data / (b.data * b.data), b.data.shape))
+            _accum(b, _sum_to_shape(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
 
     return Tensor(out, parents=(a, b), backward=bw)
 
@@ -220,7 +231,7 @@ def power(a: Tensor, p: float) -> Tensor:
     out = a.data ** p
 
     def bw(g):
-        _accum(a, g * p * a.data ** (p - 1))
+        _accum(a, g * p * a.data ** (p - 1), owned=True)
 
     return Tensor(out, parents=(a,), backward=bw)
 
@@ -232,9 +243,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g, owned=True)
 
     return Tensor(out, parents=(a, b), backward=bw)
 
@@ -254,7 +265,7 @@ def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
 
     def bw(g):
-        _accum(a, g * out)
+        _accum(a, g * out, owned=True)
 
     return Tensor(out, parents=(a,), backward=bw)
 
@@ -263,7 +274,7 @@ def log(a: Tensor) -> Tensor:
     out = np.log(a.data)
 
     def bw(g):
-        _accum(a, g / a.data)
+        _accum(a, g / a.data, owned=True)
 
     return Tensor(out, parents=(a,), backward=bw)
 
@@ -272,7 +283,7 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
     def bw(g):
-        _accum(a, g * (a.data > 0.0))
+        _accum(a, g * (a.data > 0.0), owned=True)
 
     return Tensor(out, parents=(a,), backward=bw)
 
@@ -282,7 +293,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(a.data, lo, hi)
 
     def bw(g):
-        _accum(a, g * ((a.data > lo) & (a.data < hi)))
+        _accum(a, g * ((a.data > lo) & (a.data < hi)), owned=True)
 
     return Tensor(out, parents=(a,), backward=bw)
 
@@ -297,7 +308,7 @@ def sigmoid(x):
         out = _sigmoid_stable(x.data)
 
         def bw(g):
-            _accum(x, g * out * (1.0 - out))
+            _accum(x, g * out * (1.0 - out), owned=True)
 
         return Tensor(out, parents=(x,), backward=bw)
     arr = np.asarray(x, dtype=np.float64)
@@ -326,7 +337,7 @@ def softmax(x, axis: int = -1):
 
         def bw(g):
             inner = (g * s).sum(axis=axis, keepdims=True)
-            _accum(x, s * (g - inner))
+            _accum(x, s * (g - inner), owned=True)
 
         return Tensor(s, parents=(x,), backward=bw)
     arr = np.asarray(x, dtype=np.float64)
@@ -362,7 +373,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
 
     def bw(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(a, g.reshape(a.data.shape), owned=True)
 
     return Tensor(out, parents=(a,), backward=bw)
 
@@ -374,7 +385,7 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
 
     def bw(g):
         for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
-            _accum(p, piece)
+            _accum(p, piece, owned=True)
 
     return Tensor(out, parents=tuple(parts), backward=bw)
 
@@ -507,10 +518,13 @@ class BatchNorm1d:
         if training:
             if x.shape[0] < 2:
                 raise DegenerateBatchError("batch_norm training mode needs batch >= 2")
-            mu = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
+            # np.mean and np.var in fewer passes, with the same arithmetic
+            n = x.shape[0]
+            mu = x.data.sum(axis=0) / n
+            xn = x.data - mu
+            var = (xn * xn).sum(axis=0) / n
             std = np.sqrt(var + self.eps)
-            xn = (x.data - mu) / std
+            xn /= std
             if update_running:
                 m = self.momentum
                 self.running_mean = (1.0 - m) * self.running_mean + m * mu
@@ -519,18 +533,26 @@ class BatchNorm1d:
             std = np.sqrt(self.running_var + self.eps)
             xn = (x.data - self.running_mean) / std
         gamma, beta = self.gamma, self.beta
-        out = gamma.data * xn + beta.data
+        out = gamma.data * xn
+        out += beta.data
 
         def bw(g):
-            _accum(gamma, (g * xn).sum(axis=0))
-            _accum(beta, g.sum(axis=0))
+            t = g * xn
+            _accum(gamma, t.sum(axis=0), owned=True)
+            _accum(beta, g.sum(axis=0), owned=True)
             if x.requires_grad:
+                # dx = (dxn - mean(dxn) - xn * mean(dxn * xn)) / std, op for
+                # op, with `t` as the one scratch array
                 dxn = g * gamma.data
                 if training:
-                    dx = (dxn - dxn.mean(axis=0) - xn * (dxn * xn).mean(axis=0)) / std
-                else:
-                    dx = dxn / std
-                _accum(x, dx)
+                    m1 = dxn.sum(axis=0) / n
+                    np.multiply(dxn, xn, out=t)
+                    m2 = t.sum(axis=0) / n
+                    np.multiply(xn, m2, out=t)
+                    dxn -= m1
+                    dxn -= t
+                dxn /= std
+                _accum(x, dxn, owned=True)
 
         return Tensor(out, parents=(x, gamma, beta), backward=bw)
 

@@ -98,7 +98,7 @@ class PlainModel:
     def __init__(self, vocab_sizes, dim: int, backbone: str, hidden_dims, n_cross_layers,
                  rng: np.random.Generator):
         n = len(vocab_sizes)
-        self.embeddings = EmbeddingSet.build(vocab_sizes, dim, rng)
+        self.embeddings = EmbeddingSet(vocab_sizes, dim, rng)
         self.predictor = build_predictor(
             PredictorConfig(backbone, n, dim, tuple(hidden_dims), n_cross_layers), rng)
         self.n_fields = n
@@ -120,7 +120,7 @@ class FixedSubsetModel:
                  hidden_dims, n_cross_layers, rng: np.random.Generator):
         self.fields = np.asarray(sorted(fields))
         self.n_fields = len(vocab_sizes)
-        self.embeddings = EmbeddingSet.build(vocab_sizes, dim, rng)
+        self.embeddings = EmbeddingSet(vocab_sizes, dim, rng)
         self.predictor = build_predictor(
             PredictorConfig(backbone, len(self.fields), dim, tuple(hidden_dims),
                             n_cross_layers), rng)
@@ -148,25 +148,16 @@ class LateSelectionModel:
                  rng: np.random.Generator):
         n = len(vocab_sizes)
         self.n_fields = n
-        self.embeddings = EmbeddingSet.build(vocab_sizes, dim, rng)
+        self.embeddings = EmbeddingSet(vocab_sizes, dim, rng)
         self.controller = Controller(n, dim, rng)
         self.predictor = build_predictor(
             PredictorConfig(backbone, n, dim, tuple(hidden_dims), n_cross_layers), rng)
 
     def forward(self, x: np.ndarray, training: bool, mode: str = "soft",
-                k: int | None = None, reweight: bool = True,
-                bypass_controller: bool = False,
-                detach_controller_input: bool = False):
-        """Returns (prediction, scores, hard-selection indices or None).
-
-        With detach_controller_input the scorer reads the embeddings as
-        constants: score gradients update the controller itself but stop
-        short of the embedding tables.
-        """
+                k: int | None = None, reweight: bool = True):
+        """Returns (prediction, scores, hard-selection indices or None)."""
         e = self.embeddings.embed(x)
-        if bypass_controller:
-            return self.predictor(e), None, None
-        s = self.controller(e.detach() if detach_controller_input else e, training)
+        s = self.controller(e, training)
         if mode == "soft":
             weights = s
             indices = None
@@ -229,12 +220,12 @@ class DualModel:
         self.k = k
         self.d1 = d1
         self.d2 = d2
-        self.aux_embeddings = EmbeddingSet.build(vocab_sizes, d2, rng)
+        self.aux_embeddings = EmbeddingSet(vocab_sizes, d2, rng)
         self.controller = Controller(n, d2, rng)
         self.aux_predictor = build_predictor(
             PredictorConfig(backbone_aux, k, d2, tuple(hidden_dims), n_cross_layers), rng)
         self.align_fc = Linear(d2, d1, rng)
-        self.main_embeddings = EmbeddingSet.build(vocab_sizes, d1, rng)
+        self.main_embeddings = EmbeddingSet(vocab_sizes, d1, rng)
         self.main_predictor = build_predictor(
             PredictorConfig(backbone_main, k, d1, tuple(hidden_dims), n_cross_layers), rng)
         self._pretrain_head: Linear | None = None

@@ -60,8 +60,8 @@ def test_criterion_2_accounting_identity():
     from aefs.embedding import ActivationLedger, EmbeddingSet, record_batch_activation
     rng = np.random.default_rng(2)
     vocab = [13, 401, 37, 89, 5, 211]
-    main = EmbeddingSet.build(vocab, 8, np.random.default_rng(0))
-    aux = EmbeddingSet.build(vocab, 2, np.random.default_rng(1))
+    main = EmbeddingSet(vocab, 8, np.random.default_rng(0))
+    aux = EmbeddingSet(vocab, 2, np.random.default_rng(1))
     ledger = ActivationLedger()
     expected_sum = Fraction(0)
     batches = 17

@@ -202,6 +202,23 @@ class TestFailedRunManifest:
         assert manifest["error"] == err == "numeric abort: non-finite loss inf at epoch 1, batch 1"
         assert manifest["finished_at"] is not None
 
+    def test_zero_variance_comparison_marks_run_failed(self, synth_dir, tmp_path,
+                                                       monkeypatch, capsys):
+        # every cell scores the same AUC, so the Welch test has no variance
+        def same_row(config, data, run_dir, dump_selection=False):
+            return {"method": config.method, "auc": 0.75, "logloss": 0.5, "delta_pae": 0.0}
+
+        monkeypatch.setattr(cli_mod, "_run_single", same_row)
+        out = tmp_path / "runs"
+        rc = main(["compare", "--data", str(synth_dir), "--out", str(out),
+                   "--methods", "none,randomhalf", "--seeds", "0,1", "--min-freq", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "data error: both samples have zero variance"
+        manifest = self.read_manifest(out)
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", 2, err)
+
 
 class TestCompare:
     def test_two_methods_two_seeds(self, synth_dir, tmp_path, capsys):
@@ -222,6 +239,21 @@ class TestCompare:
         rc = main(["compare", "--data", str(synth_dir), "--out", str(tmp_path / "c"),
                    "--methods", "aefs", "--seeds", "0,1"])
         assert rc == 1
+
+    @pytest.mark.parametrize("methods,seeds,repeated", [
+        ("none,randomhalf", "3,3", "seed: 3"), ("none,aefs,none", "0,1", "method: none")])
+    def test_repeated_seed_or_method_rejected_before_training(
+            self, synth_dir, tmp_path, monkeypatch, capsys, methods, seeds, repeated):
+        def no_training(data, config):
+            raise AssertionError("trained a repeated cell")
+
+        monkeypatch.setattr(cli_mod, "train", no_training)
+        out = tmp_path / "c"
+        rc = main(["compare", "--data", str(synth_dir), "--out", str(out),
+                   "--methods", methods, "--seeds", seeds, "--min-freq", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == f"config error: compare got a repeated {repeated}"
+        assert not out.exists()
 
 
 class TestParams:

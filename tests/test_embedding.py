@@ -15,7 +15,7 @@ from aefs.embedding import (
 )
 
 def build_set(vocab_sizes, dim, seed=0):
-    return EmbeddingSet.build(vocab_sizes, dim, np.random.default_rng(seed))
+    return EmbeddingSet(vocab_sizes, dim, np.random.default_rng(seed))
 
 
 class TestEmbed:

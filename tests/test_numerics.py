@@ -13,13 +13,16 @@ from aefs.numerics import (
     RowGrad,
     Tensor,
     affine,
+    concat,
+    exp,
     grad_check,
+    relu,
     sigmoid,
     softmax,
     scatter_rows,
     xavier_init,
 )
-from oracles import adam_step, dense_scatter, same_bits
+from oracles import adam_step, dense_scatter, same_bits, use_reference_tape
 
 
 def matmul_oracle(a, b):
@@ -142,6 +145,132 @@ class TestBatchNorm:
 
         err = grad_check(loss, [x, bn.gamma, bn.beta], eps=1e-6)
         assert err < 1e-6
+
+
+class TestBatchNormMatchesReference:
+    """Training and inference mode against the textbook formula, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [64, 50])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_running_stats_and_grads(self, training, rows, monkeypatch):
+        rng = np.random.default_rng(12)
+        x_val = rng.normal(2.0, 3.0, size=(rows, 12))
+        upstream = rng.normal(size=(rows, 12))
+        gamma, beta = rng.normal(1.0, 0.2, size=12), rng.normal(size=12)
+        mean, var = rng.normal(size=12), rng.uniform(0.5, 2.0, size=12)
+
+        def run():
+            bn = BatchNorm1d(12)
+            bn.gamma.data[:], bn.beta.data[:] = gamma, beta
+            bn.load_buffers(mean, var)
+            x = Tensor(x_val.copy(), requires_grad=True)
+            y = bn(x, training=training)
+            (y * Tensor(upstream)).sum().backward()
+            return [y.data, bn.running_mean, bn.running_var,
+                    x.grad, bn.gamma.grad, bn.beta.grad]
+
+        fast = run()
+        use_reference_tape(monkeypatch)
+        ref = run()
+        names = ["out", "running_mean", "running_var", "x.grad", "gamma.grad", "beta.grad"]
+        for name, a, b in zip(names, fast, ref):
+            assert same_bits(a, b), name
+
+
+# Graphs where one gradient buffer could reach two owners: a tensor used
+# twice by one op, one tensor feeding two consumers, a reshape view whose
+# parent also gets a second gradient, the pieces of a concat, and a sum's
+# read-only broadcast gradient next to a second gradient.
+_K = np.random.default_rng(13).normal(size=(3, 3, 12))
+
+
+def _two_consumers(x, w, b):
+    h = x @ w
+    return (relu(h) * _K[0, :, :4]).sum() + (sigmoid(h) * _K[1, :, :4]).sum()
+
+
+def _reshape_and_second_gradient(x, w, b):
+    h = x * b  # interior, (3, 4)
+    return ((h.reshape(4, 3) * _K[0, :, :4].T).sum() + (exp(h) * _K[1, :, :4]).sum()
+            + (x.reshape(12) * _K[2, 0]).sum())
+
+
+def _concat_pieces(x, w, b):
+    h = x @ w
+    return (concat([h, x, h], axis=1) * _K[0]).sum() + (h * _K[1, :, :4]).sum()
+
+
+HAND_OVER_GRAPHS = {
+    "x_plus_x": lambda x, w, b: ((x + x) * _K[0, :, :4]).sum(),
+    "x_minus_x": lambda x, w, b: ((x - x) * _K[0, :, :4]).sum() + (x * _K[1, :, :4]).sum(),
+    "x_times_x": lambda x, w, b: ((x * x) * _K[0, :, :4]).sum(),
+    "add_of_two_owners": lambda x, w, b: ((x + x @ w) * _K[0, :, :4]
+                                          + (x @ w + x) * _K[1, :, :4]).sum(),
+    "add_and_sub_broadcast": lambda x, w, b: (((x @ w + b) - b) * _K[0, :, :4]
+                                              + (x - x @ w) * _K[1, :, :4]).sum(),
+    "sum_and_second_gradient": lambda x, w, b: ((x.sum(axis=0) * _K[0, 0, :4]).sum()
+                                                + (x * _K[1, :, :4]).sum()
+                                                + (x.sum(axis=1) * _K[2, 0, :3]).sum()),
+    "two_consumers": _two_consumers,
+    "reshape_and_second_gradient": _reshape_and_second_gradient,
+    "concat_pieces": _concat_pieces,
+}
+
+
+def _leaves():
+    rng = np.random.default_rng(14)
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((3, 4), (4, 4), (4,))]
+
+
+def _graph_nodes(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestGradientHandOver:
+    """Interior gradient buffers are passed to a parent without a copy."""
+
+    @pytest.mark.parametrize("graph", sorted(HAND_OVER_GRAPHS))
+    def test_leaf_grads_match_copying_tape(self, graph, monkeypatch):
+        build, leaves = HAND_OVER_GRAPHS[graph], _leaves()
+        build(*leaves).backward()
+        fast = [p.grad for p in leaves]
+        used = [g for g in fast if g is not None]
+        assert used
+        # no two leaves own one buffer
+        for i, g in enumerate(used):
+            assert not any(np.shares_memory(g, h) for h in used[i + 1:])
+        for p in leaves:
+            p.grad = None
+        use_reference_tape(monkeypatch)
+        build(*leaves).backward()
+        for p, g in zip(leaves, fast):
+            assert (g is None and p.grad is None) or same_bits(g, p.grad)
+
+    @pytest.mark.parametrize("graph", sorted(HAND_OVER_GRAPHS))
+    def test_grad_check(self, graph):
+        build, leaves = HAND_OVER_GRAPHS[graph], _leaves()
+        assert grad_check(lambda: build(*leaves), leaves, eps=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("graph", sorted(HAND_OVER_GRAPHS))
+    def test_interior_grads_released_leaves_kept(self, graph):
+        build, leaves = HAND_OVER_GRAPHS[graph], _leaves()
+        loss = build(*leaves)
+        loss.backward()
+        nodes = _graph_nodes(loss)
+        assert sum(node._backward is not None for node in nodes) >= 3
+        for node in nodes:
+            if node._backward is not None:
+                assert node.grad is None
+            elif node.requires_grad:
+                assert node.grad is not None
 
 
 def adam_on(values, **kw):

@@ -21,7 +21,7 @@ from aefs.training import (
     selection_stats,
     train,
 )
-from oracles import dense_scatter, reference_adam_step, same_bits
+from oracles import dense_scatter, reference_adam_step, same_bits, use_reference_tape
 
 
 @pytest.fixture(scope="module")
@@ -524,13 +524,18 @@ def many_row_data():
 
 
 class TestRowSparseTrainingIsExact:
-    @pytest.mark.parametrize("method", ["none", "aefs"])
+    """Training equals, bit for bit, a run on the reference code: dense
+    scatters, the allocating Adam, the copying tape and the textbook batch
+    normalization (which `adafs` runs in its controller)."""
+
+    @pytest.mark.parametrize("method", ["none", "aefs", "adafs"])
     def test_matches_dense_gradients_and_reference_adam(self, many_row_data, method,
                                                         monkeypatch):
         cfg = small_config(method=method, max_epochs=2, batch_size=64, pretrain_epochs=1)
         fast = train(many_row_data, cfg)
         monkeypatch.setattr(embedding_mod, "scatter_rows", dense_scatter)
         monkeypatch.setattr(Adam, "step", reference_adam_step)
+        use_reference_tape(monkeypatch)
         dense = train(many_row_data, cfg)
         for (name, a), (_, b) in zip(fast.fitted.named_params(), dense.fitted.named_params()):
             assert same_bits(a.data, b.data), name
