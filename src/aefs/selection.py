@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingSet
-from .numerics import DimensionError, Linear, Tensor, gather_fields
+from .numerics import DimensionError, Linear, Tensor, _accum, gather_fields
 from .predictors import Controller, PredictorConfig, build_predictor
 
 
@@ -264,6 +264,23 @@ class ForwardTrace:
     main_pred: Tensor        # (B,)
 
 
+def _select(pair: DualModel, x: np.ndarray, training: bool, reweight: bool):
+    """Auxiliary embeddings, controller scores, the top-k indices and their
+    weights: the part of a forward pass both predictors depend on."""
+    e_a = pair.aux_embeddings.embed(x)               # (B, N, d2)
+    s = pair.controller(e_a, training)               # (B, N)
+    indices = k_max_indices_batch(s.data, pair.k)    # (B, k)
+    sel = gather_fields(s, indices)                  # (B, k)
+    weights = sel / sel.sum(axis=1, keepdims=True) if reweight else sel
+    return e_a, s, indices, weights
+
+
+def _main_branch(pair: DualModel, x: np.ndarray, indices: np.ndarray, weights: Tensor):
+    e_m = pair.main_embeddings.embed_selected(x, indices)  # k lookups each
+    e_m_sel = scale_embeddings(e_m, weights)
+    return e_m_sel, pair.main_predictor(e_m_sel)
+
+
 def aefs_forward(pair: DualModel, x: np.ndarray, training: bool,
                  reweight: bool = True) -> ForwardTrace:
     """Score with the auxiliary model, keep the top k fields, and run both
@@ -271,36 +288,64 @@ def aefs_forward(pair: DualModel, x: np.ndarray, training: bool,
 
     Auxiliary lookups per instance: N. Main lookups per instance: k.
     """
-    e_a = pair.aux_embeddings.embed(x)               # (B, N, d2)
-    s = pair.controller(e_a, training)               # (B, N)
-    indices = k_max_indices_batch(s.data, pair.k)    # (B, k)
-    sel = gather_fields(s, indices)                  # (B, k)
-    if reweight:
-        weights = sel / sel.sum(axis=1, keepdims=True)
-    else:
-        weights = sel
+    e_a, s, indices, weights = _select(pair, x, training, reweight)
     e_a_sel = scale_embeddings(gather_fields(e_a, indices), weights)
     p_a = pair.aux_predictor(e_a_sel)
-
-    e_m = pair.main_embeddings.embed_selected(x, indices)  # k lookups each
-    e_m_sel = scale_embeddings(e_m, weights)
-    p_m = pair.main_predictor(e_m_sel)
+    e_m_sel, p_m = _main_branch(pair, x, indices, weights)
     return ForwardTrace(scores=s, indices=indices, weights=weights,
                         aux_embeds=e_a_sel, main_embeds=e_m_sel,
                         aux_pred=p_a, main_pred=p_m)
 
 
+def aefs_predict(pair: DualModel, x: np.ndarray, training: bool,
+                 reweight: bool = True):
+    """The main prediction, selected indices and weights of `aefs_forward`,
+    without the auxiliary predictor, whose output only the training losses
+    use. Returns (main_pred, indices, weights)."""
+    _, _, indices, weights = _select(pair, x, training, reweight)
+    _, p_m = _main_branch(pair, x, indices, weights)
+    return p_m, indices, weights
+
+
 def embedding_alignment_loss(aux_embeds: Tensor, main_embeds: Tensor,
                              fc: Linear) -> Tensor:
     """Mean squared difference between the lifted auxiliary embeddings and
-    the main embeddings, averaged over batch and all k*d1 components."""
+    the main embeddings, averaged over batch and all k*d1 components.
+
+    One tape node. Its forward and backward evaluate, op for op, what the
+    composed graph ``((fc(aux) - main) ** 2).mean()`` evaluates, so values
+    and gradients are bit-identical to it: the doubled ``c*diff`` is the
+    two equal products the square's backward adds, and main, then the
+    bias, the weight and aux receive their gradients as that graph hands
+    them down.
+    """
     if aux_embeds.shape[:2] != main_embeds.shape[:2]:
         raise DimensionError(f"selection shapes differ: {aux_embeds.shape} vs {main_embeds.shape}")
     b, k, d2 = aux_embeds.shape
-    d1 = main_embeds.shape[2]
-    mapped = fc(aux_embeds.reshape(b * k, d2)).reshape(b, k, d1)
-    diff = mapped - main_embeds
-    return (diff * diff).mean()
+    w, bias = fc.weight, fc.bias
+    if w.shape != (d2, main_embeds.shape[2]):
+        raise DimensionError(f"alignment map {w.shape} cannot lift {aux_embeds.shape} "
+                             f"to {main_embeds.shape}")
+    a2 = aux_embeds.data.reshape(b * k, d2)
+    diff = a2 @ w.data
+    diff += bias.data
+    diff = diff.reshape(main_embeds.shape)
+    diff -= main_embeds.data
+    c = 1.0 / diff.size
+    out = (diff * diff).sum() * c
+
+    def bw(g):
+        gd = (g * c) * diff
+        gd += gd
+        _accum(main_embeds, -gd, owned=True)
+        gd2 = gd.reshape(b * k, -1)
+        _accum(bias, gd2.sum(axis=0), owned=True)
+        _accum(w, a2.T @ gd2, owned=True)
+        _accum(aux_embeds, (gd2 @ w.data.T).reshape(aux_embeds.shape), owned=True)
+
+    # main last: the tape then visits main before aux, as it does in the
+    # composed graph
+    return Tensor(out, parents=(aux_embeds, w, bias, main_embeds), backward=bw)
 
 
 def prediction_alignment_loss(aux_pred: Tensor, main_pred: Tensor) -> Tensor:

@@ -32,6 +32,7 @@ from .selection import (
     LateSelectionModel,
     PlainModel,
     aefs_forward,
+    aefs_predict,
     embedding_alignment_loss,
     k_for,
     prediction_alignment_loss,
@@ -219,8 +220,8 @@ class FittedModel:
         """
         b = x.shape[0]
         if self.method == "aefs":
-            trace = aefs_forward(self.model, x, training, reweight=self.reweight)
-            return trace.main_pred, trace.indices, trace.weights.data, self.model.aux_embeddings
+            p, indices, weights = aefs_predict(self.model, x, training, reweight=self.reweight)
+            return p, indices, weights.data, self.model.aux_embeddings
         if self.method == "adafs":
             p, _, _ = self.model.forward(x, training, mode=self.mode, k=self.k,
                                          reweight=self.reweight)
@@ -395,6 +396,15 @@ def pretrain(fitted: FittedModel, train_data: Dataset, config: TrainConfig,
             opt.step()
 
 
+def _first_bad_term(terms: dict) -> str:
+    """' (first non-finite term: <name>)' for the first of bce_aux,
+    bce_main, eal and pal that is not finite; '' when all are."""
+    for key in ("bce_aux", "bce_main", "eal", "pal"):
+        if terms[key] is not None and not np.isfinite(terms[key]):
+            return f" (first non-finite term: {key})"
+    return ""
+
+
 def _check_gradients(named_params, where: str) -> None:
     """Abort on the first parameter whose gradient holds a NaN or an
     infinity; a row-sparse gradient is checked on the rows it touched."""
@@ -478,8 +488,8 @@ def train(data: PreparedData, config: TrainConfig) -> TrainResult:
             loss, terms, sel, aux_set = _batch_loss(fitted, x, y, config)
             val = loss.item()
             if not np.isfinite(val):
-                raise NumericAbort(
-                    f"non-finite loss {val} at epoch {epoch}, batch {n_batches + 1}")
+                raise NumericAbort(f"non-finite loss {val} at epoch {epoch}, "
+                                   f"batch {n_batches + 1}{_first_bad_term(terms)}")
             opt.zero_grad()
             loss.backward()
             _check_gradients(named, f"epoch {epoch}, batch {n_batches + 1}")
@@ -525,13 +535,13 @@ def selection_stats(fitted: FittedModel, dataset: Dataset, batch_size: int = 204
     counts = np.zeros(n_fields, dtype=np.int64)
     hits = 0
     total = 0
-    informative = set(informative_fields) if informative_fields is not None else None
+    informative = np.asarray(informative_fields) if informative_fields is not None else None
     for start in range(0, n, batch_size):
         x = dataset.x[start:start + batch_size]
         _, sel, _, _ = fitted.forward_scores(x, training=False)
-        np.add.at(counts, sel.reshape(-1), 1)
+        counts += np.bincount(sel.reshape(-1), minlength=n_fields)
         if informative is not None:
-            hits += sum(1 for row in sel for f in row if int(f) in informative)
+            hits += int(np.isin(sel, informative).sum())
             total += sel.size
     out = {"selection_frequency": (counts / n).tolist()}
     if informative is not None:

@@ -4,9 +4,9 @@ These are the allocating formulations the package used before embedding
 gradients became row-sparse, Adam became in place and the tape began
 handing gradient buffers to their parents: a dense zero gradient scattered
 into with ``np.add.at``, an Adam update that builds a new array per
-operation, a gradient accumulator that copies every first gradient, and
+operation, a gradient accumulator that copies every first gradient,
 batch normalization through ``np.mean``/``np.var`` with one new array per
-operation.
+operation, and the embedding alignment loss composed from tape ops.
 """
 import numpy as np
 
@@ -96,6 +96,18 @@ def use_reference_tape(monkeypatch):
     batch normalization for the rest of a test (or monkeypatch context)."""
     monkeypatch.setattr(numerics, "_accum", copying_accum)
     monkeypatch.setattr(numerics.BatchNorm1d, "__call__", batchnorm_reference)
+
+
+def composed_embedding_alignment_loss(aux_embeds, main_embeds, fc):
+    """``embedding_alignment_loss`` as eight tape nodes: reshape, affine
+    (matmul and add), reshape, subtract, square, sum and scale."""
+    if aux_embeds.shape[:2] != main_embeds.shape[:2]:
+        raise DimensionError(f"selection shapes differ: {aux_embeds.shape} vs {main_embeds.shape}")
+    b, k, d2 = aux_embeds.shape
+    d1 = main_embeds.shape[2]
+    mapped = fc(aux_embeds.reshape(b * k, d2)).reshape(b, k, d1)
+    diff = mapped - main_embeds
+    return (diff * diff).mean()
 
 
 def same_bits(a, b) -> bool:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import aefs.cli as cli_mod
+import aefs.training as training_mod
 from aefs.cli import main
 from aefs.data import read_format_b
+from aefs.numerics import Tensor
 from aefs.training import (
     NumericAbort,
     build_model,
@@ -201,6 +203,19 @@ class TestFailedRunManifest:
         assert manifest["exit_code"] == 3
         assert manifest["error"] == err == "numeric abort: non-finite loss inf at epoch 1, batch 1"
         assert manifest["finished_at"] is not None
+
+    def test_infinite_eal_exits_3_and_names_the_term(self, synth_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(training_mod, "embedding_alignment_loss",
+                            lambda *args: Tensor(np.array(np.inf)))
+        out = tmp_path / "runs"
+        assert main(train_args(synth_dir, out)) == 3
+        err = capsys.readouterr().err.strip()
+        manifest = self.read_manifest(out)
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == 3
+        assert manifest["error"] == err == ("numeric abort: non-finite loss inf at epoch 1, "
+                                            "batch 1 (first non-finite term: eal)")
 
     def test_zero_variance_comparison_marks_run_failed(self, synth_dir, tmp_path,
                                                        monkeypatch, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aefs.numerics import Tensor, grad_check
+from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, grad_check
 from aefs.predictors import bce
 from aefs.selection import (
     DegenerateSelectionError,
@@ -21,6 +21,7 @@ from aefs.selection import (
     prediction_alignment_loss,
     scale_embeddings,
 )
+from oracles import composed_embedding_alignment_loss, same_bits
 
 VOCAB6 = [5, 7, 4, 6, 5, 8]
 
@@ -262,6 +263,16 @@ class TestAlignmentLosses:
         for t in (aux, main, pair.align_fc.weight):
             assert np.abs(t.grad).max() > 0
 
+    def test_eal_rejects_a_map_of_the_wrong_shape(self):
+        rng = np.random.default_rng(21)
+        aux = Tensor(rng.normal(size=(2, 3, 2)))
+        with pytest.raises(DimensionError):
+            embedding_alignment_loss(aux, Tensor(rng.normal(size=(2, 3, 5))),
+                                     Linear(2, 6, rng))
+        with pytest.raises(DimensionError):
+            embedding_alignment_loss(aux, Tensor(rng.normal(size=(2, 3, 6))),
+                                     Linear(3, 6, rng))
+
     def test_pal_identical_zero(self):
         p = Tensor(np.array([0.3, 0.9]))
         assert prediction_alignment_loss(p, p).item() == 0.0
@@ -276,6 +287,75 @@ class TestAlignmentLosses:
         a, b = Tensor(rng.random(5)), Tensor(rng.random(5))
         assert prediction_alignment_loss(a, b).item() == pytest.approx(
             prediction_alignment_loss(b, a).item(), abs=1e-15)
+
+
+def eal_value_and_grads(eal, aux, main, fc, leaves):
+    for t in leaves:
+        t.grad = None
+    loss = eal(aux, main, fc)
+    loss.backward()
+    return loss.data, [t.grad for t in leaves]
+
+
+class TestFusedAlignmentLoss:
+    """The one-node embedding alignment loss equals the composed graph in
+    tests/oracles.py bit for bit: value, and every gradient it hands on."""
+
+    @pytest.mark.parametrize("b,k,d2,d1", [(1, 1, 1, 1), (5, 3, 2, 6), (64, 8, 4, 32)])
+    def test_value_and_gradients_match_composed(self, b, k, d2, d1):
+        rng = np.random.default_rng(b * 100 + d1)
+        aux = Tensor(rng.normal(size=(b, k, d2)), requires_grad=True)
+        main = Tensor(rng.normal(size=(b, k, d1)), requires_grad=True)
+        fc = Linear(d2, d1, rng)
+        fc.bias.data[:] = rng.normal(size=d1)
+        leaves = [aux, main, fc.weight, fc.bias]
+        fused = eal_value_and_grads(embedding_alignment_loss, aux, main, fc, leaves)
+        composed = eal_value_and_grads(composed_embedding_alignment_loss, aux, main, fc,
+                                       leaves)
+        assert same_bits(fused[0], composed[0])
+        for name, a, c in zip(("aux", "main", "weight", "bias"), fused[1], composed[1]):
+            assert same_bits(a, c), name
+
+    def test_shared_tensor_as_both_sides(self):
+        rng = np.random.default_rng(22)
+        e = Tensor(rng.normal(size=(4, 3, 4)), requires_grad=True)
+        fc = Linear(4, 4, rng)
+        fc.bias.data[:] = rng.normal(size=4)
+        leaves = [e, fc.weight, fc.bias]
+        fused = eal_value_and_grads(embedding_alignment_loss, e, e, fc, leaves)
+        composed = eal_value_and_grads(composed_embedding_alignment_loss, e, e, fc, leaves)
+        assert same_bits(fused[0], composed[0])
+        for a, c in zip(fused[1], composed[1]):
+            assert same_bits(a, c)
+        assert grad_check(lambda: embedding_alignment_loss(e, e, fc), leaves) < 1e-6
+
+    @pytest.mark.parametrize("backbone", ["mlp", "dcn", "deepfm"])
+    @pytest.mark.parametrize("with_pal", [True, False])
+    def test_joint_loss_gradients_match_composed(self, backbone, with_pal):
+        # the embeddings also feed both predictors, so the order in which
+        # the tape adds their gradient terms has to be the composed graph's
+        pair = make_pair(seed=11, backbone=backbone)
+        rng = np.random.default_rng(23)
+        x = rng.integers(0, 4, size=(32, 6))
+        y = rng.integers(0, 2, size=32).astype(float)
+        params = [t for _, t in pair.named_params()]
+
+        def grads(eal):
+            for t in params:
+                t.grad = None
+            trace = aefs_forward(pair, x, training=True)
+            loss = (bce(trace.aux_pred, y) + bce(trace.main_pred, y)
+                    + eal(trace.aux_embeds, trace.main_embeds, pair.align_fc))
+            if with_pal:
+                loss = loss + prediction_alignment_loss(trace.aux_pred, trace.main_pred)
+            loss.backward()
+            return loss.data, [t.grad for t in params]
+
+        fused, composed = grads(embedding_alignment_loss), grads(composed_embedding_alignment_loss)
+        assert same_bits(fused[0], composed[0])
+        for (name, _), a, c in zip(pair.named_params(), fused[1], composed[1]):
+            a, c = (g.dense() if isinstance(g, RowGrad) else g for g in (a, c))
+            assert same_bits(a, c), name
 
 
 class TestOtherModels:

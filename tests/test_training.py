@@ -21,7 +21,8 @@ from aefs.training import (
     selection_stats,
     train,
 )
-from oracles import dense_scatter, reference_adam_step, same_bits, use_reference_tape
+from oracles import composed_embedding_alignment_loss, dense_scatter, reference_adam_step, \
+    same_bits, use_reference_tape
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,17 @@ class TestTrainLoop:
         with pytest.raises(NumericAbort, match="epoch 1"):
             train(small_data, small_config(max_epochs=1))
 
+    @pytest.mark.parametrize("poisoned,named", [
+        (("eal",), "eal"), (("pal",), "pal"), (("eal", "pal"), "eal")])
+    def test_non_finite_loss_names_first_bad_term(self, small_data, monkeypatch,
+                                                  poisoned, named):
+        loss_fn = {"eal": "embedding_alignment_loss", "pal": "prediction_alignment_loss"}
+        for term in poisoned:
+            monkeypatch.setattr(training_mod, loss_fn[term], lambda *args: Tensor(np.array(np.inf)))
+        with pytest.raises(NumericAbort, match=r"^non-finite loss inf at epoch 1, batch 1 "
+                                               rf"\(first non-finite term: {named}\)$"):
+            train(small_data, small_config(max_epochs=1))
+
     def test_empty_split_rejected(self, small_data):
         import dataclasses
         bad = dataclasses.replace(small_data, train=small_data.train)
@@ -207,12 +219,17 @@ class TestPretrain:
             s = trace.scores.data
             return float(-(s * np.log(s + 1e-12)).sum(axis=1).mean())
 
+        params_before = {name: t.data.copy() for name, t in fitted.named_params()}
         before = score_entropy()
         pretrain(fitted, small_data.train, cfg, np.random.default_rng(9))
         after = score_entropy()
         assert after < before
-        # and the permanent predictors were untouched
-        assert pair.main_embeddings.lookup_counts.sum() == 0 or True
+        # the permanent predictors and the alignment map are untouched; only
+        # the auxiliary embeddings and the controller moved
+        for name, t in fitted.named_params():
+            untouched = name.startswith(("main.", "aux.mlp.", "aux.align_fc."))
+            assert untouched != name.startswith(("aux.emb.", "aux.controller.")), name
+            assert same_bits(t.data, params_before[name]) == untouched, name
 
     def test_pretrain_trains_controller_not_main(self, small_data):
         cfg = small_config(pretrain_epochs=1)
@@ -261,6 +278,23 @@ class TestStats:
         assert freq.shape == (6,)
         assert freq.sum() == pytest.approx(3.0)  # k selections per instance
         assert 0.0 <= st["precision"] <= 1.0
+
+    @pytest.mark.parametrize("method", ["aefs", "none"])
+    def test_selection_stats_match_direct_count(self, small_data, method):
+        fitted = train(small_data, small_config(method=method, max_epochs=1)).fitted
+        informative = small_data.informative_fields
+        st = selection_stats(fitted, small_data.test, batch_size=128,
+                             informative_fields=informative)
+        _, sel, _, _ = fitted.forward_scores(small_data.test.x, training=False)
+        counts = [0] * small_data.n_fields
+        hits = 0
+        for row in sel:
+            for f in row:
+                counts[int(f)] += 1
+                hits += int(f) in informative
+        n = len(small_data.test)
+        assert st["selection_frequency"] == [c / n for c in counts]
+        assert st["precision"] == hits / sel.size
 
     def test_discrepancy_helpers(self, small_data):
         res = train(small_data, small_config(max_epochs=1))
@@ -422,6 +456,37 @@ class TestSameWeightsBothSides:
             trace.aux_embeds.data, lifted.data * trace.weights.data[:, :, None], atol=1e-12)
 
 
+class TestScoringSkipsAuxPredictor:
+    @pytest.mark.parametrize("reweight", [True, False])
+    def test_scores_equal_full_forward(self, small_data, monkeypatch, reweight):
+        from aefs.selection import aefs_forward
+        fitted = train(small_data, small_config(max_epochs=1,
+                                                enable_topk_reweight=reweight)).fitted
+        pair = fitted.model
+        x = small_data.test.x
+
+        def lookups():
+            return (pair.aux_embeddings.lookup_counts.copy(),
+                    pair.main_embeddings.lookup_counts.copy())
+
+        start = lookups()
+        trace = aefs_forward(pair, x, training=False, reweight=reweight)
+        mid = lookups()
+
+        def no_aux_predictor(*args):
+            raise AssertionError("scoring ran the auxiliary predictor")
+
+        monkeypatch.setattr(pair, "aux_predictor", no_aux_predictor)
+        probs, indices, weights, aux_set = fitted.forward_scores(x, training=False)
+        end = lookups()
+        assert same_bits(probs.data, trace.main_pred.data)
+        assert same_bits(indices, trace.indices)
+        assert same_bits(weights, trace.weights.data)
+        assert aux_set is pair.aux_embeddings
+        for a, b, c in zip(start, mid, end):
+            assert same_bits(b - a, c - b)
+
+
 class TestConstantPredictor:
     def test_all_half_scores_give_log2_and_half_auc(self, small_data):
         cfg = small_config(method="none", max_epochs=1)
@@ -525,8 +590,9 @@ def many_row_data():
 
 class TestRowSparseTrainingIsExact:
     """Training equals, bit for bit, a run on the reference code: dense
-    scatters, the allocating Adam, the copying tape and the textbook batch
-    normalization (which `adafs` runs in its controller)."""
+    scatters, the allocating Adam, the copying tape, the textbook batch
+    normalization (which `adafs` runs in its controller) and the composed
+    embedding alignment loss (`aefs`)."""
 
     @pytest.mark.parametrize("method", ["none", "aefs", "adafs"])
     def test_matches_dense_gradients_and_reference_adam(self, many_row_data, method,
@@ -535,6 +601,8 @@ class TestRowSparseTrainingIsExact:
         fast = train(many_row_data, cfg)
         monkeypatch.setattr(embedding_mod, "scatter_rows", dense_scatter)
         monkeypatch.setattr(Adam, "step", reference_adam_step)
+        monkeypatch.setattr(training_mod, "embedding_alignment_loss",
+                            composed_embedding_alignment_loss)
         use_reference_tape(monkeypatch)
         dense = train(many_row_data, cfg)
         for (name, a), (_, b) in zip(fast.fitted.named_params(), dense.fitted.named_params()):
