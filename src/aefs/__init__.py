@@ -21,28 +21,16 @@ from .data import (
     quantize,
     split_dataset,
 )
-from .embedding import (
-    ActivationLedger,
-    EmbeddingSet,
-    EmbeddingTable,
-    compose_activated_params,
-    delta_el,
-    delta_pae,
-    full_param_count,
-    record_batch_activation,
-)
-from .metrics import Metrics, auc, emit_report, logloss, parse_report, welch_t_test
-from .numerics import Adam, AdamState, BatchNorm1d, Linear, RowGrad, Tensor, grad_check, \
-    sigmoid, softmax, xavier_init
+from .embedding import EmbeddingSet, activation_averages, delta_el, delta_pae, full_param_count
+from .metrics import Metrics, auc, emit_report, logloss, welch_t_test
+from .numerics import Adam, AdamState, BatchNorm1d, Linear, RowGrad, Tensor, sigmoid, softmax, \
+    xavier_init
 from .predictors import Controller, PredictorConfig, bce, build_predictor
 from .selection import (
     DualModel,
     ForwardTrace,
-    SelectionResult,
     aefs_forward,
     embedding_alignment_loss,
-    k_max_indices,
-    l1_normalize_selected,
     prediction_alignment_loss,
     scale_embeddings,
 )
@@ -54,7 +42,6 @@ from .training import (
     prepare,
     pretrain,
     save_checkpoint,
-    selection_stats,
     train,
 )
 

@@ -41,8 +41,10 @@ from .metrics import (
     metrics_row,
     welch_t_test,
 )
-from .selection import k_for
+from .predictors import VARIANTS
 from .training import (
+    METHODS,
+    MODES,
     ConfigError,
     NumericAbort,
     TrainConfig,
@@ -51,7 +53,6 @@ from .training import (
     parse_config_text,
     prepare,
     save_checkpoint,
-    selection_stats,
     train,
 )
 
@@ -127,13 +128,22 @@ def _manifest(run_dir: Path, command: str, config_hash: str, seed: int, inputs: 
 
 
 def _make_run_dir(root: Path, name: str, force: bool) -> Path:
+    """The run directory `root/name`. An existing one is reused only with
+    `force`, or when its manifest says its run failed."""
     run_dir = root / name
-    if run_dir.exists():
-        if not force:
-            raise ConfigError(
-                f"run directory {run_dir} already exists; rerun with --force or a new seed")
+    if run_dir.exists() and not force and _status(run_dir) != "failed":
+        raise ConfigError(
+            f"run directory {run_dir} already exists; rerun with --force or a new seed")
     run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
+
+
+def _status(run_dir: Path) -> str | None:
+    """The status in `run_dir/manifest.json`, None if it has none."""
+    try:
+        return json.loads((run_dir / "manifest.json").read_text()).get("status")
+    except (OSError, ValueError, AttributeError):
+        return None
 
 
 def _percent(frac: Fraction) -> str:
@@ -230,16 +240,16 @@ def _run_single(config: TrainConfig, data, run_dir: Path,
     result = train(data, config)
     dump = run_dir / "selections.jsonl" if dump_selection else None
     test_metrics = evaluate(result.fitted, data.test, config.batch_size,
-                            selection_dump_path=dump)
-
-    n = data.n_fields
-    dpae = delta_pae(config.d1, config.d2, Fraction(k_for(n, config.r), n)) \
-        if config.method == "aefs" else Fraction(0)
+                            selection_dump_path=dump,
+                            informative_fields=data.informative_fields)
+    # delta_pae and the selection precision are figures of early selection
+    # by an auxiliary model; the other methods report a delta_pae of 0
+    early = result.fitted.model.aux_embeddings is not None
+    dpae = delta_pae(config.d1, config.d2, Fraction(result.fitted.k, data.n_fields)) \
+        if early else Fraction(0)
     row = metrics_row(config.method, test_metrics, delta_pae=float(dpae), seed=config.seed)
-    if config.method == "aefs" and data.informative_fields:
-        stats = selection_stats(result.fitted, data.test, config.batch_size,
-                                informative_fields=data.informative_fields)
-        row["selection_precision"] = stats["precision"]
+    if early and data.informative_fields:
+        row["selection_precision"] = test_metrics.selection_precision
 
     (run_dir / "config.txt").write_text(config.to_text())
     (run_dir / "train_report.jsonl").write_text(result.report.to_jsonl())
@@ -261,11 +271,9 @@ def cmd_train(args) -> int:
         data = prepare(records, schema, seed=config.seed, min_freq=config.min_freq,
                        informative_fields=informative)
         row = _run_single(config, data, run_dir, dump_selection=args.dump_selection)
-    n_fields_known = "delta_pae" in row and row["delta_pae"] is not None
     print(f"run dir: {run_dir}")
     print(f"test AUC: {row['auc']:.4f}  Logloss: {row['logloss']:.4f}")
-    if n_fields_known:
-        print(f"delta_pae: {100 * row['delta_pae']:g}%")
+    print(f"delta_pae: {100 * row['delta_pae']:g}%")
     if "selection_precision" in row:
         print(f"selection precision: {row['selection_precision']:.3f}")
     return 0
@@ -394,15 +402,13 @@ def build_parser() -> _Parser:
         p.add_argument("--data", required=True, help="dataset directory")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int)
-        p.add_argument("--method", choices=["none", "randomhalf", "adafs", "aefs"])
-        p.add_argument("--mode", choices=["soft", "hard"])
+        p.add_argument("--method", choices=METHODS)
+        p.add_argument("--mode", choices=MODES)
         p.add_argument("--r", type=float)
         p.add_argument("--d1", type=int)
         p.add_argument("--d2", type=int)
-        p.add_argument("--backbone-main", dest="backbone_main",
-                       choices=["mlp", "deepfm", "dcn"])
-        p.add_argument("--backbone-aux", dest="backbone_aux",
-                       choices=["mlp", "deepfm", "dcn"])
+        p.add_argument("--backbone-main", dest="backbone_main", choices=VARIANTS)
+        p.add_argument("--backbone-aux", dest="backbone_aux", choices=VARIANTS)
         p.add_argument("--no-eal", action="store_true")
         p.add_argument("--no-pal", action="store_true")
         p.add_argument("--no-topk-reweight", action="store_true")

@@ -77,17 +77,6 @@ class Vocabulary:
     def id_of(self, field_index: int, token: str) -> int:
         return self.field_maps[field_index].get(token, OOV_ID)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"min_freq": self.min_freq, "fields": self.field_maps},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        obj = json.loads(text)
-        return cls(field_maps=[dict(m) for m in obj["fields"]], min_freq=obj["min_freq"])
-
 
 def discretize_numeric(x: float) -> int:
     """Bucketize a numeric value: floor((ln x)^2) above 2, otherwise 1."""

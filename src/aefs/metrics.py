@@ -30,11 +30,19 @@ class DegenerateSampleError(ValueError):
 
 @dataclass
 class Metrics:
+    """Figures of one scoring pass. The dataclass fields are the report's
+    columns. `selection_frequency` (per field, the share of instances that
+    selected it) and `selection_precision` (the share of selections among
+    the informative fields, when those are known) are plain attributes
+    that `evaluate` sets, so equality and `asdict` see the columns alone."""
+
     auc: float
     logloss: float
     n: int
     activated_params_avg: float = 0.0
     lookups_avg: float = 0.0
+    selection_frequency = None
+    selection_precision = None
 
 
 def auc_exact(scores: Sequence[float], labels: Sequence[int]) -> Fraction:
@@ -183,10 +191,6 @@ def emit_report(rows: Sequence[dict], jsonl_path: Path | None = None,
     if table_path is not None:
         Path(table_path).write_text(table)
     return jsonl, table
-
-
-def parse_report(jsonl_text: str) -> list[dict]:
-    return [json.loads(line) for line in jsonl_text.splitlines() if line.strip()]
 
 
 def metrics_row(method: str, metrics: Metrics, delta_pae: float | None = None,

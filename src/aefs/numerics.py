@@ -125,9 +125,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _const(other))
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -227,15 +224,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(a, b), backward=bw)
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    out = a.data ** p
-
-    def bw(g):
-        _accum(a, g * p * a.data ** (p - 1), owned=True)
-
-    return Tensor(out, parents=(a,), backward=bw)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shapes {a.shape} x {b.shape}")
@@ -259,15 +247,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.data.shape != (w.shape[1],):
         raise DimensionError(f"affine bias shape {b.data.shape}, expected ({w.shape[1]},)")
     return add(matmul(x, w), b)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * out, owned=True)
-
-    return Tensor(out, parents=(a,), backward=bw)
 
 
 def log(a: Tensor) -> Tensor:
@@ -512,7 +491,7 @@ class BatchNorm1d:
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
-    def __call__(self, x: Tensor, training: bool, update_running: bool = True) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.num_features:
             raise DimensionError(f"batch_norm input {x.shape}, expected (*, {self.num_features})")
         if training:
@@ -525,10 +504,9 @@ class BatchNorm1d:
             var = (xn * xn).sum(axis=0) / n
             std = np.sqrt(var + self.eps)
             xn /= std
-            if update_running:
-                m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * mu
-                self.running_var = (1.0 - m) * self.running_var + m * var
+            m = self.momentum
+            self.running_mean = (1.0 - m) * self.running_mean + m * mu
+            self.running_var = (1.0 - m) * self.running_var + m * var
         else:
             std = np.sqrt(self.running_var + self.eps)
             xn = (x.data - self.running_mean) / std
@@ -562,10 +540,6 @@ class BatchNorm1d:
     def named_buffers(self, prefix: str = ""):
         return [(prefix + "running_mean", self.running_mean),
                 (prefix + "running_var", self.running_var)]
-
-    def load_buffers(self, mean: Array, var: Array):
-        self.running_mean = np.asarray(mean, dtype=np.float64).copy()
-        self.running_var = np.asarray(var, dtype=np.float64).copy()
 
 
 @dataclass
@@ -639,38 +613,3 @@ class Adam:
         step *= st.lr
         step /= denom
         param -= step
-
-
-def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
-               eps: float = 1e-5) -> float:
-    """Compare analytic gradients against central differences.
-
-    Returns max over all parameter entries of
-    ``|analytic - numeric| / max(1, |analytic|)``. `loss_fn` must rebuild the
-    graph from the current parameter values on every call.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    for p in params:
-        p.grad = None
-    loss_fn().backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None
-                else p.grad.dense() if isinstance(p.grad, RowGrad) else p.grad.copy()
-                for p in params]
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = loss_fn().item()
-            flat[i] = orig - eps
-            f_minus = loss_fn().item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]))
-            if err > worst:
-                worst = err
-    return worst

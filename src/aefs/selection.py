@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingSet
-from .numerics import DimensionError, Linear, Tensor, _accum, gather_fields
-from .predictors import Controller, PredictorConfig, build_predictor
-
-
-class DegenerateSelectionError(ValueError):
-    """All selected scores are zero; weights cannot be normalized."""
+from .embedding import EmbeddingSet, SelectionIndexError
+from .numerics import DimensionError, Linear, Tensor, _accum, gather_fields, sigmoid
+from .predictors import Controller, PredictorConfig, bce, build_predictor
 
 
 def k_for(n_fields: int, r_kept: float) -> int:
@@ -28,33 +24,11 @@ def k_for(n_fields: int, r_kept: float) -> int:
     return max(1, int(n_fields * r_kept))
 
 
-def k_max_indices(scores, k: int) -> np.ndarray:
-    """Indices of the k largest scores, descending, ties to the lower index."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise DimensionError("k_max_indices expects a 1-D score vector")
-    if not (1 <= k <= s.shape[0]):
-        raise ValueError(f"k={k} out of range for {s.shape[0]} scores")
-    return np.argsort(-s, kind="stable")[:k]
-
-
 def k_max_indices_batch(scores: np.ndarray, k: int) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if not (1 <= k <= s.shape[1]):
         raise ValueError(f"k={k} out of range for {s.shape[1]} scores")
     return np.argsort(-s, axis=1, kind="stable")[:, :k]
-
-
-def l1_normalize_selected(scores, indices) -> np.ndarray:
-    """Selected scores scaled to sum to one."""
-    s = np.asarray(scores, dtype=np.float64)
-    sel = s[np.asarray(indices)]
-    if (sel < 0).any():
-        raise ValueError("selected scores must be nonnegative")
-    total = sel.sum()
-    if total == 0.0:
-        raise DegenerateSelectionError("all selected scores are zero")
-    return sel / total
 
 
 def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
@@ -70,93 +44,83 @@ def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
     return e_sel * weights.reshape(b, k, 1)
 
 
-@dataclass
-class SelectionResult:
-    """Top-k field indices (descending score, index tie-break) and their
-    L1-normalized weights for one instance."""
-
-    indices: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.indices.shape != self.weights.shape:
-            raise DimensionError("indices and weights must have equal length")
-        if len(np.unique(self.indices)) != self.indices.size:
-            raise ValueError("selection indices must be distinct")
-        if (self.weights < 0).any() or abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
-
-
 # ---------------------------------------------------------------------------
 # models
 
-class PlainModel:
-    """No selection: embed all fields, predict."""
+class _OnePredictor:
+    """What the two models with a single predictor share: no auxiliary
+    side, and the BCE of the training-mode score as the loss."""
 
-    def __init__(self, vocab_sizes, dim: int, backbone: str, hidden_dims, n_cross_layers,
-                 rng: np.random.Generator):
-        n = len(vocab_sizes)
-        self.embeddings = EmbeddingSet(vocab_sizes, dim, rng)
-        self.predictor = build_predictor(
-            PredictorConfig(backbone, n, dim, tuple(hidden_dims), n_cross_layers), rng)
-        self.n_fields = n
+    aux_embeddings = None
 
-    def forward(self, x: np.ndarray, training: bool) -> Tensor:
-        return self.predictor(self.embeddings.embed(x))
-
-    def named_params(self):
-        return self.embeddings.named_params("emb.") + self.predictor.named_params()
-
-    def named_buffers(self):
-        return []
+    def loss(self, x: np.ndarray, y: np.ndarray):
+        """Returns (loss, per-term floats, selected indices) of one batch."""
+        p, indices, _ = self.score(x, training=True)
+        loss = bce(p, y)
+        return loss, {"bce_main": loss.item()}, indices
 
 
-class FixedSubsetModel:
-    """A static subset of fields chosen up front; embeds only those."""
+class FixedSubsetModel(_OnePredictor):
+    """The same fields for every instance, chosen up front; embeds only
+    those. Over every field it is the no-selection baseline."""
 
-    def __init__(self, vocab_sizes, dim: int, fields: np.ndarray, backbone: str,
+    def __init__(self, vocab_sizes, dim: int, fields, backbone: str,
                  hidden_dims, n_cross_layers, rng: np.random.Generator):
-        self.fields = np.asarray(sorted(fields))
         self.n_fields = len(vocab_sizes)
-        self.embeddings = EmbeddingSet(vocab_sizes, dim, rng)
+        self.fields = np.asarray(sorted(fields), dtype=np.int64)
+        if (self.fields.size == 0 or self.fields[0] < 0 or self.fields[-1] >= self.n_fields
+                or (np.diff(self.fields) == 0).any()):
+            raise SelectionIndexError(f"fields {self.fields.tolist()} are not distinct positions "
+                                      f"in [0, {self.n_fields})")
+        # every field: a slice, through which the lookup reads the ids in place
+        self._columns = slice(None) if self.fields.size == self.n_fields else self.fields
+        self.main_embeddings = EmbeddingSet(vocab_sizes, dim, rng)
         self.predictor = build_predictor(
-            PredictorConfig(backbone, len(self.fields), dim, tuple(hidden_dims),
+            PredictorConfig(backbone, self.fields.size, dim, tuple(hidden_dims),
                             n_cross_layers), rng)
 
-    def forward(self, x: np.ndarray, training: bool) -> Tensor:
-        idx = np.tile(self.fields, (x.shape[0], 1))
-        return self.predictor(self.embeddings.embed_selected(x, idx))
+    def score(self, x: np.ndarray, training: bool):
+        """Returns (prediction, selected indices, None): no weights."""
+        p = self.predictor(self.main_embeddings.embed(x, self._columns))
+        return p, np.tile(self.fields, (x.shape[0], 1)), None
 
-    def selected_indices(self, batch_size: int) -> np.ndarray:
-        return np.tile(self.fields, (batch_size, 1))
+    def warmup_params(self):
+        """Nothing to warm up."""
+        return []
 
     def named_params(self):
-        return self.embeddings.named_params("emb.") + self.predictor.named_params()
+        return self.main_embeddings.named_params("emb.") + self.predictor.named_params()
 
     def named_buffers(self):
         return []
 
 
-class LateSelectionModel:
+class LateSelectionModel(_OnePredictor):
     """Adaptive late selection: all N fields are embedded, a controller
     scores them, and the embeddings are re-weighted (soft) or top-k masked
-    and re-weighted (hard) before prediction. Saves no lookups."""
+    and re-weighted (hard) before prediction. Saves no lookups, so every
+    field counts as selected."""
 
     def __init__(self, vocab_sizes, dim: int, backbone: str, hidden_dims, n_cross_layers,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, mode: str = "soft", k: int | None = None,
+                 reweight: bool = True):
         n = len(vocab_sizes)
         self.n_fields = n
-        self.embeddings = EmbeddingSet(vocab_sizes, dim, rng)
+        self.mode, self.k, self.reweight = mode, k, reweight
+        self.main_embeddings = EmbeddingSet(vocab_sizes, dim, rng)
         self.controller = Controller(n, dim, rng)
         self.predictor = build_predictor(
             PredictorConfig(backbone, n, dim, tuple(hidden_dims), n_cross_layers), rng)
 
+    def score(self, x: np.ndarray, training: bool):
+        """Returns (prediction, every field per row, None)."""
+        p, _, _ = self.forward(x, training, self.mode, self.k, self.reweight)
+        return p, np.tile(np.arange(self.n_fields), (x.shape[0], 1)), None
+
     def forward(self, x: np.ndarray, training: bool, mode: str = "soft",
                 k: int | None = None, reweight: bool = True):
         """Returns (prediction, scores, hard-selection indices or None)."""
-        e = self.embeddings.embed(x)
+        e = self.main_embeddings.embed(x)
         s = self.controller(e, training)
         if mode == "soft":
             weights = s
@@ -176,8 +140,18 @@ class LateSelectionModel:
         scaled = e * weights.reshape(b, self.n_fields, 1)
         return self.predictor(scaled), s, indices
 
+    def warmup_params(self):
+        """A soft-mode phase before hard selection starts trains every
+        parameter: all N fields scaled by the raw scores, no top-k and no
+        re-normalization."""
+        return self.named_params()
+
+    def warmup_forward(self, x: np.ndarray) -> Tensor:
+        p, _, _ = self.forward(x, training=True, mode="soft")
+        return p
+
     def named_params(self):
-        return (self.embeddings.named_params("emb.")
+        return (self.main_embeddings.named_params("emb.")
                 + self.controller.named_params()
                 + self.predictor.named_params())
 
@@ -212,7 +186,8 @@ class DualModel:
 
     def __init__(self, vocab_sizes, d1: int, d2: int, k: int,
                  backbone_main: str, backbone_aux: str, hidden_dims, n_cross_layers,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, reweight: bool = True,
+                 enable_eal: bool = True, enable_pal: bool = True):
         if d2 > d1:
             raise ValueError(f"auxiliary dimension {d2} exceeds main dimension {d1}")
         n = len(vocab_sizes)
@@ -220,6 +195,7 @@ class DualModel:
         self.k = k
         self.d1 = d1
         self.d2 = d2
+        self.reweight, self.enable_eal, self.enable_pal = reweight, enable_eal, enable_pal
         self.aux_embeddings = EmbeddingSet(vocab_sizes, d2, rng)
         self.controller = Controller(n, d2, rng)
         self.aux_predictor = build_predictor(
@@ -229,6 +205,48 @@ class DualModel:
         self.main_predictor = build_predictor(
             PredictorConfig(backbone_main, k, d1, tuple(hidden_dims), n_cross_layers), rng)
         self._pretrain_head: Linear | None = None
+
+    def score(self, x: np.ndarray, training: bool):
+        """Returns (main prediction, selected indices, their weights) as
+        `aefs_forward` computes them, without the auxiliary predictor, whose
+        output only the training losses read."""
+        _, _, indices, weights = _select(self, x, training, self.reweight)
+        _, p_m = _main_branch(self, x, indices, weights)
+        return p_m, indices, weights.data
+
+    def loss(self, x: np.ndarray, y: np.ndarray):
+        """Returns (loss, per-term floats, selected indices) of one batch:
+        BCE of both predictors plus the enabled alignment terms."""
+        trace = aefs_forward(self, x, training=True, reweight=self.reweight)
+        bce_a = bce(trace.aux_pred, y)
+        bce_m = bce(trace.main_pred, y)
+        loss = bce_a + bce_m
+        terms = {"bce_aux": bce_a.item(), "bce_main": bce_m.item()}
+        if self.enable_eal:
+            eal = embedding_alignment_loss(trace.aux_embeds, trace.main_embeds, self.align_fc)
+            loss = loss + eal
+            terms["eal"] = eal.item()
+        if self.enable_pal:
+            pal = prediction_alignment_loss(trace.aux_pred, trace.main_pred)
+            loss = loss + pal
+            terms["pal"] = pal.item()
+        return loss, terms, trace.indices
+
+    def warmup_params(self):
+        """The auxiliary side alone (embeddings, controller and a throwaway
+        all-fields head) trains with BCE on all N fields, soft-scaled by the
+        controller scores, so the scorer sees gradient from the start."""
+        return (self.aux_embeddings.named_params("aux.emb.")
+                + self.controller.named_params("aux.")
+                + self.pretrain_head().named_params("pretrain_head."))
+
+    def warmup_forward(self, x: np.ndarray) -> Tensor:
+        b = x.shape[0]
+        e_a = self.aux_embeddings.embed(x)
+        s = self.controller(e_a, training=True)
+        scaled = e_a * s.reshape(b, self.n_fields, 1)
+        flat = scaled.reshape(b, self.n_fields * self.d2)
+        return sigmoid(self.pretrain_head()(flat)).reshape(b)
 
     def named_params(self):
         return (self.aux_embeddings.named_params("aux.emb.")
@@ -295,16 +313,6 @@ def aefs_forward(pair: DualModel, x: np.ndarray, training: bool,
     return ForwardTrace(scores=s, indices=indices, weights=weights,
                         aux_embeds=e_a_sel, main_embeds=e_m_sel,
                         aux_pred=p_a, main_pred=p_m)
-
-
-def aefs_predict(pair: DualModel, x: np.ndarray, training: bool,
-                 reweight: bool = True):
-    """The main prediction, selected indices and weights of `aefs_forward`,
-    without the auxiliary predictor, whose output only the training losses
-    use. Returns (main_pred, indices, weights)."""
-    _, _, indices, weights = _select(pair, x, training, reweight)
-    _, p_m = _main_branch(pair, x, indices, weights)
-    return p_m, indices, weights
 
 
 def embedding_alignment_loss(aux_embeds: Tensor, main_embeds: Tensor,

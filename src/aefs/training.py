@@ -22,21 +22,11 @@ import numpy as np
 
 from .data import DataError, Dataset, FieldSchema, RawRecord, Vocabulary, build_vocab, \
     quantize_all, split_dataset
-from .embedding import ActivationLedger, record_batch_activation
+from .embedding import activation_averages
 from .metrics import Metrics, auc as auc_metric, logloss as logloss_metric
-from .numerics import Adam, RowGrad, sigmoid
+from .numerics import Adam, RowGrad
 from .predictors import VARIANTS, bce
-from .selection import (
-    DualModel,
-    FixedSubsetModel,
-    LateSelectionModel,
-    PlainModel,
-    aefs_forward,
-    aefs_predict,
-    embedding_alignment_loss,
-    k_for,
-    prediction_alignment_loss,
-)
+from .selection import DualModel, FixedSubsetModel, LateSelectionModel, k_for
 
 METHODS = ("none", "randomhalf", "adafs", "aefs")
 MODES = ("soft", "hard")
@@ -78,8 +68,8 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (0 < self.r <= 1):
             raise ConfigError(f"keep fraction r must be in (0, 1], got {self.r}")
-        if self.d2 > self.d1:
-            raise ConfigError(f"d2={self.d2} must not exceed d1={self.d1}")
+        if not 1 <= self.d2 <= self.d1:
+            raise ConfigError(f"need 1 <= d2 <= d1, got d2={self.d2}, d1={self.d1}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2")
         if self.backbone_main not in VARIANTS or self.backbone_aux not in VARIANTS:
@@ -88,6 +78,13 @@ class TrainConfig:
             raise ConfigError("max_epochs must be at least 1")
         if self.pretrain_epochs < 0:
             raise ConfigError("pretrain_epochs must be nonnegative")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ConfigError(f"hidden_dims must be one or more positive widths, "
+                              f"got {self.hidden_dims}")
+        if self.n_cross_layers < 1:
+            raise ConfigError(f"n_cross_layers must be at least 1, got {self.n_cross_layers}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
 
     def to_text(self) -> str:
         lines = []
@@ -198,13 +195,18 @@ def prepare(records: Sequence[RawRecord], schema: Sequence[FieldSchema], seed: i
 
 @dataclass
 class FittedModel:
-    """A trained model plus the selection semantics it was trained with."""
+    """A model built for one method, and the k of its configuration.
 
-    method: str
-    model: object
+    Every model answers the same calls: `score` (prediction, selected
+    indices, weights or None), `loss` (loss, per-term floats, selected
+    indices), `warmup_params` (empty when there is nothing to warm up) and
+    `warmup_forward` for pretraining, `main_embeddings`, whose lookup
+    counters record the selections, and `aux_embeddings`, None except on
+    the dual model.
+    """
+
+    model: FixedSubsetModel | LateSelectionModel | DualModel
     k: int
-    mode: str = "soft"
-    reweight: bool = True
 
     def named_params(self):
         return self.model.named_params()
@@ -213,54 +215,36 @@ class FittedModel:
         return self.model.named_buffers()
 
     def forward_scores(self, x: np.ndarray, training: bool):
-        """Returns (probabilities, selected indices, selection weights, aux set).
-
-        Late and no-selection methods activate every field, so their ledger
-        selection is the full field range and they carry no weight vector.
-        """
-        b = x.shape[0]
-        if self.method == "aefs":
-            p, indices, weights = aefs_predict(self.model, x, training, reweight=self.reweight)
-            return p, indices, weights.data, self.model.aux_embeddings
-        if self.method == "adafs":
-            p, _, _ = self.model.forward(x, training, mode=self.mode, k=self.k,
-                                         reweight=self.reweight)
-            all_fields = np.tile(np.arange(self.model.n_fields), (b, 1))
-            return p, all_fields, None, None
-        if self.method == "randomhalf":
-            p = self.model.forward(x, training)
-            return p, self.model.selected_indices(b), None, None
-        p = self.model.forward(x, training)
-        all_fields = np.tile(np.arange(self.model.n_fields), (b, 1))
-        return p, all_fields, None, None
+        """Returns (probabilities, selected indices, selection weights or
+        None, auxiliary embedding set or None)."""
+        p, indices, weights = self.model.score(x, training)
+        return p, indices, weights, self.model.aux_embeddings
 
     @property
     def main_embeddings(self):
-        return self.model.main_embeddings if self.method == "aefs" else self.model.embeddings
+        return self.model.main_embeddings
 
 
 def build_model(vocab_sizes: Sequence[int], config: TrainConfig,
                 rng: np.random.Generator, subset_rng: np.random.Generator) -> FittedModel:
     n = len(vocab_sizes)
     k = k_for(n, config.r)
-    if config.method == "aefs":
-        model = DualModel(vocab_sizes, d1=config.d1, d2=config.d2, k=k,
-                          backbone_main=config.backbone_main,
-                          backbone_aux=config.backbone_aux,
-                          hidden_dims=config.hidden_dims,
-                          n_cross_layers=config.n_cross_layers, rng=rng)
-    elif config.method == "adafs":
-        model = LateSelectionModel(vocab_sizes, config.d1, config.backbone_main,
-                                   config.hidden_dims, config.n_cross_layers, rng)
-    elif config.method == "randomhalf":
-        fields = subset_rng.choice(n, size=k, replace=False)
-        model = FixedSubsetModel(vocab_sizes, config.d1, fields, config.backbone_main,
-                                 config.hidden_dims, config.n_cross_layers, rng)
-    else:
-        model = PlainModel(vocab_sizes, config.d1, config.backbone_main,
-                           config.hidden_dims, config.n_cross_layers, rng)
-    return FittedModel(method=config.method, model=model, k=k, mode=config.mode,
-                       reweight=config.enable_topk_reweight)
+    predictor = (config.hidden_dims, config.n_cross_layers)
+    build = {
+        "none": lambda: FixedSubsetModel(vocab_sizes, config.d1, range(n),
+                                         config.backbone_main, *predictor, rng),
+        "randomhalf": lambda: FixedSubsetModel(
+            vocab_sizes, config.d1, subset_rng.choice(n, size=k, replace=False),
+            config.backbone_main, *predictor, rng),
+        "adafs": lambda: LateSelectionModel(
+            vocab_sizes, config.d1, config.backbone_main, *predictor, rng,
+            mode=config.mode, k=k, reweight=config.enable_topk_reweight),
+        "aefs": lambda: DualModel(
+            vocab_sizes, config.d1, config.d2, k, config.backbone_main, config.backbone_aux,
+            *predictor, rng, reweight=config.enable_topk_reweight,
+            enable_eal=config.enable_eal, enable_pal=config.enable_pal),
+    }[config.method]
+    return FittedModel(model=build(), k=k)
 
 
 def _batch_slices(n: int, batch_size: int, order: np.ndarray):
@@ -268,35 +252,6 @@ def _batch_slices(n: int, batch_size: int, order: np.ndarray):
         idx = order[start:start + batch_size]
         if idx.size >= 2:  # batch norm needs at least 2 rows in training
             yield idx
-
-
-def _batch_loss(fitted: FittedModel, x, y, config: TrainConfig):
-    """Loss tensor plus per-term floats and the ledger inputs for one batch."""
-    if fitted.method == "aefs":
-        trace = aefs_forward(fitted.model, x, training=True, reweight=fitted.reweight)
-        bce_a = bce(trace.aux_pred, y)
-        bce_m = bce(trace.main_pred, y)
-        loss = bce_a + bce_m
-        terms = {"bce_aux": bce_a.item(), "bce_main": bce_m.item()}
-        if config.enable_eal:
-            eal = embedding_alignment_loss(trace.aux_embeds, trace.main_embeds,
-                                           fitted.model.align_fc)
-            loss = loss + eal
-            terms["eal"] = eal.item()
-        else:
-            terms["eal"] = None
-        if config.enable_pal:
-            pal = prediction_alignment_loss(trace.aux_pred, trace.main_pred)
-            loss = loss + pal
-            terms["pal"] = pal.item()
-        else:
-            terms["pal"] = None
-        return loss, terms, trace.indices, fitted.model.aux_embeddings
-
-    probs, sel, _, aux_set = fitted.forward_scores(x, training=True)
-    loss = bce(probs, y)
-    terms = {"bce_aux": None, "bce_main": loss.item(), "eal": None, "pal": None}
-    return loss, terms, sel, aux_set
 
 
 @dataclass
@@ -346,94 +301,63 @@ def _restore(fitted: FittedModel, state: dict[str, np.ndarray]):
 
 def pretrain(fitted: FittedModel, train_data: Dataset, config: TrainConfig,
              shuffle_rng: np.random.Generator) -> None:
-    """Warm up before joint training; a no-op for zero epochs.
-
-    Dual model: the auxiliary side alone (embeddings, controller and a
-    throwaway all-fields head) trains with BCE on all N fields, soft-scaled
-    by the controller scores, so the scorer sees gradient from the start.
-    Late selection: a soft-mode phase, all N fields scaled by the raw scores
-    with no top-k and no re-normalization, before hard selection starts.
-    Other methods have nothing to warm up.
-    """
-    if config.pretrain_epochs == 0:
+    """Warm up before joint training: `pretrain_epochs` epochs of BCE on the
+    model's warm-up forward, over its warm-up parameters. A no-op for zero
+    epochs and for a model with nothing to warm up."""
+    named = fitted.model.warmup_params() if config.pretrain_epochs else []
+    if not named:
         return
-    if fitted.method == "aefs":
-        pair: DualModel = fitted.model
-        head = pair.pretrain_head()
-        named = (pair.aux_embeddings.named_params("aux.emb.")
-                 + pair.controller.named_params("aux.")
-                 + head.named_params("pretrain_head."))
-
-        def forward(x):
-            e_a = pair.aux_embeddings.embed(x)
-            s = pair.controller(e_a, training=True)
-            scaled = e_a * s.reshape(x.shape[0], pair.n_fields, 1)
-            flat = scaled.reshape(x.shape[0], pair.n_fields * pair.d2)
-            return sigmoid(head(flat)).reshape(x.shape[0])
-    elif fitted.method == "adafs":
-        model: LateSelectionModel = fitted.model
-        named = model.named_params()
-
-        def forward(x):
-            p, _, _ = model.forward(x, training=True, mode="soft")
-            return p
-    else:
-        return
-
     opt = Adam([t for _, t in named], lr=config.lr)
     n = len(train_data)
-    for epoch in range(config.pretrain_epochs):
+    for epoch in range(1, config.pretrain_epochs + 1):
         order = shuffle_rng.permutation(n)
-        for idx in _batch_slices(n, config.batch_size, order):
-            x, y = train_data.x[idx], train_data.y[idx]
-            loss = bce(forward(x), y)
-            val = loss.item()
-            if not np.isfinite(val):
-                raise NumericAbort(f"non-finite pretrain loss at epoch {epoch + 1}")
-            opt.zero_grad()
-            loss.backward()
-            _check_gradients(named, f"pretrain epoch {epoch + 1}")
-            opt.step()
+        for batch, idx in enumerate(_batch_slices(n, config.batch_size, order), start=1):
+            loss = bce(fitted.model.warmup_forward(train_data.x[idx]), train_data.y[idx])
+            _step(opt, named, loss, {}, f"pretrain epoch {epoch}, batch {batch}")
 
 
-def _first_bad_term(terms: dict) -> str:
-    """' (first non-finite term: <name>)' for the first of bce_aux,
-    bce_main, eal and pal that is not finite; '' when all are."""
-    for key in ("bce_aux", "bce_main", "eal", "pal"):
-        if terms[key] is not None and not np.isfinite(terms[key]):
-            return f" (first non-finite term: {key})"
-    return ""
-
-
-def _check_gradients(named_params, where: str) -> None:
-    """Abort on the first parameter whose gradient holds a NaN or an
-    infinity; a row-sparse gradient is checked on the rows it touched."""
+def _step(opt: Adam, named_params, loss, terms: dict, where: str) -> None:
+    """One optimizer step on `loss`, unless the loss or a gradient is not
+    finite: then NumericAbort at `where`, naming the first non-finite entry
+    of `terms`, or the parameter (a row-sparse gradient is checked on the
+    rows it touched)."""
+    val = loss.item()
+    if not np.isfinite(val):
+        bad = [key for key, term in terms.items() if not np.isfinite(term)]
+        raise NumericAbort(f"non-finite loss {val} at {where}"
+                           + (f" (first non-finite term: {bad[0]})" if bad else ""))
+    opt.zero_grad()
+    loss.backward()
     for name, t in named_params:
         g = t.grad
         if g is not None and not np.isfinite(g.values if isinstance(g, RowGrad) else g).all():
             raise NumericAbort(f"non-finite gradient in {name} at {where}")
+    opt.step()
 
 
 def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
-             selection_dump_path: Path | None = None) -> Metrics:
+             selection_dump_path: Path | None = None,
+             informative_fields: Sequence[int] | None = None) -> Metrics:
     """Frozen-parameter evaluation with inference-mode batch norm.
 
-    Optionally dumps per-instance selections (index set and weights) as
-    line-delimited JSON for the methods that make a discrete selection.
+    The main table's lookup counts over the pass give each field's
+    selection count, and from those the activated parameters and lookups
+    per instance, the selection frequency and, given the informative
+    fields, the share of selections among them. Optionally dumps
+    per-instance selections (index set, and weights where the model has
+    them) as line-delimited JSON.
     """
     if len(dataset) == 0:
         raise DataError("cannot evaluate on an empty split")
     n = len(dataset)
     scores = np.empty(n)
-    ledger = ActivationLedger()
     dump_lines: list[str] | None = [] if selection_dump_path is not None else None
     main_set = fitted.main_embeddings
+    before = main_set.lookup_counts.copy()
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
-        x = dataset.x[idx]
-        probs, sel, weights, aux_set = fitted.forward_scores(x, training=False)
+        probs, sel, weights, _ = fitted.forward_scores(dataset.x[idx], training=False)
         scores[idx] = probs.data
-        record_batch_activation(ledger, sel, main_set, aux_set)
         if dump_lines is not None:
             for j, inst in enumerate(idx):
                 entry = {"instance": int(inst), "indices": [int(v) for v in sel[j]]}
@@ -442,13 +366,20 @@ def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
                 dump_lines.append(json.dumps(entry, sort_keys=True))
     if dump_lines is not None:
         Path(selection_dump_path).write_text("\n".join(dump_lines) + "\n")
-    return Metrics(
+    counts = main_set.lookup_counts - before
+    activated, lookups = activation_averages(counts, n, main_set, fitted.model.aux_embeddings)
+    metrics = Metrics(
         auc=auc_metric(scores, dataset.y.astype(int)),
         logloss=logloss_metric(scores, dataset.y.astype(int)),
         n=n,
-        activated_params_avg=float(ledger.activated_params_avg()),
-        lookups_avg=float(ledger.lookups_avg()),
+        activated_params_avg=float(activated),
+        lookups_avg=float(lookups),
     )
+    metrics.selection_frequency = (counts / n).tolist()
+    if informative_fields is not None:
+        informative = np.isin(np.arange(counts.size), informative_fields)
+        metrics.selection_precision = int(counts[informative].sum()) / int(counts.sum())
+    return metrics
 
 
 @dataclass
@@ -475,45 +406,38 @@ def train(data: PreparedData, config: TrainConfig) -> TrainResult:
     best_state: dict | None = None
     best_auc = -1.0
     n = len(data.train)
+    main_set = fitted.main_embeddings
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        ledger = ActivationLedger()
-        sums = {"bce_aux": 0.0, "bce_main": 0.0, "eal": 0.0, "pal": 0.0}
-        present = {key: False for key in sums}
-        n_batches = 0
+        before = main_set.lookup_counts.copy()
+        sums: dict[str, float] = {}
+        n_batches = seen = 0
         order = shuffle_rng.permutation(n)
         for idx in _batch_slices(n, config.batch_size, order):
-            x, y = data.train.x[idx], data.train.y[idx]
-            loss, terms, sel, aux_set = _batch_loss(fitted, x, y, config)
-            val = loss.item()
-            if not np.isfinite(val):
-                raise NumericAbort(f"non-finite loss {val} at epoch {epoch}, "
-                                   f"batch {n_batches + 1}{_first_bad_term(terms)}")
-            opt.zero_grad()
-            loss.backward()
-            _check_gradients(named, f"epoch {epoch}, batch {n_batches + 1}")
-            opt.step()
-            record_batch_activation(ledger, sel, fitted.main_embeddings, aux_set)
+            loss, terms, _ = fitted.model.loss(data.train.x[idx], data.train.y[idx])
+            _step(opt, named, loss, terms, f"epoch {epoch}, batch {n_batches + 1}")
             for key, term in terms.items():
-                if term is not None:
-                    sums[key] += term
-                    present[key] = True
+                sums[key] = sums.get(key, 0.0) + term
             n_batches += 1
+            seen += idx.size
         if n_batches == 0:
             raise DataError("training split produced no usable batches")
+        activated, lookups = activation_averages(main_set.lookup_counts - before, seen, main_set,
+                                                 fitted.model.aux_embeddings)
 
         val_metrics = evaluate(fitted, data.val, config.batch_size)
+        mean = {key: total / n_batches for key, total in sums.items()}
         row = EpochRow(
             epoch=epoch,
-            bce_aux=sums["bce_aux"] / n_batches if present["bce_aux"] else None,
-            bce_main=sums["bce_main"] / n_batches,
-            eal=sums["eal"] / n_batches if present["eal"] else None,
-            pal=sums["pal"] / n_batches if present["pal"] else None,
+            bce_aux=mean.get("bce_aux"),
+            bce_main=mean["bce_main"],
+            eal=mean.get("eal"),
+            pal=mean.get("pal"),
             val_auc=val_metrics.auc,
             val_logloss=val_metrics.logloss,
-            activated_params_avg=float(ledger.activated_params_avg()),
-            lookups_avg=float(ledger.lookups_avg()),
+            activated_params_avg=float(activated),
+            lookups_avg=float(lookups),
             seconds=time.perf_counter() - t0,
         )
         report.rows.append(row)
@@ -524,62 +448,6 @@ def train(data: PreparedData, config: TrainConfig) -> TrainResult:
 
     _restore(fitted, best_state)
     return TrainResult(fitted=fitted, report=report)
-
-
-def selection_stats(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
-                    informative_fields: Sequence[int] | None = None) -> dict:
-    """Per-field selection frequency, and precision against a known
-    informative set when one is given."""
-    n = len(dataset)
-    n_fields = dataset.n_fields
-    counts = np.zeros(n_fields, dtype=np.int64)
-    hits = 0
-    total = 0
-    informative = np.asarray(informative_fields) if informative_fields is not None else None
-    for start in range(0, n, batch_size):
-        x = dataset.x[start:start + batch_size]
-        _, sel, _, _ = fitted.forward_scores(x, training=False)
-        counts += np.bincount(sel.reshape(-1), minlength=n_fields)
-        if informative is not None:
-            hits += int(np.isin(sel, informative).sum())
-            total += sel.size
-    out = {"selection_frequency": (counts / n).tolist()}
-    if informative is not None:
-        out["precision"] = hits / total if total else 0.0
-    return out
-
-
-def prediction_discrepancy(fitted: FittedModel, dataset: Dataset,
-                           batch_size: int = 2048) -> float:
-    """Mean squared gap between auxiliary and main predictions (dual model)."""
-    if fitted.method != "aefs":
-        raise ValueError("prediction discrepancy is defined for the dual model only")
-    total = 0.0
-    n = len(dataset)
-    for start in range(0, n, batch_size):
-        x = dataset.x[start:start + batch_size]
-        trace = aefs_forward(fitted.model, x, training=False, reweight=fitted.reweight)
-        total += float(((trace.aux_pred.data - trace.main_pred.data) ** 2).sum())
-    return total / n
-
-
-def embedding_discrepancy(fitted: FittedModel, dataset: Dataset,
-                          batch_size: int = 2048) -> float:
-    """Mean squared gap between lifted auxiliary and main embeddings."""
-    if fitted.method != "aefs":
-        raise ValueError("embedding discrepancy is defined for the dual model only")
-    total = 0.0
-    count = 0
-    n = len(dataset)
-    for start in range(0, n, batch_size):
-        x = dataset.x[start:start + batch_size]
-        trace = aefs_forward(fitted.model, x, training=False, reweight=fitted.reweight)
-        loss = embedding_alignment_loss(trace.aux_embeds, trace.main_embeds,
-                                        fitted.model.align_fc)
-        b = x.shape[0]
-        total += loss.item() * b
-        count += b
-    return total / count
 
 
 # ---------------------------------------------------------------------------

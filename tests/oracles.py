@@ -1,17 +1,31 @@
-"""Reference implementations that the optimized code must match bit for bit.
+"""Reference implementations that the package must match, and helpers
+that only the tests use.
 
-These are the allocating formulations the package used before embedding
-gradients became row-sparse, Adam became in place and the tape began
-handing gradient buffers to their parents: a dense zero gradient scattered
-into with ``np.add.at``, an Adam update that builds a new array per
-operation, a gradient accumulator that copies every first gradient,
+The bit-for-bit references are the allocating formulations the package used
+before embedding gradients became row-sparse, Adam became in place and the
+tape began handing gradient buffers to their parents: a dense zero gradient
+scattered into with ``np.add.at``, an Adam update that builds a new array
+per operation, a gradient accumulator that copies every first gradient,
 batch normalization through ``np.mean``/``np.var`` with one new array per
-operation, and the embedding alignment loss composed from tape ops.
+operation, and the embedding alignment loss composed from tape ops. So are
+the no-selection model that embedded every field with its own lookup, and
+the activation ledger that counted every selected index per batch.
+
+The rest are single-instance selection helpers, finite-difference gradient
+checks, per-field table views, and other small functions the tests call.
 """
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 
 from aefs import numerics
+from aefs.data import Vocabulary
+from aefs.embedding import EmbeddingSet
 from aefs.numerics import AdamState, DegenerateBatchError, DimensionError, RowGrad, Tensor
+from aefs.predictors import PredictorConfig, bce, build_predictor
+from aefs.selection import aefs_forward, embedding_alignment_loss
 
 
 def dense_scatter(table, ids, g):
@@ -56,7 +70,7 @@ def copying_accum(t, g, owned=False):
         t.grad += g
 
 
-def batchnorm_reference(bn, x, training, update_running=True):
+def batchnorm_reference(bn, x, training):
     """``BatchNorm1d.__call__`` by the textbook formula, one array per op."""
     if x.ndim != 2 or x.shape[1] != bn.num_features:
         raise DimensionError(f"batch_norm input {x.shape}, expected (*, {bn.num_features})")
@@ -67,10 +81,9 @@ def batchnorm_reference(bn, x, training, update_running=True):
         var = x.data.var(axis=0)
         std = np.sqrt(var + bn.eps)
         xn = (x.data - mu) / std
-        if update_running:
-            m = bn.momentum
-            bn.running_mean = (1.0 - m) * bn.running_mean + m * mu
-            bn.running_var = (1.0 - m) * bn.running_var + m * var
+        m = bn.momentum
+        bn.running_mean = (1.0 - m) * bn.running_mean + m * mu
+        bn.running_var = (1.0 - m) * bn.running_var + m * var
     else:
         std = np.sqrt(bn.running_var + bn.eps)
         xn = (x.data - bn.running_mean) / std
@@ -113,3 +126,286 @@ def composed_embedding_alignment_loss(aux_embeds, main_embeds, fc):
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# no selection and the activation ledger, as the package had them
+
+def embed_all(es: EmbeddingSet, x):
+    """``EmbeddingSet.embed`` of every field, as it was before it took a
+    column list: one lookup of ``x`` plus the field offsets."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[1] != es.n_fields:
+        raise DimensionError(f"id batch {x.shape}, expected (*, {es.n_fields})")
+    if (x < 0).any() or (x >= np.asarray(es.vocab_sizes)[None, :]).any():
+        raise IndexError("category id out of range for its field")
+    out = es._lookup(x + es.offsets[None, :])
+    es.lookup_counts += x.shape[0]
+    return out
+
+
+class PlainModel:
+    """No selection: embed all fields, predict. The reference for `none`,
+    which a FixedSubsetModel over every field now serves."""
+
+    aux_embeddings = None
+
+    def __init__(self, vocab_sizes, dim: int, backbone: str, hidden_dims, n_cross_layers,
+                 rng: np.random.Generator):
+        n = len(vocab_sizes)
+        self.embeddings = EmbeddingSet(vocab_sizes, dim, rng)
+        self.predictor = build_predictor(
+            PredictorConfig(backbone, n, dim, tuple(hidden_dims), n_cross_layers), rng)
+        self.n_fields = n
+
+    @property
+    def main_embeddings(self):
+        return self.embeddings
+
+    def forward(self, x: np.ndarray, training: bool) -> Tensor:
+        return self.predictor(embed_all(self.embeddings, x))
+
+    def score(self, x, training):
+        all_fields = np.tile(np.arange(self.n_fields), (x.shape[0], 1))
+        return self.forward(x, training), all_fields, None
+
+    def loss(self, x, y):
+        p, all_fields, _ = self.score(x, training=True)
+        loss = bce(p, y)
+        return loss, {"bce_main": loss.item()}, all_fields
+
+    def warmup_params(self):
+        return []
+
+    def named_params(self):
+        return self.embeddings.named_params("emb.") + self.predictor.named_params()
+
+    def named_buffers(self):
+        return []
+
+
+@dataclass
+class ActivationLedger:
+    """Accumulates exact totals of activated embedding parameters and of
+    main-model lookups over the instances observed, so the averages are
+    per-instance means whatever the batch sizes."""
+
+    instances_observed: int = 0
+    sum_activated_params: int = 0
+    sum_lookups: int = 0
+
+    def add_batch(self, instances: int, activated_params: int, lookups: int):
+        self.instances_observed += instances
+        self.sum_activated_params += activated_params
+        self.sum_lookups += lookups
+
+    def merge(self, other: "ActivationLedger") -> "ActivationLedger":
+        return ActivationLedger(
+            instances_observed=self.instances_observed + other.instances_observed,
+            sum_activated_params=self.sum_activated_params + other.sum_activated_params,
+            sum_lookups=self.sum_lookups + other.sum_lookups,
+        )
+
+    def activated_params_avg(self) -> Fraction:
+        self._require_instances()
+        return Fraction(self.sum_activated_params, self.instances_observed)
+
+    def lookups_avg(self) -> Fraction:
+        self._require_instances()
+        return Fraction(self.sum_lookups, self.instances_observed)
+
+    def _require_instances(self):
+        if self.instances_observed == 0:
+            raise ValueError("ledger has observed no instances")
+
+
+def record_batch_activation(ledger: ActivationLedger, selected_per_instance,
+                            main_set: EmbeddingSet, aux_set: EmbeddingSet | None = None):
+    """Account one batch: per instance, activated parameters are the full
+    auxiliary tables plus the full main table of each selected field."""
+    sel = np.asarray(selected_per_instance)
+    if sel.ndim != 2 or sel.shape[0] == 0:
+        raise ValueError("selection batch must be a non-empty (B, k) array")
+    b = sel.shape[0]
+    aux_full = aux_set.param_count() if aux_set is not None else 0
+    main_sizes = np.asarray(main_set.vocab_sizes, dtype=np.int64) * main_set.dim
+    total_main = int(main_sizes[sel].sum())
+    ledger.add_batch(b, aux_full * b + total_main, sel.size)
+    return ledger
+
+
+def compose_activated_params(main_full, main_reduction, aux_full) -> Fraction:
+    """Total activated parameters from a main-model reduction and the
+    auxiliary overhead: main_full - main_reduction + aux_full."""
+    return Fraction(main_full) - Fraction(main_reduction) + Fraction(aux_full)
+
+
+class EmbeddingTable:
+    """One field's slice of an EmbeddingSet's shared row matrix."""
+
+    def __init__(self, owner: EmbeddingSet, field_index: int):
+        self.owner = owner
+        self.field_index = field_index
+
+    def _rows(self) -> slice:
+        o = int(self.owner.offsets[self.field_index])
+        return slice(o, o + self.owner.vocab_sizes[self.field_index])
+
+    @property
+    def data(self) -> np.ndarray:
+        """Writable (vocab_size, dim) view of this field's rows."""
+        return self.owner.weight.data[self._rows()]
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        g = self.owner.weight.grad
+        if g is None:
+            return None
+        return (g.dense() if isinstance(g, RowGrad) else g)[self._rows()]
+
+    @property
+    def lookup_count(self) -> int:
+        return int(self.owner.lookup_counts[self.field_index])
+
+
+def tables(es: EmbeddingSet) -> list[EmbeddingTable]:
+    return [EmbeddingTable(es, n) for n in range(es.n_fields)]
+
+
+# ---------------------------------------------------------------------------
+# single-instance selection
+
+class DegenerateSelectionError(ValueError):
+    """All selected scores are zero; weights cannot be normalized."""
+
+
+def k_max_indices(scores, k: int) -> np.ndarray:
+    """Indices of the k largest scores, descending, ties to the lower index."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise DimensionError("k_max_indices expects a 1-D score vector")
+    if not (1 <= k <= s.shape[0]):
+        raise ValueError(f"k={k} out of range for {s.shape[0]} scores")
+    return np.argsort(-s, kind="stable")[:k]
+
+
+def l1_normalize_selected(scores, indices) -> np.ndarray:
+    """Selected scores scaled to sum to one."""
+    s = np.asarray(scores, dtype=np.float64)
+    sel = s[np.asarray(indices)]
+    if (sel < 0).any():
+        raise ValueError("selected scores must be nonnegative")
+    total = sel.sum()
+    if total == 0.0:
+        raise DegenerateSelectionError("all selected scores are zero")
+    return sel / total
+
+
+@dataclass
+class SelectionResult:
+    """Top-k field indices (descending score, index tie-break) and their
+    L1-normalized weights for one instance."""
+
+    indices: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        self.indices = np.asarray(self.indices)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.indices.shape != self.weights.shape:
+            raise DimensionError("indices and weights must have equal length")
+        if len(np.unique(self.indices)) != self.indices.size:
+            raise ValueError("selection indices must be distinct")
+        if (self.weights < 0).any() or abs(self.weights.sum() - 1.0) > 1e-9:
+            raise ValueError("weights must be nonnegative and sum to 1")
+
+
+# ---------------------------------------------------------------------------
+# dual-model discrepancies
+
+def prediction_discrepancy(fitted, dataset, batch_size: int = 2048) -> float:
+    """Mean squared gap between auxiliary and main predictions (dual model)."""
+    if fitted.model.aux_embeddings is None:
+        raise ValueError("prediction discrepancy is defined for the dual model only")
+    total = 0.0
+    n = len(dataset)
+    for start in range(0, n, batch_size):
+        x = dataset.x[start:start + batch_size]
+        trace = aefs_forward(fitted.model, x, training=False, reweight=fitted.model.reweight)
+        total += float(((trace.aux_pred.data - trace.main_pred.data) ** 2).sum())
+    return total / n
+
+
+def embedding_discrepancy(fitted, dataset, batch_size: int = 2048) -> float:
+    """Mean squared gap between lifted auxiliary and main embeddings."""
+    if fitted.model.aux_embeddings is None:
+        raise ValueError("embedding discrepancy is defined for the dual model only")
+    total = 0.0
+    n = len(dataset)
+    for start in range(0, n, batch_size):
+        x = dataset.x[start:start + batch_size]
+        trace = aefs_forward(fitted.model, x, training=False, reweight=fitted.model.reweight)
+        loss = embedding_alignment_loss(trace.aux_embeds, trace.main_embeds,
+                                        fitted.model.align_fc)
+        total += loss.item() * x.shape[0]
+    return total / n
+
+
+# ---------------------------------------------------------------------------
+# numerics, data and reports
+
+def exp(a: Tensor) -> Tensor:
+    """Elementwise exp as a tape op."""
+    out = np.exp(a.data)
+
+    def bw(g):
+        numerics._accum(a, g * out, owned=True)
+
+    return Tensor(out, parents=(a,), backward=bw)
+
+
+def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
+    """Compare analytic gradients against central differences.
+
+    Returns max over all parameter entries of
+    ``|analytic - numeric| / max(1, |analytic|)``. `loss_fn` must rebuild the
+    graph from the current parameter values on every call.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for p in params:
+        p.grad = None
+    loss_fn().backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None
+                else p.grad.dense() if isinstance(p.grad, RowGrad) else p.grad.copy()
+                for p in params]
+
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        gflat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = loss_fn().item()
+            flat[i] = orig - eps
+            f_minus = loss_fn().item()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            err = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]))
+            if err > worst:
+                worst = err
+    return worst
+
+
+def vocab_to_json(vocab) -> str:
+    return json.dumps({"min_freq": vocab.min_freq, "fields": vocab.field_maps}, sort_keys=True)
+
+
+def vocab_from_json(text: str) -> Vocabulary:
+    obj = json.loads(text)
+    return Vocabulary(field_maps=[dict(m) for m in obj["fields"]], min_freq=obj["min_freq"])
+
+
+def parse_report(jsonl_text: str) -> list[dict]:
+    return [json.loads(line) for line in jsonl_text.splitlines() if line.strip()]

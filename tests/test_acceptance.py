@@ -12,9 +12,9 @@ import pytest
 
 from aefs.cli import main as cli_main
 from aefs.data import SyntheticSpec, generate_synthetic
-from aefs.embedding import compose_activated_params, delta_pae, full_param_count
+from aefs.embedding import activation_averages, delta_pae, full_param_count
 from aefs.metrics import auc_exact, welch_t_test
-from aefs.numerics import Tensor, grad_check
+from aefs.numerics import Tensor
 from aefs.predictors import (
     DCNPredictor,
     DeepFMPredictor,
@@ -25,6 +25,7 @@ from aefs.predictors import (
 )
 from aefs.selection import aefs_forward, embedding_alignment_loss, prediction_alignment_loss
 from aefs.training import prepare
+from oracles import compose_activated_params, grad_check
 
 
 def ok(criterion: str, detail: str):
@@ -56,23 +57,24 @@ def test_criterion_2_accounting_identity():
                                      Fraction("8.07e6"))
     assert total == Fraction("37.90e6")
 
-    # ledger identity on an arbitrary run: activated = aux_full + mean selected
-    from aefs.embedding import ActivationLedger, EmbeddingSet, record_batch_activation
+    # ledger identity on an arbitrary run: the average read off the main
+    # lookup counters is aux_full + mean selected main tables
+    from aefs.embedding import EmbeddingSet
     rng = np.random.default_rng(2)
     vocab = [13, 401, 37, 89, 5, 211]
     main = EmbeddingSet(vocab, 8, np.random.default_rng(0))
     aux = EmbeddingSet(vocab, 2, np.random.default_rng(1))
-    ledger = ActivationLedger()
     expected_sum = Fraction(0)
     batches = 17
     for _ in range(batches):
         sel = np.stack([rng.choice(6, size=3, replace=False) for _ in range(9)])
-        record_batch_activation(ledger, sel, main, aux)
+        main.embed_selected(np.zeros((9, 6), dtype=int), sel)
         sizes = np.asarray(vocab) * 8
         expected_sum += Fraction(int(sizes[sel].sum()), 9) + aux.param_count()
-    assert ledger.activated_params_avg() == expected_sum / batches
+    activated, _ = activation_averages(main.lookup_counts, 9 * batches, main, aux)
+    assert activated == expected_sum / batches
     ok("2 accounting identity",
-       "64.58M - 34.75M + 8.07M == 37.90M exactly; ledger average equals "
+       "64.58M - 34.75M + 8.07M == 37.90M exactly; the counter average equals "
        "aux_full + mean selected main tables as exact rationals")
 
 
@@ -92,13 +94,13 @@ def test_criterion_3_lookup_reduction():
     n_inst = len(data.test)
     for start in range(0, n_inst, 256):
         aefs_forward(pair, data.test.x[start:start + 256], training=False)
-    assert pair.main_embeddings.total_lookups() == 8 * n_inst
-    assert pair.aux_embeddings.total_lookups() == 16 * n_inst
+    assert pair.main_embeddings.lookup_counts.sum() == 8 * n_inst
+    assert pair.aux_embeddings.lookup_counts.sum() == 16 * n_inst
 
     late = LateSelectionModel(vocab, 32, "mlp", (16, 16), 2, np.random.default_rng(1))
     for start in range(0, n_inst, 256):
         late.forward(data.test.x[start:start + 256], training=False, mode="hard", k=8)
-    assert late.embeddings.total_lookups() == 16 * n_inst
+    assert late.main_embeddings.lookup_counts.sum() == 16 * n_inst
     ok("3 lookup reduction",
        f"over {n_inst} instances: main 8/instance, aux 16/instance, "
        "late-hard 16/instance, all exact")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import aefs.cli as cli_mod
-import aefs.training as training_mod
+import aefs.selection as selection_mod
 from aefs.cli import main
 from aefs.data import read_format_b
 from aefs.numerics import Tensor
@@ -147,6 +147,27 @@ class TestTrain:
         assert (manifest["status"], manifest["exit_code"]) == ("failed", 2)
         assert manifest["error"].startswith("data error: no data.csv")
 
+    @pytest.mark.parametrize("flags,config_text", [
+        (["--d2", "0"], None),
+        (["--d1", "0", "--d2", "0"], None),
+        ([], "hidden_dims=\n"),
+        ([], "hidden_dims=0\n"),
+        ([], "backbone_main=dcn\nn_cross_layers=-1\n"),
+        (["--lr", "-1"], None),
+    ])
+    def test_invalid_config_value_exits_1(self, synth_dir, tmp_path, capsys, flags,
+                                          config_text):
+        extra = list(flags)
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            extra += ["--config", str(cfg)]
+        out = tmp_path / "runs"
+        assert main(train_args(synth_dir, out, *extra)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert not out.exists()  # rejected before a run directory is made
+
     def test_usage_error_exit_code(self, synth_dir, tmp_path):
         rc = main(["train", "--data", str(synth_dir), "--method", "bogus"])
         assert rc == 1
@@ -204,9 +225,27 @@ class TestFailedRunManifest:
         assert manifest["error"] == err == "numeric abort: non-finite loss inf at epoch 1, batch 1"
         assert manifest["finished_at"] is not None
 
+    def test_failed_run_reruns_without_force(self, synth_dir, tmp_path, monkeypatch):
+        def abort(data, config):
+            raise NumericAbort("non-finite loss inf at epoch 1, batch 1")
+
+        out = tmp_path / "runs"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "train", abort)
+            assert main(train_args(synth_dir, out)) == 3
+        assert self.read_manifest(out)["status"] == "failed"
+        assert main(train_args(synth_dir, out)) == 0
+        manifest = self.read_manifest(out)
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == ("done", 0, None)
+        # a finished or running run still needs --force
+        assert main(train_args(synth_dir, out)) == 1
+        path = next(out.iterdir()) / "manifest.json"
+        path.write_text(path.read_text().replace('"done"', '"running"'))
+        assert main(train_args(synth_dir, out)) == 1
+
     def test_infinite_eal_exits_3_and_names_the_term(self, synth_dir, tmp_path,
                                                      monkeypatch, capsys):
-        monkeypatch.setattr(training_mod, "embedding_alignment_loss",
+        monkeypatch.setattr(selection_mod, "embedding_alignment_loss",
                             lambda *args: Tensor(np.array(np.inf)))
         out = tmp_path / "runs"
         assert main(train_args(synth_dir, out)) == 3

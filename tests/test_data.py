@@ -23,6 +23,7 @@ from aefs.data import (
     write_format_b,
 )
 from aefs.metrics import auc, welch_t_test
+from oracles import vocab_from_json, vocab_to_json
 
 
 class TestDiscretize:
@@ -83,8 +84,7 @@ class TestVocab:
         schema = two_field_schema()
         records = [RawRecord(1, ("x", "5")), RawRecord(0, ("x", ""))]
         vocab = build_vocab(records, schema, min_freq=1)
-        from aefs.data import Vocabulary
-        again = Vocabulary.from_json(vocab.to_json())
+        again = vocab_from_json(vocab_to_json(vocab))
         assert again.field_maps == vocab.field_maps
         assert again.min_freq == vocab.min_freq
 

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from aefs.embedding import (
-    ActivationLedger,
     EmbeddingSet,
     SelectionIndexError,
-    compose_activated_params,
+    activation_averages,
     delta_el,
     delta_pae,
     full_param_count,
-    record_batch_activation,
 )
+from oracles import ActivationLedger, compose_activated_params, record_batch_activation, tables
 
 def build_set(vocab_sizes, dim, seed=0):
     return EmbeddingSet(vocab_sizes, dim, np.random.default_rng(seed))
@@ -21,7 +20,7 @@ def build_set(vocab_sizes, dim, seed=0):
 class TestEmbed:
     def test_one_hot_rows_round_trip(self):
         es = build_set([4, 4], dim=4)
-        for t in es.tables:
+        for t in tables(es):
             t.data[:] = np.eye(4)
         out = es.embed(np.array([[2, 0], [1, 3]]))
         np.testing.assert_array_equal(out.data[0, 0], [0, 0, 1, 0])
@@ -30,8 +29,8 @@ class TestEmbed:
     def test_lookup_counting(self):
         es = build_set([5, 5, 5], dim=2)
         es.embed(np.array([[0, 1, 2]]))
-        assert [t.lookup_count for t in es.tables] == [1, 1, 1]
-        assert es.total_lookups() == 3
+        assert [t.lookup_count for t in tables(es)] == [1, 1, 1]
+        assert es.lookup_counts.sum() == 3
 
     def test_gradient_sparsity_across_tables(self):
         es = build_set([5, 5, 5], dim=2)
@@ -40,15 +39,15 @@ class TestEmbed:
         # loss touches only field 2 (index 1)
         loss = (e * np.array([0.0, 1.0, 0.0])[None, :, None]).sum()
         loss.backward()
-        assert es.tables[0].grad is None or not es.tables[0].grad.any()
-        assert es.tables[2].grad is None or not es.tables[2].grad.any()
-        assert es.tables[1].grad.any()
+        assert tables(es)[0].grad is None or not tables(es)[0].grad.any()
+        assert tables(es)[2].grad is None or not tables(es)[2].grad.any()
+        assert tables(es)[1].grad.any()
 
     def test_gradient_sparsity_within_table(self):
         es = build_set([6], dim=3)
         e = es.embed(np.array([[2], [2], [4]]))
         e.sum().backward()
-        g = es.tables[0].grad
+        g = tables(es)[0].grad
         touched = {2, 4}
         for row in range(6):
             assert g[row].any() == (row in touched)
@@ -58,6 +57,23 @@ class TestEmbed:
         es = build_set([3], dim=2)
         with pytest.raises(IndexError):
             es.embed(np.array([[3]]))
+
+    def test_fixed_columns_match_per_row_selection(self):
+        # a column list is the same lookup as selecting those fields in
+        # every row: values, counts and the gradient, bit for bit
+        fast, per_row = (build_set([7, 5, 9, 4], dim=3, seed=4) for _ in range(2))
+        x = np.array([[1, 2, 3, 0], [6, 4, 8, 3], [1, 0, 0, 2]])
+        upstream = np.random.default_rng(5).normal(size=(3, 2, 3))
+        a = fast.embed(x, np.array([1, 3]))
+        b = per_row.embed_selected(x, np.tile([1, 3], (3, 1)))
+        (a * upstream).sum().backward()
+        (b * upstream).sum().backward()
+        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(fast.lookup_counts, [0, 3, 0, 3])
+        np.testing.assert_array_equal(fast.lookup_counts, per_row.lookup_counts)
+        np.testing.assert_array_equal(fast.weight.grad.dense(), per_row.weight.grad.dense())
+        with pytest.raises(IndexError):
+            fast.embed(np.array([[1, 5, 3, 0]]), np.array([1, 3]))  # 5 is out of field 1
 
 
 class TestEmbedSelected:
@@ -73,7 +89,7 @@ class TestEmbedSelected:
         es = build_set([4, 4], dim=2)
         out = es.embed_selected(np.array([[1, 2]]), np.zeros((1, 0), dtype=int))
         assert out.data.shape == (1, 0, 2)
-        assert es.total_lookups() == 0
+        assert es.lookup_counts.sum() == 0
 
     def test_lookup_counts_match_k(self):
         es = build_set([4] * 22, dim=2)
@@ -81,14 +97,14 @@ class TestEmbedSelected:
         x = np.zeros((b, 22), dtype=int)
         idx = np.tile(np.arange(11), (b, 1))  # k = 22 * 0.5
         es.embed_selected(x, idx)
-        assert es.total_lookups() == b * 11
+        assert es.lookup_counts.sum() == b * 11
 
     def test_order_follows_indices(self):
         es = build_set([3, 3], dim=2, seed=1)
         x = np.array([[2, 1]])
         out = es.embed_selected(x, np.array([[1, 0]]))
-        np.testing.assert_array_equal(out.data[0, 0], es.tables[1].data[1])
-        np.testing.assert_array_equal(out.data[0, 1], es.tables[0].data[2])
+        np.testing.assert_array_equal(out.data[0, 0], tables(es)[1].data[1])
+        np.testing.assert_array_equal(out.data[0, 1], tables(es)[0].data[2])
 
     def test_duplicate_index_rejected(self):
         es = build_set([4, 4], dim=2)
@@ -105,8 +121,8 @@ class TestEmbedSelected:
         x = np.array([[1, 2, 3]])
         out = es.embed_selected(x, np.array([[0, 2]]))
         out.sum().backward()
-        assert es.tables[1].grad is None or not es.tables[1].grad.any()
-        assert es.tables[0].grad is not None and es.tables[0].grad.any()
+        assert tables(es)[1].grad is None or not tables(es)[1].grad.any()
+        assert tables(es)[0].grad is not None and tables(es)[0].grad.any()
 
 
 class TestParamCounts:
@@ -165,6 +181,23 @@ class TestLedger:
         sizes = np.array(vocab) * 6
         expected = Fraction(int(sizes[sel].sum()), 8) + aux.param_count()
         assert ledger.activated_params_avg() == expected
+
+    def test_counter_averages_equal_reference_ledger(self):
+        # the per-field lookup counts of a pass determine the averages
+        rng = np.random.default_rng(7)
+        vocab = [11, 23, 37, 5, 60]
+        main = build_set(vocab, dim=6)
+        aux = build_set(vocab, dim=2, seed=9)
+        ledger = ActivationLedger()
+        for b in (9, 4, 13):
+            sel = np.stack([rng.choice(5, size=2, replace=False) for _ in range(b)])
+            main.embed_selected(np.zeros((b, 5), dtype=int), sel)
+            record_batch_activation(ledger, sel, main, aux)
+        activated, lookups = activation_averages(main.lookup_counts, 26, main, aux)
+        assert activated == ledger.activated_params_avg()
+        assert lookups == ledger.lookups_avg() == 2
+        assert activation_averages(main.lookup_counts, 26, main, None)[0] == \
+            ledger.activated_params_avg() - aux.param_count()
 
     def test_merge_is_commutative(self):
         a = ActivationLedger(1, Fraction(10), Fraction(2))

@@ -15,9 +15,9 @@ from aefs.metrics import (
     emit_report,
     logloss,
     metrics_row,
-    parse_report,
     welch_t_test,
 )
+from oracles import parse_report
 
 
 def auc_pairwise_oracle(scores, labels) -> Fraction:

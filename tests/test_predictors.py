@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aefs.numerics import DimensionError, Tensor, grad_check
+from aefs.numerics import DimensionError, Tensor
 from aefs.predictors import (
     Controller,
     DCNPredictor,
@@ -12,6 +12,7 @@ from aefs.predictors import (
     build_predictor,
     fm_pairwise_interaction,
 )
+from oracles import grad_check
 
 
 def rng():

@@ -3,25 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, grad_check
+from aefs.embedding import SelectionIndexError
+from aefs.numerics import DimensionError, Linear, RowGrad, Tensor
 from aefs.predictors import bce
 from aefs.selection import (
-    DegenerateSelectionError,
     DualModel,
     FixedSubsetModel,
     LateSelectionModel,
-    PlainModel,
-    SelectionResult,
     aefs_forward,
     embedding_alignment_loss,
     k_for,
-    k_max_indices,
     k_max_indices_batch,
-    l1_normalize_selected,
     prediction_alignment_loss,
     scale_embeddings,
 )
-from oracles import composed_embedding_alignment_loss, same_bits
+from oracles import DegenerateSelectionError, PlainModel, SelectionResult, \
+    composed_embedding_alignment_loss, grad_check, k_max_indices, l1_normalize_selected, \
+    same_bits, tables
 
 VOCAB6 = [5, 7, 4, 6, 5, 8]
 
@@ -117,7 +115,8 @@ class TestScale:
         w = Tensor(rng.random((2, 3)), requires_grad=True)
 
         def loss():
-            return (scale_embeddings(e, w) ** 2).sum()
+            scaled = scale_embeddings(e, w)
+            return (scaled * scaled).sum()
 
         assert grad_check(loss, [e, w]) < 1e-8
 
@@ -156,7 +155,7 @@ class TestLateSelection:
         model = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(9))
         x = np.random.default_rng(10).integers(0, 4, size=(8, 6))
         model.forward(x, training=True, mode="hard", k=3)
-        assert model.embeddings.total_lookups() == 8 * 6
+        assert model.main_embeddings.lookup_counts.sum() == 8 * 6
 
     def test_unknown_mode(self):
         model = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(9))
@@ -169,8 +168,8 @@ class TestEarlySelection:
         pair = make_pair()
         x = np.random.default_rng(12).integers(0, 4, size=(10, 6))
         aefs_forward(pair, x, training=True)
-        assert pair.aux_embeddings.total_lookups() == 10 * 6
-        assert pair.main_embeddings.total_lookups() == 10 * 3
+        assert pair.aux_embeddings.lookup_counts.sum() == 10 * 6
+        assert pair.main_embeddings.lookup_counts.sum() == 10 * 3
 
     def test_weights_sum_to_one(self):
         pair = make_pair(seed=2)
@@ -190,7 +189,7 @@ class TestEarlySelection:
     def test_identical_sides_predict_identically(self):
         # d2 == d1 and the main side copied onto the auxiliary side
         pair = make_pair(d1=4, d2=4, seed=5)
-        for t_aux, t_main in zip(pair.aux_embeddings.tables, pair.main_embeddings.tables):
+        for t_aux, t_main in zip(tables(pair.aux_embeddings), tables(pair.main_embeddings)):
             t_aux.data[:] = t_main.data
         for (_, pa), (_, pm) in zip(pair.aux_predictor.named_params(),
                                     pair.main_predictor.named_params()):
@@ -364,16 +363,22 @@ class TestOtherModels:
         x = np.random.default_rng(22).integers(0, 4, size=(3, 6))
         p = m.forward(x, training=True)
         assert p.shape == (3,)
-        assert m.embeddings.total_lookups() == 18
+        assert m.embeddings.lookup_counts.sum() == 18
 
     def test_fixed_subset_model(self):
         m = FixedSubsetModel(VOCAB6, 4, np.array([5, 0, 2]), "mlp", (4,), 2,
                              np.random.default_rng(23))
         x = np.random.default_rng(24).integers(0, 4, size=(4, 6))
-        p = m.forward(x, training=True)
-        assert p.shape == (4,)
-        assert m.embeddings.total_lookups() == 4 * 3
+        p, indices, weights = m.score(x, training=True)
+        assert p.shape == (4,) and weights is None
+        np.testing.assert_array_equal(m.main_embeddings.lookup_counts, [4, 0, 4, 0, 0, 4])
         np.testing.assert_array_equal(m.fields, [0, 2, 5])
+        np.testing.assert_array_equal(indices, np.tile([0, 2, 5], (4, 1)))
+
+    @pytest.mark.parametrize("fields", [[], [0, 0, 2], [-1, 2], [1, 6]])
+    def test_fixed_subset_rejects_bad_fields(self, fields):
+        with pytest.raises(SelectionIndexError):
+            FixedSubsetModel(VOCAB6, 4, fields, "mlp", (4,), 2, np.random.default_rng(23))
 
     def test_dual_model_rejects_d2_above_d1(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import aefs.embedding as embedding_mod
+import aefs.selection as selection_mod
 import aefs.training as training_mod
 from aefs.data import DataError, Dataset, SyntheticSpec, generate_synthetic
 from aefs.numerics import Adam, RowGrad, Tensor
+from aefs.selection import DualModel
 from aefs.training import (
     ConfigError,
+    FittedModel,
     NumericAbort,
     TrainConfig,
     apply_overrides,
@@ -14,15 +17,16 @@ from aefs.training import (
     evaluate,
     load_checkpoint,
     parse_config_text,
-    prediction_discrepancy,
     prepare,
     pretrain,
     save_checkpoint,
-    selection_stats,
     train,
 )
-from oracles import composed_embedding_alignment_loss, dense_scatter, reference_adam_step, \
-    same_bits, use_reference_tape
+from oracles import ActivationLedger, PlainModel, composed_embedding_alignment_loss, \
+    dense_scatter, embedding_discrepancy, prediction_discrepancy, record_batch_activation, \
+    reference_adam_step, same_bits, use_reference_tape
+
+METHODS = ("none", "randomhalf", "adafs", "aefs")
 
 
 @pytest.fixture(scope="module")
@@ -144,15 +148,13 @@ class TestTrainLoop:
             assert row.lookups_avg == 3.0  # k = floor(6 * 0.5)
 
     def test_nan_aborts_with_diagnostic(self, small_data, monkeypatch):
-        import aefs.training as training_mod
+        def poisoned_loss(model, x, y):
+            return (Tensor(np.array(np.nan)), {"bce_aux": 0.5, "bce_main": np.nan},
+                    np.tile(np.arange(3), (x.shape[0], 1)))
 
-        def poisoned_loss(fitted, x, y, config):
-            return (Tensor(np.array(np.nan)), {"bce_aux": None, "bce_main": np.nan,
-                                               "eal": None, "pal": None},
-                    np.tile(np.arange(3), (x.shape[0], 1)), None)
-
-        monkeypatch.setattr(training_mod, "_batch_loss", poisoned_loss)
-        with pytest.raises(NumericAbort, match="epoch 1"):
+        monkeypatch.setattr(DualModel, "loss", poisoned_loss)
+        with pytest.raises(NumericAbort, match=r"^non-finite loss nan at epoch 1, batch 1 "
+                                               r"\(first non-finite term: bce_main\)$"):
             train(small_data, small_config(max_epochs=1))
 
     @pytest.mark.parametrize("poisoned,named", [
@@ -161,7 +163,7 @@ class TestTrainLoop:
                                                   poisoned, named):
         loss_fn = {"eal": "embedding_alignment_loss", "pal": "prediction_alignment_loss"}
         for term in poisoned:
-            monkeypatch.setattr(training_mod, loss_fn[term], lambda *args: Tensor(np.array(np.inf)))
+            monkeypatch.setattr(selection_mod, loss_fn[term], lambda *args: Tensor(np.array(np.inf)))
         with pytest.raises(NumericAbort, match=r"^non-finite loss inf at epoch 1, batch 1 "
                                                rf"\(first non-finite term: {named}\)$"):
             train(small_data, small_config(max_epochs=1))
@@ -272,29 +274,36 @@ class TestEvaluate:
 class TestStats:
     def test_selection_stats_shape(self, small_data):
         res = train(small_data, small_config(max_epochs=1))
-        st = selection_stats(res.fitted, small_data.test,
-                             informative_fields=small_data.informative_fields)
-        freq = np.array(st["selection_frequency"])
+        m = evaluate(res.fitted, small_data.test,
+                     informative_fields=small_data.informative_fields)
+        freq = np.array(m.selection_frequency)
         assert freq.shape == (6,)
         assert freq.sum() == pytest.approx(3.0)  # k selections per instance
-        assert 0.0 <= st["precision"] <= 1.0
+        assert 0.0 <= m.selection_precision <= 1.0
 
-    @pytest.mark.parametrize("method", ["aefs", "none"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_selection_stats_match_direct_count(self, small_data, method):
+        # evaluate reads its figures off the lookup counters; they equal a
+        # count over every instance's selection, with a partial last batch
+        # (128) and in one batch (2048)
         fitted = train(small_data, small_config(method=method, max_epochs=1)).fitted
         informative = small_data.informative_fields
-        st = selection_stats(fitted, small_data.test, batch_size=128,
-                             informative_fields=informative)
-        _, sel, _, _ = fitted.forward_scores(small_data.test.x, training=False)
+        _, sel, _, aux_set = fitted.forward_scores(small_data.test.x, training=False)
         counts = [0] * small_data.n_fields
         hits = 0
         for row in sel:
             for f in row:
                 counts[int(f)] += 1
                 hits += int(f) in informative
+        ledger = record_batch_activation(ActivationLedger(), sel, fitted.main_embeddings, aux_set)
         n = len(small_data.test)
-        assert st["selection_frequency"] == [c / n for c in counts]
-        assert st["precision"] == hits / sel.size
+        for batch in (128, 2048):
+            m = evaluate(fitted, small_data.test, batch_size=batch,
+                         informative_fields=informative)
+            assert m.selection_frequency == [c / n for c in counts]
+            assert m.selection_precision == hits / sel.size
+            assert m.activated_params_avg == float(ledger.activated_params_avg())
+            assert m.lookups_avg == float(ledger.lookups_avg())
 
     def test_discrepancy_helpers(self, small_data):
         res = train(small_data, small_config(max_epochs=1))
@@ -425,7 +434,6 @@ class TestCheckpoint:
 
 class TestAlignmentInvariants:
     def test_eal_lowers_embedding_discrepancy(self, small_data):
-        from aefs.training import embedding_discrepancy
         with_eal = train(small_data, small_config(max_epochs=3))
         without = train(small_data, small_config(max_epochs=3, enable_eal=False))
         d_with = embedding_discrepancy(with_eal.fitted, small_data.test)
@@ -510,19 +518,56 @@ class TestLedgerIsPerInstance:
         rng = np.random.default_rng(41)
         data = Dataset(x=rng.integers(0, vocab, size=(2400, 6)),
                        y=rng.integers(0, 2, size=2400).astype(float))
-        fitted = build_model(vocab, small_config(), np.random.default_rng(42),
-                             np.random.default_rng(43))
-        main_sizes = np.array(vocab) * fitted.main_embeddings.dim
-        aux_full = fitted.model.aux_embeddings.param_count()
-        for batch in (2048, 128):
-            dump = tmp_path / f"sel{batch}.jsonl"
-            m = evaluate(fitted, data, batch, selection_dump_path=dump)
-            sel = np.array([json.loads(line)["indices"]
-                            for line in dump.read_text().splitlines()])
-            per_instance = aux_full + main_sizes[sel].sum(axis=1)
-            assert np.unique(per_instance).size > 1
-            assert m.activated_params_avg == float(Fraction(int(per_instance.sum()), len(data)))
-            assert m.lookups_avg == 3.0
+        for method in METHODS:
+            fitted = build_model(vocab, small_config(method=method), np.random.default_rng(42),
+                                 np.random.default_rng(43))
+            main_sizes = np.array(vocab) * fitted.main_embeddings.dim
+            aux_set = fitted.model.aux_embeddings
+            aux_full = aux_set.param_count() if aux_set is not None else 0
+            for batch in (2048, 128):
+                dump = tmp_path / f"sel-{method}-{batch}.jsonl"
+                m = evaluate(fitted, data, batch, selection_dump_path=dump)
+                sel = np.array([json.loads(line)["indices"]
+                                for line in dump.read_text().splitlines()])
+                per_instance = aux_full + main_sizes[sel].sum(axis=1)
+                if method == "aefs":
+                    assert np.unique(per_instance).size > 1
+                assert m.activated_params_avg == float(
+                    Fraction(int(per_instance.sum()), len(data))), method
+                assert m.lookups_avg == sel.shape[1] == (3 if method in ("aefs", "randomhalf")
+                                                         else 6), method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_train_figures_match_reference_ledger(self, many_row_data, method, monkeypatch):
+        # each epoch's figures, read off the lookup counters, equal the
+        # reference ledger over the indices every batch's loss selected
+        real_build = training_mod.build_model
+        built, selections = [], []
+
+        def build(*args):
+            fitted = real_build(*args)
+            loss = fitted.model.loss
+
+            def recording_loss(x, y):
+                out = loss(x, y)
+                selections.append(out[2])
+                return out
+
+            fitted.model.loss = recording_loss
+            built.append(fitted)
+            return fitted
+
+        monkeypatch.setattr(training_mod, "build_model", build)
+        res = train(many_row_data, small_config(method=method, max_epochs=2, batch_size=64))
+        fitted = built[0]
+        per_epoch = len(selections) // 2
+        for e, row in enumerate(res.report.rows):
+            ledger = ActivationLedger()
+            for sel in selections[e * per_epoch:(e + 1) * per_epoch]:
+                record_batch_activation(ledger, sel, fitted.main_embeddings,
+                                        fitted.model.aux_embeddings)
+            assert row.activated_params_avg == float(ledger.activated_params_avg())
+            assert row.lookups_avg == float(ledger.lookups_avg())
 
 
 def poison_after_backward(monkeypatch, target, poison):
@@ -579,6 +624,16 @@ class TestNonFiniteGradientGuard:
         with pytest.raises(NumericAbort, match="aux.controller.fc.weight at pretrain epoch 1"):
             pretrain(fitted, small_data.train, cfg, np.random.default_rng(9))
 
+    def test_pretrain_loss_names_value_and_batch(self, small_data, monkeypatch):
+        cfg = small_config(method="adafs", pretrain_epochs=1)
+        fitted = build_model(small_data.vocab.vocab_sizes, cfg,
+                             np.random.default_rng(7), np.random.default_rng(8))
+        monkeypatch.setattr(fitted.model, "warmup_forward",
+                            lambda x: Tensor(np.full(x.shape[0], np.nan)))
+        with pytest.raises(NumericAbort,
+                           match=r"^non-finite loss nan at pretrain epoch 1, batch 1$"):
+            pretrain(fitted, small_data.train, cfg, np.random.default_rng(9))
+
 
 @pytest.fixture(scope="module")
 def many_row_data():
@@ -601,7 +656,7 @@ class TestRowSparseTrainingIsExact:
         fast = train(many_row_data, cfg)
         monkeypatch.setattr(embedding_mod, "scatter_rows", dense_scatter)
         monkeypatch.setattr(Adam, "step", reference_adam_step)
-        monkeypatch.setattr(training_mod, "embedding_alignment_loss",
+        monkeypatch.setattr(selection_mod, "embedding_alignment_loss",
                             composed_embedding_alignment_loss)
         use_reference_tape(monkeypatch)
         dense = train(many_row_data, cfg)
@@ -611,3 +666,37 @@ class TestRowSparseTrainingIsExact:
             da, db = dict(a.__dict__), dict(b.__dict__)
             da.pop("seconds"), db.pop("seconds")
             assert da == db
+
+
+class TestNoneIsEveryFieldSubset:
+    """`none` is a FixedSubsetModel over every field, bit for bit the
+    PlainModel reference in parameters, reports, checkpoint bytes and
+    lookup counts."""
+
+    def test_matches_plain_model_reference(self, many_row_data, monkeypatch, tmp_path):
+        cfg = small_config(method="none", max_epochs=2, batch_size=64)
+        subset = train(many_row_data, cfg)
+
+        def build_plain(vocab_sizes, config, rng, subset_rng):
+            model = PlainModel(vocab_sizes, config.d1, config.backbone_main, config.hidden_dims,
+                               config.n_cross_layers, rng)
+            return FittedModel(model=model, k=subset.fitted.k)
+
+        monkeypatch.setattr(training_mod, "build_model", build_plain)
+        plain = train(many_row_data, cfg)
+        assert isinstance(plain.fitted.model, PlainModel)
+        for (name_a, a), (name_b, b) in zip(subset.fitted.named_params(),
+                                            plain.fitted.named_params()):
+            assert name_a == name_b and same_bits(a.data, b.data), name_a
+        for a, b in zip(subset.report.rows, plain.report.rows):
+            da, db = dict(a.__dict__), dict(b.__dict__)
+            da.pop("seconds"), db.pop("seconds")
+            assert da == db
+        for side, result in (("subset", subset), ("plain", plain)):
+            save_checkpoint(result.fitted, tmp_path / f"{side}.ckpt")
+        assert (tmp_path / "subset.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
+        for batch in (2048, 100):
+            assert (evaluate(subset.fitted, many_row_data.test, batch)
+                    == evaluate(plain.fitted, many_row_data.test, batch))
+        assert same_bits(subset.fitted.main_embeddings.lookup_counts,
+                         plain.fitted.main_embeddings.lookup_counts)
