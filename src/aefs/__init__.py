@@ -9,16 +9,17 @@ accounts exactly for activated embedding parameters and lookups.
 __version__ = "0.1.0"
 
 from .data import (
+    Columns,
     Dataset,
     FieldSchema,
-    Instance,
     RawRecord,
     SyntheticSpec,
     Vocabulary,
     build_vocab,
     discretize_numeric,
+    encode_columns,
     generate_synthetic,
-    quantize,
+    quantize_all,
     split_dataset,
 )
 from .embedding import EmbeddingSet, activation_averages, delta_el, delta_pae, full_param_count

@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,93 +48,120 @@ class RawRecord:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Instance:
-    label: int
-    x: tuple[int, ...]
-
-
 @dataclass
 class Vocabulary:
     """Per-field token-to-ID maps with a reserved OOV bucket.
 
     ID 0 of every field is the OOV bucket; kept tokens are numbered from 1
-    in first-occurrence order, so construction is deterministic.
+    in the order of their first occurrence in the training split, so
+    construction is deterministic.
     """
 
     field_maps: list[dict[str, int]]
     min_freq: int
 
-    def vocab_size(self, field_index: int) -> int:
-        return len(self.field_maps[field_index]) + 1
-
     @property
     def vocab_sizes(self) -> list[int]:
-        return [self.vocab_size(n) for n in range(len(self.field_maps))]
+        return [len(fmap) + 1 for fmap in self.field_maps]
 
     @property
     def total_ids(self) -> int:
         return sum(self.vocab_sizes)
 
-    def id_of(self, field_index: int, token: str) -> int:
-        return self.field_maps[field_index].get(token, OOV_ID)
 
-
-def discretize_numeric(x: float) -> int:
+def discretize_numeric(x: float | str) -> int:
     """Bucketize a numeric value: floor((ln x)^2) above 2, otherwise 1."""
-    if isinstance(x, str):
-        try:
-            x = float(x)
-        except ValueError as exc:
-            raise DataError(f"non-numeric token {x!r}") from exc
-    if math.isnan(x):
-        raise DataError("NaN numeric value")
-    if x > 2.0:
-        return int(math.floor(math.log(x) ** 2))
+    try:
+        value = float(x)
+    except ValueError as exc:
+        raise DataError(f"non-numeric token {x!r}") from exc
+    if math.isnan(value) or value == math.inf:
+        raise DataError(f"numeric token {x!r} is NaN or +inf")
+    if value > 2.0:
+        return int(math.floor(math.log(value) ** 2))
     return 1
 
 
-def _field_token(record: RawRecord, fs: FieldSchema) -> str:
-    tok = record.tokens[fs.index]
-    if fs.kind == "numerical":
-        if tok == "" or tok == MISSING_TOKEN:
-            return MISSING_TOKEN
-        return str(discretize_numeric(tok))
-    return tok
+@dataclass
+class Columns:
+    """Records encoded field by field.
+
+    The distinct tokens of field n (numerics after bucketization) are
+    numbered from 0: ``keys[n][c]`` is the token numbered c, and
+    ``codes[n, i]`` the number of record i's token.
+    """
+
+    codes: np.ndarray  # (N, n) int64, one row per field
+    labels: np.ndarray  # (n,) float64 labels in {0, 1}
+    keys: list[list[str]]
 
 
-def build_vocab(records: Sequence[RawRecord], schema: Sequence[FieldSchema],
-                min_freq: int = 10) -> Vocabulary:
-    """Count post-quantization tokens per field and keep those seen at least
-    `min_freq` times. Kept tokens get IDs in first-occurrence order; the rest
-    map to the per-field OOV bucket."""
-    if not records:
+def _number(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Number the distinct tokens from 0 in first-occurrence order: the code
+    of each token, and the token of each code."""
+    code_of = defaultdict()
+    code_of.default_factory = code_of.__len__  # an unseen token takes the next code
+    codes = np.fromiter(map(code_of.__getitem__, tokens), np.int64, len(tokens))
+    return codes, list(code_of)
+
+
+def _encode_field(column: Sequence[str], numerical: bool) -> tuple[np.ndarray, list[str]]:
+    codes, keys = _number(column)
+    if numerical:  # bucketized once per distinct raw token
+        bucket_codes, keys = _number([MISSING_TOKEN if raw in ("", MISSING_TOKEN)
+                                      else str(discretize_numeric(raw)) for raw in keys])
+        codes = bucket_codes[codes]
+    return codes, keys
+
+
+def encode_columns(records: Sequence[RawRecord], schema: Sequence[FieldSchema]) -> Columns:
+    """Transpose the records into one code array per field; the schema's
+    fields are taken in order, each naming the token at its position."""
+    rows = [rec.tokens for rec in records]
+    if rows and set(map(len, rows)) != {len(schema)}:
+        i = next(i for i, tokens in enumerate(rows) if len(tokens) != len(schema))
+        raise DataError(f"record {i} has {len(rows[i])} tokens, schema has {len(schema)}")
+    tokens = list(chain.from_iterable(rows))
+    codes = np.empty((len(schema), len(rows)), dtype=np.int64)
+    keys = []
+    for n, fs in enumerate(schema):
+        codes[n], field_keys = _encode_field(tokens[n::len(schema)], fs.kind == "numerical")
+        keys.append(field_keys)
+    labels = np.array([rec.label for rec in records], dtype=np.float64)
+    return Columns(codes=codes, labels=labels, keys=keys)
+
+
+def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if n < 10:
+        raise DataError(f"need at least 10 items to split, got {n}")
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = int(n * 0.8)
+    n_val = int(n * 0.1)
+    return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
+
+
+def split_dataset(columns: Columns, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices of a disjoint, exhaustive 8:1:1 random split,
+    deterministic per seed; each split lists its rows in shuffled order."""
+    return split_indices(len(columns.labels), seed)
+
+
+def build_vocab(columns: Columns, rows: np.ndarray, min_freq: int = 10) -> Vocabulary:
+    """Keep the tokens seen at least `min_freq` times in `rows`, the
+    training split, with IDs in the order of their first occurrence there;
+    the rest map to the per-field OOV bucket."""
+    if len(rows) == 0:
         raise DataError("cannot build a vocabulary from zero records")
-    counts: list[dict[str, int]] = [{} for _ in schema]
-    order: list[list[str]] = [[] for _ in schema]
-    for rec in records:
-        if len(rec.tokens) != len(schema):
-            raise DataError(f"record has {len(rec.tokens)} tokens, schema has {len(schema)}")
-        for fs in schema:
-            tok = _field_token(rec, fs)
-            c = counts[fs.index]
-            if tok not in c:
-                c[tok] = 0
-                order[fs.index].append(tok)
-            c[tok] += 1
     field_maps = []
-    for n in range(len(schema)):
-        kept = [t for t in order[n] if counts[n][t] >= min_freq]
-        field_maps.append({t: i + 1 for i, t in enumerate(kept)})
+    for field_codes, keys in zip(columns.codes, columns.keys):
+        codes = field_codes[rows]
+        counts = np.bincount(codes, minlength=len(keys))
+        first = np.full(len(keys), len(codes))
+        np.minimum.at(first, codes, np.arange(len(codes)))
+        kept = np.flatnonzero(counts >= max(min_freq, 1))  # only tokens `rows` has
+        by_first = kept[np.argsort(first[kept])]
+        field_maps.append({keys[c]: i for i, c in enumerate(by_first.tolist(), start=1)})
     return Vocabulary(field_maps=field_maps, min_freq=min_freq)
-
-
-def quantize(record: RawRecord, schema: Sequence[FieldSchema], vocab: Vocabulary) -> Instance:
-    """Map one raw record to per-field category IDs. Unseen tokens go to OOV."""
-    if len(record.tokens) != len(schema):
-        raise DataError(f"record arity {len(record.tokens)} != schema arity {len(schema)}")
-    ids = tuple(vocab.id_of(fs.index, _field_token(record, fs)) for fs in schema)
-    return Instance(label=record.label, x=ids)
 
 
 @dataclass
@@ -149,33 +178,17 @@ class Dataset:
     def n_fields(self) -> int:
         return self.x.shape[1]
 
-    @classmethod
-    def from_instances(cls, instances: Sequence[Instance]) -> "Dataset":
-        if not instances:
-            raise DataError("empty instance list")
-        x = np.array([inst.x for inst in instances], dtype=np.int64)
-        y = np.array([inst.label for inst in instances], dtype=np.float64)
-        return cls(x=x, y=y)
 
-
-def quantize_all(records: Sequence[RawRecord], schema, vocab) -> Dataset:
-    return Dataset.from_instances([quantize(r, schema, vocab) for r in records])
-
-
-def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if n < 10:
-        raise DataError(f"need at least 10 items to split, got {n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(n * 0.8)
-    n_val = int(n * 0.1)
-    return perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:]
-
-
-def split_dataset(items: Sequence, seed: int):
-    """Disjoint, exhaustive 8:1:1 random split, deterministic per seed."""
-    tr, va, te = split_indices(len(items), seed)
-    pick = lambda idx: [items[i] for i in idx]
-    return pick(tr), pick(va), pick(te)
+def quantize_all(columns: Columns, splits: Sequence[np.ndarray],
+                 vocab: Vocabulary) -> list[Dataset]:
+    """The rows of each split as vocabulary IDs, OOV for every token the
+    vocabulary does not keep."""
+    tables = [np.fromiter(map(fmap.get, keys, repeat(OOV_ID)), np.int64, len(keys))
+              for fmap, keys in zip(vocab.field_maps, columns.keys)]
+    return [Dataset(x=np.stack([table[codes[rows]] for table, codes in zip(tables, columns.codes)],
+                               axis=1),
+                    y=columns.labels[rows])
+            for rows in splits]
 
 
 @dataclass(frozen=True)
@@ -245,41 +258,73 @@ def schema_to_json(schema: Sequence[FieldSchema]) -> str:
 
 
 def schema_from_json(text: str) -> list[FieldSchema]:
-    obj = json.loads(text)
-    return [FieldSchema(name=f["name"], kind=f["kind"], index=i)
-            for i, f in enumerate(obj["fields"])]
+    """Parse ``{"fields": [{"name": ..., "kind": ...}, ...]}``, at least
+    one field; anything else is a DataError."""
+    try:
+        fields = json.loads(text)["fields"]
+        schema = [FieldSchema(name=f["name"], kind=f["kind"], index=i)
+                  for i, f in enumerate(fields)]
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DataError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise DataError('expected {"fields": [{"name": ..., "kind": ...}, ...]}') from exc
+    if not schema:
+        raise DataError("schema has no fields")
+    return schema
+
+
+def _not_utf8(path: Path) -> DataError:
+    """The error for a file that is not UTF-8 text, naming its first such line."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return DataError(f"{path}:{lineno}: not UTF-8 text")
+    return DataError(f"{path}: not UTF-8 text")
 
 
 def write_format_b(records: Iterable[RawRecord], schema: Sequence[FieldSchema],
                    data_path: Path, schema_path: Path) -> None:
-    with open(data_path, "w", newline="") as fh:
+    with open(data_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label"] + [fs.name for fs in schema])
         for rec in records:
             writer.writerow([rec.label] + list(rec.tokens))
-    Path(schema_path).write_text(schema_to_json(schema) + "\n")
+    Path(schema_path).write_text(schema_to_json(schema) + "\n", encoding="utf-8")
 
 
 def read_format_b(data_path: Path, schema_path: Path) -> tuple[list[RawRecord], list[FieldSchema]]:
-    schema = schema_from_json(Path(schema_path).read_text())
+    try:
+        schema = schema_from_json(Path(schema_path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(schema_path) from exc
+    except DataError as exc:
+        raise DataError(f"{schema_path}: {exc}") from exc
     records = []
-    with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "label":
-            raise DataError(f"{data_path}: expected a header starting with 'label'")
-        if len(header) - 1 != len(schema):
-            raise DataError(f"{data_path}: {len(header) - 1} columns, schema has {len(schema)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(schema) + 1:
-                raise DataError(f"{data_path}:{lineno}: bad column count {len(row)}")
-            try:
-                label = int(row[0])
-            except ValueError as exc:
-                raise DataError(f"{data_path}:{lineno}: bad label {row[0]!r}") from exc
-            if label not in (0, 1):
-                raise DataError(f"{data_path}:{lineno}: label must be 0 or 1")
-            records.append(RawRecord(label=label, tokens=tuple(row[1:])))
+    try:
+        with open(data_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or header[0] != "label":
+                raise DataError(f"{data_path}: expected a header starting with 'label'")
+            if len(header) - 1 != len(schema):
+                raise DataError(f"{data_path}: {len(header) - 1} columns, "
+                                f"schema has {len(schema)}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(schema) + 1:
+                    raise DataError(f"{data_path}:{lineno}: bad column count {len(row)}")
+                try:
+                    label = int(row[0])
+                except ValueError as exc:
+                    raise DataError(f"{data_path}:{lineno}: bad label {row[0]!r}") from exc
+                if label not in (0, 1):
+                    raise DataError(f"{data_path}:{lineno}: label must be 0 or 1")
+                records.append(RawRecord(label=label, tokens=tuple(row[1:])))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(data_path) from exc
     if not records:
         raise DataError(f"{data_path}: no records")
     return records, schema
@@ -302,18 +347,22 @@ def read_format_a(data_path: Path) -> tuple[list[RawRecord], list[FieldSchema]]:
     schema = criteo_schema()
     n_cols = 1 + CRITEO_NUMERIC + CRITEO_CATEGORICAL
     records = []
-    with open(data_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != n_cols:
-                raise DataError(f"{data_path}:{lineno}: {len(parts)} columns, expected {n_cols}")
-            try:
-                label = int(parts[0])
-            except ValueError as exc:
-                raise DataError(f"{data_path}:{lineno}: bad label {parts[0]!r}") from exc
-            if label not in (0, 1):
-                raise DataError(f"{data_path}:{lineno}: label must be 0 or 1")
-            records.append(RawRecord(label=label, tokens=tuple(parts[1:])))
+    try:
+        with open(data_path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != n_cols:
+                    raise DataError(f"{data_path}:{lineno}: {len(parts)} columns, "
+                                    f"expected {n_cols}")
+                try:
+                    label = int(parts[0])
+                except ValueError as exc:
+                    raise DataError(f"{data_path}:{lineno}: bad label {parts[0]!r}") from exc
+                if label not in (0, 1):
+                    raise DataError(f"{data_path}:{lineno}: label must be 0 or 1")
+                records.append(RawRecord(label=label, tokens=tuple(parts[1:])))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(data_path) from exc
     if not records:
         raise DataError(f"{data_path}: no records")
     return records, schema

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, Dataset, FieldSchema, RawRecord, Vocabulary, build_vocab, \
-    quantize_all, split_dataset
+    encode_columns, quantize_all, split_dataset
 from .embedding import activation_averages
 from .metrics import Metrics, auc as auc_metric, logloss as logloss_metric
 from .numerics import Adam, RowGrad
@@ -180,15 +180,18 @@ class PreparedData:
 
 def prepare(records: Sequence[RawRecord], schema: Sequence[FieldSchema], seed: int,
             min_freq: int = 10, informative_fields=None) -> PreparedData:
-    """8:1:1 split first, then vocabulary from the training split only."""
-    train_recs, val_recs, test_recs = split_dataset(list(records), seed)
-    vocab = build_vocab(train_recs, schema, min_freq=min_freq)
+    """Encode each field once, split 8:1:1, then build the vocabulary from
+    the training split only."""
+    columns = encode_columns(records, schema)
+    splits = split_dataset(columns, seed)
+    vocab = build_vocab(columns, splits[0], min_freq=min_freq)
+    train, val, test = quantize_all(columns, splits, vocab)
     return PreparedData(
         schema=list(schema),
         vocab=vocab,
-        train=quantize_all(train_recs, schema, vocab),
-        val=quantize_all(val_recs, schema, vocab),
-        test=quantize_all(test_recs, schema, vocab),
+        train=train,
+        val=val,
+        test=test,
         informative_fields=list(informative_fields) if informative_fields is not None else None,
     )
 

@@ -9,7 +9,9 @@ per operation, a gradient accumulator that copies every first gradient,
 batch normalization through ``np.mean``/``np.var`` with one new array per
 operation, and the embedding alignment loss composed from tape ops. So are
 the no-selection model that embedded every field with its own lookup, and
-the activation ledger that counted every selected index per batch.
+the activation ledger that counted every selected index per batch. So is
+the per-record data path that `prepare` replaced with per-field encoding: a
+vocabulary counted token by token, and one `Instance` per record.
 
 The rest are single-instance selection helpers, finite-difference gradient
 checks, per-field table views, and other small functions the tests call.
@@ -21,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from aefs import numerics
-from aefs.data import Vocabulary
+from aefs.data import MISSING_TOKEN, OOV_ID, DataError, Dataset, Vocabulary, discretize_numeric, \
+    split_indices
 from aefs.embedding import EmbeddingSet
 from aefs.numerics import AdamState, DegenerateBatchError, DimensionError, RowGrad, Tensor
 from aefs.predictors import PredictorConfig, bce, build_predictor
@@ -396,6 +399,69 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
             if err > worst:
                 worst = err
     return worst
+
+
+@dataclass(frozen=True)
+class Instance:
+    label: int
+    x: tuple[int, ...]
+
+
+def _field_token(record, fs) -> str:
+    tok = record.tokens[fs.index]
+    if fs.kind == "numerical":
+        if tok == "" or tok == MISSING_TOKEN:
+            return MISSING_TOKEN
+        return str(discretize_numeric(tok))
+    return tok
+
+
+def reference_build_vocab(records, schema, min_freq: int = 10) -> Vocabulary:
+    """Count post-quantization tokens record by record; keep those seen at
+    least `min_freq` times, with IDs in first-occurrence order."""
+    if not records:
+        raise DataError("cannot build a vocabulary from zero records")
+    counts = [{} for _ in schema]
+    order = [[] for _ in schema]
+    for rec in records:
+        if len(rec.tokens) != len(schema):
+            raise DataError(f"record has {len(rec.tokens)} tokens, schema has {len(schema)}")
+        for fs in schema:
+            tok = _field_token(rec, fs)
+            c = counts[fs.index]
+            if tok not in c:
+                c[tok] = 0
+                order[fs.index].append(tok)
+            c[tok] += 1
+    field_maps = []
+    for n in range(len(schema)):
+        kept = [t for t in order[n] if counts[n][t] >= min_freq]
+        field_maps.append({t: i + 1 for i, t in enumerate(kept)})
+    return Vocabulary(field_maps=field_maps, min_freq=min_freq)
+
+
+def reference_quantize(record, schema, vocab: Vocabulary) -> Instance:
+    """One raw record as per-field category IDs; unseen tokens go to OOV."""
+    if len(record.tokens) != len(schema):
+        raise DataError(f"record arity {len(record.tokens)} != schema arity {len(schema)}")
+    return Instance(label=record.label, x=tuple(
+        vocab.field_maps[fs.index].get(_field_token(record, fs), OOV_ID) for fs in schema))
+
+
+def dataset_from_instances(instances) -> Dataset:
+    if not instances:
+        raise DataError("empty instance list")
+    return Dataset(x=np.array([inst.x for inst in instances], dtype=np.int64),
+                   y=np.array([inst.label for inst in instances], dtype=np.float64))
+
+
+def reference_prepare(records, schema, seed: int, min_freq: int = 10):
+    """(vocab, train, val, test) by the per-record path: split the records,
+    count the training split, quantize every record."""
+    splits = [[records[i] for i in idx] for idx in split_indices(len(records), seed)]
+    vocab = reference_build_vocab(splits[0], schema, min_freq=min_freq)
+    return (vocab, *(dataset_from_instances([reference_quantize(r, schema, vocab) for r in recs])
+                     for recs in splits))
 
 
 def vocab_to_json(vocab) -> str:

@@ -202,6 +202,54 @@ class TestTrain:
         assert evaluate(fresh, data.test, config.batch_size).auc == report["auc"]
 
 
+MIXED_SCHEMA = json.dumps({"fields": [{"name": "c0", "kind": "categorical"},
+                                       {"name": "n0", "kind": "numerical"}]}).encode()
+
+
+def mixed_rows(bad_numeric):
+    rows = [f"{i % 2},a{i % 3},{i}" for i in range(30)]
+    rows[17] = f"1,a0,{bad_numeric}"
+    return ("label,c0,n0\n" + "\n".join(rows) + "\n").encode()
+
+
+class TestInputFaults:
+    """Faulty input files end a run with exit 2, one stderr line and a
+    failed manifest, never a traceback."""
+
+    @pytest.mark.parametrize("files,message", [
+        ({"data.csv": mixed_rows("inf"), "schema.json": MIXED_SCHEMA},
+         "numeric token 'inf' is NaN or +inf"),
+        ({"data.csv": mixed_rows("1e400"), "schema.json": MIXED_SCHEMA},
+         "numeric token '1e400' is NaN or +inf"),
+        ({"data.csv": mixed_rows("1"), "schema.json": b"{"}, "schema.json: invalid JSON"),
+        ({"data.csv": mixed_rows("1"), "schema.json": b'{"columns": []}'},
+         "schema.json: missing key 'fields'"),
+        ({"data.csv": mixed_rows("1"), "schema.json": b'{"fields": [{"name": "c0"}]}'},
+         "schema.json: missing key 'kind'"),
+        ({"data.csv": mixed_rows("1"), "schema.json": b'{"fields": [{"kind": "numerical"}]}'},
+         "schema.json: missing key 'name'"),
+        ({"data.csv": b"\xff\xfe" + mixed_rows("1"), "schema.json": MIXED_SCHEMA},
+         "data.csv:1: not UTF-8 text"),
+        ({"clicks.tsv": "\t".join(["1"] + ["4"] * 13 + ["aa"] * 26).encode() + b"\n\xff\n"},
+         "clicks.tsv:2: not UTF-8 text"),
+    ], ids=["inf", "1e400", "invalid-json", "no-fields", "no-kind", "no-name",
+            "format-b-not-utf8", "format-a-not-utf8"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, files, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name, content in files.items():
+            (data / name).write_bytes(content)
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                   "--method", "none", "--d1", "4", "--max-epochs", "1",
+                   "--batch-size", "64", "--min-freq", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ") and message in err[0], err
+        manifest = json.loads((next((tmp_path / "r").iterdir()) / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", 2, err[0])
+
+
 class TestFailedRunManifest:
     def read_manifest(self, out):
         return json.loads((next(out.iterdir()) / "manifest.json").read_text())

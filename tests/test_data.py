@@ -7,14 +7,13 @@ from aefs.data import (
     MISSING_TOKEN,
     OOV_ID,
     DataError,
-    Dataset,
     FieldSchema,
     RawRecord,
     SyntheticSpec,
     build_vocab,
     discretize_numeric,
+    encode_columns,
     generate_synthetic,
-    quantize,
     quantize_all,
     read_format_a,
     read_format_b,
@@ -23,7 +22,8 @@ from aefs.data import (
     write_format_b,
 )
 from aefs.metrics import auc, welch_t_test
-from oracles import vocab_from_json, vocab_to_json
+from aefs.training import prepare
+from oracles import reference_prepare, vocab_from_json, vocab_to_json
 
 
 class TestDiscretize:
@@ -40,6 +40,16 @@ class TestDiscretize:
         with pytest.raises(DataError):
             discretize_numeric("abc")
 
+    @pytest.mark.parametrize("token", ["inf", "+inf", "Infinity", "1e400", "nan", float("inf")])
+    def test_nan_and_positive_infinity_are_data_errors(self, token):
+        with pytest.raises(DataError, match=r"is NaN or \+inf") as info:
+            discretize_numeric(token)
+        assert repr(token) in str(info.value)
+
+    @pytest.mark.parametrize("token", ["-inf", "-1e400", float("-inf")])
+    def test_negative_infinity_is_bucket_one(self, token):
+        assert discretize_numeric(token) == 1
+
     @given(st.floats(2.0001, 1e12), st.floats(2.0001, 1e12))
     @settings(max_examples=100, deadline=None)
     def test_monotone_above_two(self, a, b):
@@ -51,39 +61,54 @@ def two_field_schema():
     return [FieldSchema("cat", "categorical", 0), FieldSchema("num", "numerical", 1)]
 
 
+def vocab_of(records, schema, min_freq):
+    """The vocabulary of `records` taken whole, in order, as the training split."""
+    return build_vocab(encode_columns(records, schema), np.arange(len(records)),
+                       min_freq=min_freq)
+
+
+def ids_of(records, schema, vocab):
+    return quantize_all(encode_columns(records, schema), [np.arange(len(records))],
+                        vocab)[0].x.tolist()
+
+
+def id_of(vocab, field_index, token):
+    return vocab.field_maps[field_index].get(token, OOV_ID)
+
+
 class TestVocab:
     def test_frequency_threshold(self):
         schema = [FieldSchema("c", "categorical", 0)]
         records = [RawRecord(0, ("rare",))] * 9 + [RawRecord(0, ("common",))] * 10
-        vocab = build_vocab(records, schema, min_freq=10)
-        assert vocab.id_of(0, "rare") == OOV_ID
-        assert vocab.id_of(0, "common") != OOV_ID
+        vocab = vocab_of(records, schema, min_freq=10)
+        assert id_of(vocab, 0, "rare") == OOV_ID
+        assert id_of(vocab, 0, "common") != OOV_ID
 
     def test_min_freq_one_keeps_everything(self):
         schema = [FieldSchema("c", "categorical", 0)]
         records = [RawRecord(0, (t,)) for t in "abcb"]
-        vocab = build_vocab(records, schema, min_freq=1)
-        assert {vocab.id_of(0, t) for t in "abc"} == {1, 2, 3}
-        assert vocab.id_of(0, "never-seen") == OOV_ID
+        vocab = vocab_of(records, schema, min_freq=1)
+        assert {id_of(vocab, 0, t) for t in "abc"} == {1, 2, 3}
+        assert id_of(vocab, 0, "never-seen") == OOV_ID
 
     def test_first_occurrence_order(self):
         schema = [FieldSchema("c", "categorical", 0)]
         records = [RawRecord(0, (t,)) for t in ["z", "a", "z", "m", "a", "z", "m"]]
-        vocab = build_vocab(records, schema, min_freq=2)
-        assert vocab.id_of(0, "z") == 1
-        assert vocab.id_of(0, "a") == 2
-        assert vocab.id_of(0, "m") == 3
+        vocab = vocab_of(records, schema, min_freq=2)
+        assert id_of(vocab, 0, "z") == 1
+        assert id_of(vocab, 0, "a") == 2
+        assert id_of(vocab, 0, "m") == 3
 
     def test_vocab_sizes_include_oov(self):
         schema = [FieldSchema("c", "categorical", 0)]
         records = [RawRecord(0, (t,)) for t in "aab"]
-        vocab = build_vocab(records, schema, min_freq=1)
-        assert vocab.vocab_size(0) == 3  # a, b, OOV
+        vocab = vocab_of(records, schema, min_freq=1)
+        assert vocab.vocab_sizes[0] == 3  # a, b, OOV
 
     def test_json_round_trip(self):
         schema = two_field_schema()
         records = [RawRecord(1, ("x", "5")), RawRecord(0, ("x", ""))]
-        vocab = build_vocab(records, schema, min_freq=1)
+        vocab = vocab_of(records, schema, min_freq=1)
         again = vocab_from_json(vocab_to_json(vocab))
         assert again.field_maps == vocab.field_maps
         assert again.min_freq == vocab.min_freq
@@ -92,9 +117,8 @@ class TestVocab:
 class TestQuantize:
     def test_all_unseen_goes_to_oov(self):
         schema = two_field_schema()
-        vocab = build_vocab([RawRecord(0, ("a", "5"))] * 3, schema, min_freq=1)
-        inst = quantize(RawRecord(1, ("zzz", "9999")), schema, vocab)
-        assert inst.x == (OOV_ID, OOV_ID)
+        vocab = vocab_of([RawRecord(0, ("a", "5"))] * 3, schema, min_freq=1)
+        assert ids_of([RawRecord(1, ("zzz", "9999"))], schema, vocab) == [[OOV_ID, OOV_ID]]
 
     def test_hand_corpus(self):
         schema = two_field_schema()
@@ -103,19 +127,18 @@ class TestQuantize:
             RawRecord(0, ("a", "5")),
             RawRecord(1, ("b", "")),
         ]
-        vocab = build_vocab(records, schema, min_freq=2)
+        vocab = vocab_of(records, schema, min_freq=2)
         # "a" kept (x2), "b" dropped; bucket of 5 is floor(ln(5)^2) = 2, kept (x2);
         # the missing marker appears once so it falls to OOV
-        assert quantize(records[0], schema, vocab).x == (1, 1)
-        assert quantize(records[2], schema, vocab).x == (OOV_ID, OOV_ID)
-        assert vocab.id_of(1, "2") == 1
-        assert vocab.id_of(1, MISSING_TOKEN) == OOV_ID
+        assert ids_of(records, schema, vocab) == [[1, 1], [1, 1], [OOV_ID, OOV_ID]]
+        assert id_of(vocab, 1, "2") == 1
+        assert id_of(vocab, 1, MISSING_TOKEN) == OOV_ID
 
     def test_arity_mismatch(self):
         schema = two_field_schema()
-        vocab = build_vocab([RawRecord(0, ("a", "1"))], schema, min_freq=1)
-        with pytest.raises(DataError):
-            quantize(RawRecord(0, ("a",)), schema, vocab)
+        records = [RawRecord(0, ("a", "1")), RawRecord(0, ("a",))]
+        with pytest.raises(DataError, match="record 1 has 1 tokens, schema has 2"):
+            encode_columns(records, schema)
 
     @given(st.lists(st.tuples(st.sampled_from("abcde"), st.integers(0, 500)),
                     min_size=1, max_size=50))
@@ -123,21 +146,27 @@ class TestQuantize:
     def test_ids_always_in_range(self, raw):
         schema = two_field_schema()
         records = [RawRecord(0, (c, str(v))) for c, v in raw]
-        vocab = build_vocab(records, schema, min_freq=2)
-        for rec in records:
-            inst = quantize(rec, schema, vocab)
-            for n, val in enumerate(inst.x):
-                assert 0 <= val < vocab.vocab_size(n)
+        vocab = vocab_of(records, schema, min_freq=2)
+        for row in ids_of(records, schema, vocab):
+            for n, val in enumerate(row):
+                assert 0 <= val < vocab.vocab_sizes[n]
+
+
+def columns_of(items):
+    """One categorical field; record i holds item i."""
+    return encode_columns([RawRecord(i % 2, (str(i),)) for i in items],
+                          [FieldSchema("c", "categorical", 0)])
 
 
 class TestSplit:
     def test_ten_items(self):
-        tr, va, te = split_dataset(list(range(10)), seed=0)
+        tr, va, te = split_dataset(columns_of(range(10)), seed=0)
         assert (len(tr), len(va), len(te)) == (8, 1, 1)
 
     def test_deterministic(self):
-        items = list(range(100))
-        assert split_dataset(items, seed=5) == split_dataset(items, seed=5)
+        a, b = (split_dataset(columns_of(range(100)), seed=5) for _ in range(2))
+        for x, y in zip(a, b):
+            assert x.tolist() == y.tolist()
 
     def test_45000(self):
         tr, va, te = split_indices(45_000, seed=1)
@@ -145,13 +174,13 @@ class TestSplit:
 
     def test_partition(self):
         items = list(range(173))
-        tr, va, te = split_dataset(items, seed=9)
+        tr, va, te = (s.tolist() for s in split_dataset(columns_of(items), seed=9))
         assert sorted(tr + va + te) == items
         assert not (set(tr) & set(va)) and not (set(va) & set(te)) and not (set(tr) & set(te))
 
     def test_too_few(self):
         with pytest.raises(DataError):
-            split_dataset(list(range(9)), seed=0)
+            split_dataset(columns_of(range(9)), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -217,9 +246,8 @@ class TestFormats:
         records, schema = read_format_a(p)
         assert len(records) == 2 and len(schema) == 39
         assert schema[0].kind == "numerical" and schema[13].kind == "categorical"
-        vocab = build_vocab(records, schema, min_freq=1)
-        inst = quantize(records[1], schema, vocab)
-        assert len(inst.x) == 39
+        vocab = vocab_of(records, schema, min_freq=1)
+        assert [len(row) for row in ids_of(records, schema, vocab)] == [39, 39]
 
     def test_format_a_bad_columns(self, tmp_path):
         p = tmp_path / "short.tsv"
@@ -240,11 +268,108 @@ class TestDataset:
     def test_pack(self):
         schema = two_field_schema()
         records = [RawRecord(1, ("a", "5")), RawRecord(0, ("b", "7"))]
-        vocab = build_vocab(records, schema, min_freq=1)
-        ds = quantize_all(records, schema, vocab)
-        assert ds.x.shape == (2, 2)
-        assert ds.y.tolist() == [1.0, 0.0]
+        vocab = vocab_of(records, schema, min_freq=1)
+        (ds,) = quantize_all(encode_columns(records, schema), [np.arange(2)], vocab)
+        assert ds.x.shape == (2, 2) and ds.x.dtype == np.int64 and ds.x.flags.c_contiguous
+        assert ds.y.tolist() == [1.0, 0.0] and ds.y.dtype == np.float64
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            Dataset.from_instances([])
+            build_vocab(encode_columns([], two_field_schema()), np.arange(0))
+
+
+NUMERIC_TOKENS = ["", MISSING_TOKEN, "0", "1", "2", "2.5", "3", "8", "20", "100", "-5", "1e6",
+                  "-inf", "007"]
+CATEGORICAL_TOKENS = ["", MISSING_TOKEN, "a", "b", "c", "7", "07", "é"]
+
+
+@st.composite
+def record_sets(draw):
+    """Mixed schemas, missing markers, fields whose every token is distinct
+    (all OOV from min_freq 2, unseen outside training), and tokens rare
+    enough to appear only in the validation or test split."""
+    kinds = draw(st.lists(st.sampled_from(["categorical", "numerical", "distinct"]),
+                          min_size=1, max_size=5))
+    n = draw(st.integers(10, 60))
+    columns = []
+    for n_field, kind in enumerate(kinds):
+        if kind == "distinct":
+            columns.append([f"u{n_field}-{i}" for i in range(n)])
+        else:
+            pool = NUMERIC_TOKENS if kind == "numerical" else CATEGORICAL_TOKENS
+            columns.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    schema = [FieldSchema(f"f{i}", "numerical" if kind == "numerical" else "categorical", i)
+              for i, kind in enumerate(kinds)]
+    records = [RawRecord(label, tuple(tokens)) for label, tokens in zip(labels, zip(*columns))]
+    return records, schema
+
+
+class TestPrepareMatchesReference:
+    @given(record_sets(), st.integers(-1, 5), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_vocabulary_and_split_bytes(self, record_set, min_freq, seed):
+        records, schema = record_set
+        data = prepare(records, schema, seed=seed, min_freq=min_freq)
+        vocab, *splits = reference_prepare(records, schema, seed, min_freq=min_freq)
+        assert [list(m.items()) for m in data.vocab.field_maps] == \
+            [list(m.items()) for m in vocab.field_maps]
+        assert data.vocab.vocab_sizes == vocab.vocab_sizes
+        for got, want in zip((data.train, data.val, data.test), splits):
+            for a, b in ((got.x, want.x), (got.y, want.y)):
+                assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, True)
+                assert a.tobytes() == b.tobytes()
+
+    def test_tokens_outside_training_are_oov(self):
+        schema = two_field_schema()
+        records = [RawRecord(i % 2, (f"t{i}", str(i))) for i in range(40)]
+        data = prepare(records, schema, seed=0, min_freq=1)
+        assert len(data.vocab.field_maps[0]) == len(data.train)
+        assert (data.val.x[:, 0] == OOV_ID).all() and (data.test.x[:, 0] == OOV_ID).all()
+
+    def test_bad_numeric_token_anywhere_is_a_data_error(self):
+        schema = two_field_schema()
+        records = [RawRecord(i % 2, ("a", "5")) for i in range(20)]
+        records[13] = RawRecord(1, ("a", "1e400"))
+        with pytest.raises(DataError, match=r"'1e400' is NaN or \+inf"):
+            prepare(records, schema, seed=0, min_freq=1)
+
+
+ONE_FIELD_SCHEMA = '{"fields": [{"name": "f0", "kind": "categorical"}]}'
+
+
+class TestInputFaults:
+    @pytest.mark.parametrize("text,match", [
+        ("{", "invalid JSON"),
+        ("{}", "missing key 'fields'"),
+        ('{"fields": [{"kind": "categorical"}]}', "missing key 'name'"),
+        ('{"fields": [{"name": "f0"}]}', "missing key 'kind'"),
+        ('{"fields": 3}', "expected"),
+        ('["f0"]', "expected"),
+        ('{"fields": []}', "no fields"),
+    ])
+    def test_malformed_schema_names_the_file(self, tmp_path, text, match):
+        (tmp_path / "data.csv").write_text("label,f0\n0,a\n")
+        (tmp_path / "schema.json").write_text(text)
+        with pytest.raises(DataError, match=match) as info:
+            read_format_b(tmp_path / "data.csv", tmp_path / "schema.json")
+        assert str(info.value).startswith(f"{tmp_path / 'schema.json'}: ")
+
+    def test_format_b_not_utf8_names_the_line(self, tmp_path):
+        (tmp_path / "schema.json").write_text(ONE_FIELD_SCHEMA)
+        (tmp_path / "data.csv").write_bytes(b"label,f0\n0,a\n1,\xe9t\xe9\n")
+        with pytest.raises(DataError, match=r"data\.csv:3: not UTF-8 text$"):
+            read_format_b(tmp_path / "data.csv", tmp_path / "schema.json")
+
+    def test_format_a_not_utf8_names_the_line(self, tmp_path):
+        p = tmp_path / "criteo.tsv"
+        p.write_bytes(b"\xff\xfe" + "\t".join(["1"] + ["4"] * 13 + ["aa"] * 26).encode() + b"\n")
+        with pytest.raises(DataError, match=r"criteo\.tsv:1: not UTF-8 text$"):
+            read_format_a(p)
+
+    def test_schema_not_utf8(self, tmp_path):
+        (tmp_path / "data.csv").write_text("label,f0\n0,a\n")
+        (tmp_path / "schema.json").write_text(ONE_FIELD_SCHEMA.replace("f0", "\xff"),
+                                              encoding="latin-1")
+        with pytest.raises(DataError, match=r"schema\.json:1: not UTF-8 text$"):
+            read_format_b(tmp_path / "data.csv", tmp_path / "schema.json")
