@@ -561,15 +561,31 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
+ADAM_BLOCK_ELEMS = 1 << 15  # 256 KiB of float64: a block's five arrays stay in L2
+
+
+def _row_blocks(param: Array) -> list:
+    """Index expressions that cut `param` along axis 0 into blocks of about
+    ADAM_BLOCK_ELEMS entries, whole rows each, in order."""
+    if param.ndim == 0:
+        return [Ellipsis]
+    n = param.shape[0]
+    rows = max(1, ADAM_BLOCK_ELEMS // max(math.prod(param.shape[1:]), 1))
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
 class Adam:
     """Adam over a list of parameter tensors, updated in place.
 
     Each step applies the bias-corrected update ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*g*g``, ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` to
-    every entry, evaluated op for op in that order, with the table-sized
-    intermediates in two buffers reused across steps. A RowGrad adds its
-    gradient terms to its rows only; every row's moments still decay and
-    every row still moves, exactly as under the equal dense gradient.
+    every entry, evaluated op for op in that order. A parameter is swept in
+    blocks of whole rows, each block taken through every op before the
+    next, so a large table streams through memory once per step instead of
+    once per op, with the intermediates in two block-sized buffers reused
+    across steps. A RowGrad adds its gradient terms to its rows only; every
+    row's moments still decay and every row still moves, exactly as under
+    the equal dense gradient.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
@@ -577,7 +593,9 @@ class Adam:
         self.params = list(params)
         self.states = [AdamState.for_param(p.data, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
                        for p in self.params]
-        largest = max((p.data.size for p in self.params), default=0)
+        self._blocks = [_row_blocks(p.data) for p in self.params]
+        largest = max((p.data[blocks[0]].size for p, blocks in zip(self.params, self._blocks)
+                       if blocks), default=0)
         self._scratch = (np.empty(largest), np.empty(largest))
 
     def zero_grad(self):
@@ -585,31 +603,43 @@ class Adam:
             p.grad = None
 
     def step(self):
-        for p, st in zip(self.params, self.states):
+        for p, st, blocks in zip(self.params, self.states, self._blocks):
             if p.grad is not None:
-                self._update(p.data, p.grad, st)
+                self._update(p.data, p.grad, st, blocks)
 
-    def _update(self, param: Array, grad, st: AdamState):
-        if isinstance(grad, RowGrad):
-            at, g = grad.rows, grad.values
-            fits = grad.n_rows == param.shape[0] and g.shape[1:] == param.shape[1:]
+    def _update(self, param: Array, grad, st: AdamState, blocks: list):
+        sparse = isinstance(grad, RowGrad)
+        if sparse:
+            fits = grad.n_rows == param.shape[0] and grad.shape[1:] == param.shape[1:]
         else:
-            at, g = slice(None), grad
-            fits = g.shape == param.shape
+            fits = grad.shape == param.shape
         if not fits:
             raise DimensionError(f"Adam shapes param={param.shape} grad={grad.shape}")
+        g = grad.values if sparse else grad
         st.t += 1
-        st.m *= st.beta1
-        st.m[at] += (1.0 - st.beta1) * g
+        g1 = (1.0 - st.beta1) * g
         g2 = (1.0 - st.beta2) * g
         g2 *= g
-        st.v *= st.beta2
-        st.v[at] += g2
-        step, denom = (buf[:param.size].reshape(param.shape) for buf in self._scratch)
-        np.divide(st.m, 1.0 - st.beta1 ** st.t, out=step)
-        np.divide(st.v, 1.0 - st.beta2 ** st.t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += st.eps
-        step *= st.lr
-        step /= denom
-        param -= step
+        c1 = 1.0 - st.beta1 ** st.t
+        c2 = 1.0 - st.beta2 ** st.t
+        if sparse:  # the ascending rows that fall in each block
+            cuts = np.searchsorted(grad.rows, [b.stop for b in blocks]).tolist()
+        for n, block in enumerate(blocks):
+            m, v, p = st.m[block], st.v[block], param[block]
+            if sparse:
+                lo, hi = cuts[n - 1] if n else 0, cuts[n]
+                at, gs = grad.rows[lo:hi] - block.start, slice(lo, hi)
+            else:
+                at, gs = Ellipsis, block
+            m *= st.beta1
+            m[at] += g1[gs]
+            v *= st.beta2
+            v[at] += g2[gs]
+            step, denom = (buf[:m.size].reshape(m.shape) for buf in self._scratch)
+            np.divide(m, c1, out=step)
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += st.eps
+            step *= st.lr
+            step /= denom
+            p -= step

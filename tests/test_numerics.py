@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aefs import numerics
 from aefs.numerics import (
     Adam,
     AdamState,
@@ -366,6 +367,33 @@ class TestAdamMatchesReference:
             if step == 33:
                 # untouched since step 1, its decaying moments still move it
                 assert not np.array_equal(p.data[45], row_45)
+
+    @pytest.mark.parametrize("shape", [(37, 3), (29,), (), (0, 3)])
+    def test_blocked_sweep(self, monkeypatch, shape):
+        # blocks of at most 8 entries: the table spans many blocks, and a
+        # row gradient leaves some blocks untouched and fills others
+        monkeypatch.setattr(numerics, "ADAM_BLOCK_ELEMS", 8)
+        rng = np.random.default_rng(4)
+        p, opt, ref, ref_state = self.twin(shape, lr=0.01)
+        assert opt._scratch[0].size <= 8
+        for step in range(self.STEPS):
+            if len(shape) == 2 and shape[0] and step % 2:
+                ids = rng.choice([0, 1, 2, 5, 13, 14, 35, 36], size=9)
+                g = rng.normal(size=(ids.size, shape[1]))
+                dense = Tensor(np.zeros(shape), requires_grad=True)
+                dense_scatter(dense, ids, g)
+                p.grad = None
+                scatter_rows(p, ids, g)
+                assert isinstance(p.grad, RowGrad)
+                grad = dense.grad
+            else:
+                grad = rng.normal(size=shape)
+                p.grad = grad.copy()
+            opt.step()
+            adam_step(ref, grad, ref_state)
+            assert same_bits(p.data, ref), f"step {step + 1}"
+            assert same_bits(opt.states[0].m, ref_state.m)
+            assert same_bits(opt.states[0].v, ref_state.v)
 
     def test_row_gradient_of_a_table_scattered_twice(self, monkeypatch):
         # one backward pass reaches the same table through two lookups
