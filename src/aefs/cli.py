@@ -231,8 +231,30 @@ def _load_dataset(data_dir: Path):
     informative = None
     meta_path = data_dir / "meta.json"
     if meta_path.exists():
-        informative = json.loads(meta_path.read_text()).get("informative_fields")
+        informative = _json_object(meta_path).get("informative_fields")
+        n = len(schema)
+        if informative is not None and not (
+                isinstance(informative, list) and all(_is_count(f) and f < n for f in informative)
+                and len(set(informative)) == len(informative)):
+            raise DataError(f"{meta_path}: informative_fields must be a list of distinct field "
+                            f"positions in [0, {n}), got {informative!r}")
     return records, schema, informative
+
+
+def _json_object(path: Path) -> dict:
+    """The JSON object in the file at `path`; anything else is a DataError."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return obj
+
+
+def _is_count(v) -> bool:
+    """A nonnegative JSON integer (JSON true and false are not)."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _run_single(config: TrainConfig, data, run_dir: Path,
@@ -357,11 +379,18 @@ def cmd_params(args) -> int:
     vocab_path = Path(args.vocab_file)
     if not vocab_path.exists():
         raise DataError(f"vocab file {vocab_path} not found")
-    obj = json.loads(vocab_path.read_text())
+    obj = _json_object(vocab_path)
     if "vocab_sizes" in obj:
-        total_ids = sum(obj["vocab_sizes"])
+        sizes = obj["vocab_sizes"]
+        if not (isinstance(sizes, list) and all(_is_count(v) for v in sizes)):
+            raise DataError(f"{vocab_path}: vocab_sizes must be a list of nonnegative "
+                            f"integers, got {sizes!r}")
+        total_ids = sum(sizes)
     elif "total_ids" in obj:
-        total_ids = int(obj["total_ids"])
+        total_ids = obj["total_ids"]
+        if not _is_count(total_ids):
+            raise DataError(f"{vocab_path}: total_ids must be a nonnegative integer, "
+                            f"got {total_ids!r}")
     else:
         raise DataError("vocab file needs a 'vocab_sizes' list or a 'total_ids' count")
 

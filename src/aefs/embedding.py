@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor, scatter_rows, xavier_init
+from .numerics import DimensionError, Tensor, out_of_range, repeats_in_rows, scatter_rows, \
+    xavier_init
 
 
 class SelectionIndexError(ValueError):
@@ -32,6 +33,8 @@ class EmbeddingSet:
         if not vocab_sizes:
             raise ValueError("EmbeddingSet needs at least one field")
         self._vocab_sizes = [int(v) for v in vocab_sizes]
+        # unsigned, the type out_of_range compares ids in
+        self._limits = np.asarray(self._vocab_sizes, dtype=np.uint64)
         self._dim = int(dim)
         self.offsets = np.concatenate([[0], np.cumsum(self._vocab_sizes)[:-1]]).astype(np.int64)
         blocks = [xavier_init(v, dim, rng) for v in self._vocab_sizes]
@@ -56,8 +59,7 @@ class EmbeddingSet:
     def _check_ids(self, ids: np.ndarray, fields):
         """`ids` of the fields `fields` (one slice or index array, broadcast
         against `ids`) are within their tables."""
-        limit = np.asarray(self._vocab_sizes)[fields]
-        if (ids < 0).any() or (ids >= limit).any():
+        if out_of_range(ids, self._limits[fields]):
             raise IndexError("category id out of range for its field")
 
     def embed(self, x: np.ndarray, fields=slice(None)) -> Tensor:
@@ -85,17 +87,15 @@ class EmbeddingSet:
         """
         x = np.asarray(x)
         indices = np.asarray(indices)
-        b, k = indices.shape
+        b, _ = indices.shape
         if x.shape[0] != b or x.ndim != 2:
             raise DimensionError(f"ids {x.shape} vs indices {indices.shape}")
         if indices.size == 0:
             return Tensor(np.zeros((b, 0, self._dim)))
-        if indices.min() < 0 or indices.max() >= self.n_fields:
+        if out_of_range(indices, self.n_fields):
             raise SelectionIndexError("field index out of range")
-        if k > 1:
-            sorted_rows = np.sort(indices, axis=1)
-            if (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any():
-                raise SelectionIndexError("duplicate field index in a selection")
+        if repeats_in_rows(indices, self.n_fields):
+            raise SelectionIndexError("duplicate field index in a selection")
 
         rows = np.arange(b)[:, None]
         ids = x[rows, indices]
@@ -112,7 +112,7 @@ class EmbeddingSet:
         def bw(g):
             scatter_rows(weight, flat.reshape(-1), g.reshape(-1, self._dim))
 
-        return Tensor(weight.data[flat], parents=(weight,), backward=bw)
+        return Tensor(np.take(weight.data, flat, axis=0), parents=(weight,), backward=bw)
 
     def named_params(self, prefix: str = ""):
         return [(prefix + "weight", self.weight)]

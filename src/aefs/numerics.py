@@ -9,6 +9,7 @@ row-sparse gradient (``RowGrad``) holding only the rows it touched.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,6 +27,23 @@ class DegenerateBatchError(ValueError):
     """Batch statistics were requested on a batch of fewer than 2 rows."""
 
 
+_taping = True  # False inside `no_tape`
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Within this scope a new tensor records no parents and no backward
+    closure, so each intermediate of a forward pass is freed as soon as the
+    next op has read it. Evaluation scores in it: nothing it computes is
+    differentiated. Nests, and restores the previous state on any exit."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
 def _const(x) -> "Tensor":
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -38,7 +56,8 @@ class Tensor:
     nodes carry a closure that routes the upstream gradient to their parents;
     ``backward()`` releases an interior node's ``.grad`` (sets it to None)
     as soon as its closure has run, so a parent may take over that buffer
-    without a copy. Leaves keep theirs.
+    without a copy. Leaves keep theirs. A tensor made inside `no_tape` is a
+    constant whatever its operands.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -50,7 +69,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple = (), backward: Callable[[Array], None] | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+        self.requires_grad = bool(requires_grad) or (
+            _taping and any(p.requires_grad for p in parents))
         self.grad: Array | None = None
         if self.requires_grad:
             self._parents = tuple(parents)
@@ -298,12 +318,11 @@ def sigmoid(x):
 
 
 def _sigmoid_stable(z: Array) -> Array:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so each entry
+    # takes the same operations as when the two signs are computed apart
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def softmax(x, axis: int = -1):
@@ -427,26 +446,48 @@ def scatter_rows(table: Tensor, ids: Array, g: Array) -> None:
     table.grad = RowGrad(rows, values.reshape(rows.size, d), n)
 
 
+def out_of_range(idx: Array, limit) -> bool:
+    """Whether an entry of the integer array `idx` falls outside
+    ``[0, limit)``; `limit` is a bound or an array of bounds broadcast
+    against `idx`. One comparison: viewed as unsigned, a negative entry
+    exceeds every bound."""
+    if idx.dtype.kind == "i":
+        idx = idx.view(np.dtype(f"u{idx.dtype.itemsize}"))
+    return bool((idx >= limit).any())
+
+
+def repeats_in_rows(idx: Array, n: int) -> bool:
+    """Whether some row of the (B, k) index array, entries in ``[0, n)``,
+    holds a value twice: one count per (row, value) pair."""
+    if idx.shape[1] < 2 or idx.size == 0:
+        return False
+    keys = idx + np.arange(0, idx.shape[0] * n, n)[:, None]
+    return bool(np.bincount(keys.reshape(-1)).max() > 1)
+
+
 def gather_fields(x: Tensor, idx: Array) -> Tensor:
     """Per-row gather along axis 1 of a (B, N) or (B, N, D) tensor.
 
-    idx has shape (B, k); output row i holds x[i, idx[i, j]] in idx order.
-    Duplicate indices are allowed here; selection callers validate distinctness.
+    idx has shape (B, k) and holds distinct positions per row; output row i
+    holds x[i, idx[i, j]] in idx order. Backward adds each upstream entry
+    to the one position it was read from.
     """
     idx = np.asarray(idx)
     b, n = x.shape[0], x.shape[1]
     if idx.ndim != 2 or idx.shape[0] != b:
         raise DimensionError(f"index shape {idx.shape} incompatible with {x.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    if out_of_range(idx, n):
         raise IndexError("field index out of range [0, %d)" % n)
+    if repeats_in_rows(idx, n):
+        raise IndexError("repeated field index in a row")
     rows = np.arange(b)[:, None]
     out = x.data[rows, idx]
 
     def bw(g):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, (rows, idx), g)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        # distinct positions per row: one addend each, as np.add.at would add
+        x.grad[rows, idx] += g
 
     return Tensor(out, parents=(x,), backward=bw)
 

@@ -24,7 +24,7 @@ from .data import DataError, Dataset, FieldSchema, RawRecord, Vocabulary, build_
     encode_columns, quantize_all, split_dataset
 from .embedding import activation_averages
 from .metrics import Metrics, auc as auc_metric, logloss as logloss_metric
-from .numerics import Adam, RowGrad
+from .numerics import Adam, RowGrad, no_tape
 from .predictors import VARIANTS, bce
 from .selection import DualModel, FixedSubsetModel, LateSelectionModel, k_for
 
@@ -341,7 +341,8 @@ def _step(opt: Adam, named_params, loss, terms: dict, where: str) -> None:
 def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
              selection_dump_path: Path | None = None,
              informative_fields: Sequence[int] | None = None) -> Metrics:
-    """Frozen-parameter evaluation with inference-mode batch norm.
+    """Frozen-parameter evaluation with inference-mode batch norm, scored
+    without the tape.
 
     The main table's lookup counts over the pass give each field's
     selection count, and from those the activated parameters and lookups
@@ -358,12 +359,13 @@ def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
     main_set = fitted.main_embeddings
     before = main_set.lookup_counts.copy()
     for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        probs, sel, weights, _ = fitted.forward_scores(dataset.x[idx], training=False)
-        scores[idx] = probs.data
+        stop = min(start + batch_size, n)
+        with no_tape():  # nothing here is differentiated
+            probs, sel, weights, _ = fitted.forward_scores(dataset.x[start:stop], training=False)
+        scores[start:stop] = probs.data
         if dump_lines is not None:
-            for j, inst in enumerate(idx):
-                entry = {"instance": int(inst), "indices": [int(v) for v in sel[j]]}
+            for j in range(stop - start):
+                entry = {"instance": start + j, "indices": [int(v) for v in sel[j]]}
                 if weights is not None:
                     entry["weights"] = [float(w) for w in weights[j]]
                 dump_lines.append(json.dumps(entry, sort_keys=True))

@@ -11,7 +11,10 @@ operation, and the embedding alignment loss composed from tape ops. So are
 the no-selection model that embedded every field with its own lookup, and
 the activation ledger that counted every selected index per batch. So is
 the per-record data path that `prepare` replaced with per-field encoding: a
-vocabulary counted token by token, and one `Instance` per record.
+vocabulary counted token by token, and one `Instance` per record. So are the
+logistic function through boolean masks and a field gather whose backward
+scatters with ``np.add.at``, as scoring had them before it ran without the
+tape.
 
 The rest are single-instance selection helpers, finite-difference gradient
 checks, per-field table views, and other small functions the tests call.
@@ -365,6 +368,29 @@ def exp(a: Tensor) -> Tensor:
         numerics._accum(a, g * out, owned=True)
 
     return Tensor(out, parents=(a,), backward=bw)
+
+
+def boolean_mask_sigmoid(z):
+    """The stable logistic function, each sign taken apart by a mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def add_at_gather_fields(x: Tensor, idx) -> Tensor:
+    """``gather_fields`` with an ``np.add.at`` scatter in its backward."""
+    idx = np.asarray(idx)
+    rows = np.arange(x.shape[0])[:, None]
+
+    def bw(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, (rows, idx), g)
+
+    return Tensor(x.data[rows, idx], parents=(x,), backward=bw)
 
 
 def grad_check(loss_fn, params, eps: float = 1e-5) -> float:

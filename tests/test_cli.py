@@ -232,8 +232,23 @@ class TestInputFaults:
          "data.csv:1: not UTF-8 text"),
         ({"clicks.tsv": "\t".join(["1"] + ["4"] * 13 + ["aa"] * 26).encode() + b"\n\xff\n"},
          "clicks.tsv:2: not UTF-8 text"),
+        ({"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA, "meta.json": b"{"},
+         "meta.json: invalid JSON"),
+        ({"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA, "meta.json": b"[0, 1]"},
+         "meta.json: expected a JSON object"),
+        ({"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA,
+          "meta.json": b'{"informative_fields": "abc"}'},
+         "informative_fields must be a list of distinct field positions in [0, 2), got 'abc'"),
+        ({"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA,
+          "meta.json": b'{"informative_fields": [99]}'}, "in [0, 2), got [99]"),
+        ({"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA,
+          "meta.json": b'{"informative_fields": [-1]}'}, "in [0, 2), got [-1]"),
+        ({"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA,
+          "meta.json": b'{"informative_fields": [1, 1]}'}, "in [0, 2), got [1, 1]"),
     ], ids=["inf", "1e400", "invalid-json", "no-fields", "no-kind", "no-name",
-            "format-b-not-utf8", "format-a-not-utf8"])
+            "format-b-not-utf8", "format-a-not-utf8", "meta-invalid-json", "meta-not-object",
+            "informative-not-list", "informative-out-of-range", "informative-negative",
+            "informative-repeated"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, files, message):
         data = tmp_path / "data"
         data.mkdir()
@@ -381,6 +396,21 @@ class TestParams:
     def test_missing_vocab(self, tmp_path):
         rc = main(["params", "--vocab-file", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("content,message", [
+        ("{", "vocab.json: invalid JSON"),
+        ('{"vocab_sizes": "abc"}', "vocab_sizes must be a list of nonnegative integers"),
+        ('{"vocab_sizes": [3, -1]}', "vocab_sizes must be a list of nonnegative integers"),
+        ('{"total_ids": "x"}', "total_ids must be a nonnegative integer, got 'x'"),
+        ("[1, 2]", "vocab.json: expected a JSON object"),
+    ], ids=["invalid-json", "sizes-not-list", "negative-size", "total-not-int", "not-object"])
+    def test_malformed_vocab_exits_2_with_one_line(self, tmp_path, capsys, content, message):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(content)
+        rc = main(["params", "--vocab-file", str(vocab)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ") and message in err[0], err
 
 
 class TestEnvOutputRoot:

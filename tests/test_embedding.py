@@ -58,6 +58,15 @@ class TestEmbed:
         with pytest.raises(IndexError):
             es.embed(np.array([[3]]))
 
+    @pytest.mark.parametrize("ids", [[[3, 0]], [[-1, 0]], [[0, 5]], [[0, -4]]])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("fields", [slice(None), np.array([0, 1])])
+    def test_negative_or_too_large_id_rejected(self, ids, dtype, fields):
+        es = build_set([3, 5], dim=2)
+        with pytest.raises(IndexError, match="category id out of range"):
+            es.embed(np.array(ids, dtype=dtype), fields)
+        assert es.lookup_counts.sum() == 0
+
     def test_fixed_columns_match_per_row_selection(self):
         # a column list is the same lookup as selecting those fields in
         # every row: values, counts and the gradient, bit for bit
@@ -115,6 +124,19 @@ class TestEmbedSelected:
         es = build_set([4, 4], dim=2)
         with pytest.raises(SelectionIndexError):
             es.embed_selected(np.array([[1, 2]]), np.array([[0, 2]]))
+
+    @pytest.mark.parametrize("indices", [[[0, 2]], [[-1, 0]], [[1, -2]]])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_negative_or_too_large_index_rejected(self, indices, dtype):
+        es = build_set([4, 4], dim=2)
+        with pytest.raises(SelectionIndexError, match="out of range"):
+            es.embed_selected(np.array([[1, 2]]), np.array(indices, dtype=dtype))
+
+    @pytest.mark.parametrize("ids", [[[-1, 2]], [[1, 4]], [[1, -3]]])
+    def test_out_of_range_id_of_a_selected_field_rejected(self, ids):
+        es = build_set([4, 4], dim=2)
+        with pytest.raises(IndexError, match="category id out of range"):
+            es.embed_selected(np.array(ids), np.array([[1, 0]]))
 
     def test_unselected_tables_get_no_gradient(self):
         es = build_set([4, 4, 4], dim=2, seed=2)

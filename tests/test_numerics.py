@@ -15,13 +15,16 @@ from aefs.numerics import (
     Tensor,
     affine,
     concat,
+    gather_fields,
+    no_tape,
     relu,
     sigmoid,
     softmax,
     scatter_rows,
     xavier_init,
 )
-from oracles import adam_step, dense_scatter, exp, grad_check, same_bits, use_reference_tape
+from oracles import adam_step, add_at_gather_fields, boolean_mask_sigmoid, dense_scatter, exp, \
+    grad_check, same_bits, use_reference_tape
 
 
 def matmul_oracle(a, b):
@@ -95,6 +98,127 @@ class TestActivations:
         s = softmax(v)
         assert abs(s.sum() - 1.0) <= 1e-9
         np.testing.assert_allclose(s, softmax(v + shift), atol=1e-9)
+
+
+TINY = np.finfo(np.float64).smallest_subnormal
+EDGES = np.array([0.0, -0.0, np.inf, -np.inf, TINY, -TINY, 3 * TINY, -1e-310, 2.2e-308,
+                  -2.2e-308, 1e-17, -1e-17, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2,
+                  1e300, -1e300, np.finfo(np.float64).max, -np.finfo(np.float64).max])
+
+
+class TestSigmoidMatchesReference:
+    @pytest.mark.parametrize("z", [
+        EDGES, EDGES[::-1].copy(), EDGES[:1], EDGES[1:4],
+        np.random.default_rng(0).normal(scale=30.0, size=101),
+        np.random.default_rng(1).normal(scale=1e-300, size=7),
+        EDGES.reshape(2, 11), EDGES[:21].reshape(3, 7)[:, ::2],
+    ], ids=["edges", "reversed", "one", "three", "normal-101", "subnormal-7", "2-d",
+            "strided"])
+    def test_bit_for_bit(self, z):
+        expected = boolean_mask_sigmoid(z)
+        assert same_bits(numerics._sigmoid_stable(z), expected)
+        assert same_bits(sigmoid(z), expected)
+        assert same_bits(sigmoid(Tensor(z)).data, expected)
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=33))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit_on_any_floats(self, values):
+        z = np.array(values)
+        assert same_bits(numerics._sigmoid_stable(z), boolean_mask_sigmoid(z))
+
+    def test_scalar_and_zero_dim(self):
+        for v in (0.0, -0.0, 3.5, -3.5, np.inf, -np.inf):
+            assert sigmoid(v) == float(boolean_mask_sigmoid(np.array([v]))[0])
+            assert same_bits(sigmoid(np.array(v)), boolean_mask_sigmoid(np.array([v]))[0])
+
+
+class TestNoTape:
+    @staticmethod
+    def ops(w):
+        """A graph over leaf `w` of shape (4, 3) through several op kinds."""
+        h = relu(affine(w, Tensor(np.ones((3, 2))), Tensor(np.zeros(2))))
+        bn = BatchNorm1d(2)
+        g = gather_fields(softmax(bn(h, training=False)), np.array([[1], [0], [1], [0]]))
+        return [h, g, sigmoid(g), (h * 2.0 - 1.0).sum(), concat([h, h], axis=1)]
+
+    def test_tensors_made_inside_record_nothing(self):
+        w = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        with no_tape():
+            made = self.ops(w)
+        for t in made:
+            assert (t.requires_grad, t._parents, t._backward) == (False, (), None)
+        assert all(t.requires_grad and t._backward is not None for t in self.ops(w))
+
+    def test_values_equal_taped(self):
+        w = Tensor(np.random.default_rng(2).normal(size=(4, 3)), requires_grad=True)
+        with no_tape():
+            untaped = self.ops(w)
+        for a, b in zip(untaped, self.ops(w)):
+            assert same_bits(a.data, b.data)
+
+    def test_leaf_asked_for_gradient_keeps_it(self):
+        with no_tape():
+            t = Tensor(np.ones(3), requires_grad=True)
+        assert t.requires_grad
+
+    def test_restored_after_exception(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ZeroDivisionError):
+            with no_tape():
+                1 / 0
+        assert numerics._taping is True
+        assert (w * 2.0).requires_grad
+
+    def test_nested_scopes(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with no_tape():
+            with no_tape():
+                assert not (w * 2.0).requires_grad
+            assert not (w * 2.0).requires_grad
+            with pytest.raises(KeyError):
+                with no_tape():
+                    raise KeyError("inner")
+            assert numerics._taping is False
+        assert numerics._taping is True
+        assert (w * 2.0).requires_grad
+
+
+def distinct_indices(rng, b, n, k):
+    return np.argsort(rng.random((b, n)), axis=1)[:, :k]
+
+
+class TestGatherFields:
+    @pytest.mark.parametrize("shape,k", [((5, 6), 3), ((5, 6), 6), ((7, 6, 4), 2),
+                                         ((1, 3, 2), 1), ((4, 9), 0)])
+    def test_matches_add_at_reference(self, shape, k):
+        """Forward and gradient bit for bit, with and without a gradient
+        already in `x` when the gather's backward runs."""
+        rng = np.random.default_rng(k)
+        idx = distinct_indices(rng, shape[0], shape[1], k)
+        c = rng.normal(size=(shape[0], k) + shape[2:])
+        d = rng.normal(size=shape)
+        for prior in (False, True):
+            grads = []
+            for gather in (gather_fields, add_at_gather_fields):
+                x = Tensor(np.random.default_rng(9).normal(size=shape), requires_grad=True)
+                out = gather(x, idx)
+                loss = (out * c).sum()
+                if prior:  # a second consumer of x, whose gradient lands first
+                    loss = (x * d).sum() + loss
+                loss.backward()
+                grads.append((out.data, x.grad))
+            assert same_bits(grads[0][0], grads[1][0])
+            assert same_bits(grads[0][1], grads[1][1])
+
+    @pytest.mark.parametrize("idx,match", [
+        ([[0, 2], [1, 1]], "repeated"), ([[0, 4], [1, 2]], "out of range"),
+        ([[0, -1], [1, 2]], "out of range"), ([[0, 1], [2, 9]], "out of range"),
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_rejects_repeats_and_out_of_range(self, idx, match, dtype):
+        x = Tensor(np.ones((2, 4)), requires_grad=True)
+        with pytest.raises(IndexError, match=match):
+            gather_fields(x, np.array(idx, dtype=dtype))
 
 
 class TestBatchNorm:

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,39 @@ class TestEvaluate:
         entry = json.loads(lines[0])
         assert len(entry["indices"]) == 3
         assert abs(sum(entry["weights"]) - 1.0) < 1e-9
+
+
+class TestScoringWithoutTape:
+    @pytest.mark.parametrize("method,mode", [("none", "soft"), ("randomhalf", "soft"),
+                                             ("adafs", "soft"), ("adafs", "hard"),
+                                             ("aefs", "soft")])
+    def test_equals_scoring_with_tape(self, small_data, tmp_path, monkeypatch, method, mode):
+        fitted = train(small_data, small_config(method=method, mode=mode, max_epochs=1,
+                                                pretrain_epochs=1)).fitted
+        taped = []
+        forward = fitted.forward_scores
+
+        def recording(x, training):
+            out = forward(x, training)
+            taped.append(out[0].requires_grad)
+            return out
+
+        monkeypatch.setattr(fitted, "forward_scores", recording)
+
+        def score(dump):
+            taped.clear()
+            return evaluate(fitted, small_data.test, 256, selection_dump_path=tmp_path / dump,
+                            informative_fields=small_data.informative_fields)
+
+        without = score("without.jsonl")
+        assert taped and not any(taped)
+        monkeypatch.setattr(training_mod, "no_tape", contextlib.nullcontext)
+        with_tape = score("with.jsonl")
+        assert taped and all(taped)
+        assert without == with_tape
+        assert without.selection_frequency == with_tape.selection_frequency
+        assert without.selection_precision == with_tape.selection_precision
+        assert (tmp_path / "without.jsonl").read_bytes() == (tmp_path / "with.jsonl").read_bytes()
 
 
 class TestStats:
