@@ -12,12 +12,10 @@ from .data import (
     Columns,
     Dataset,
     FieldSchema,
-    RawRecord,
     SyntheticSpec,
     Vocabulary,
     build_vocab,
     discretize_numeric,
-    encode_columns,
     generate_synthetic,
     quantize_all,
     split_dataset,

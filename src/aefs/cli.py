@@ -165,8 +165,8 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with _manifest(out_dir, "synth", f"synth-{spec.teacher_seed}", spec.teacher_seed, []):
         sd = generate_synthetic(spec)
-        write_format_b(sd.records, sd.schema, out_dir / "data.csv", out_dir / "schema.json")
-        labels = [r.label for r in sd.records]
+        write_format_b(sd.columns, sd.schema, out_dir / "data.csv", out_dir / "schema.json")
+        labels = sd.columns.labels
         teacher_auc = auc(sd.teacher_logits, labels) if spec.n_informative else 0.5
         meta = {
             "n_fields": spec.n_fields,
@@ -222,12 +222,12 @@ def _load_dataset(data_dir: Path):
     data_path = data_dir / "data.csv"
     schema_path = data_dir / "schema.json"
     if data_path.exists() and schema_path.exists():
-        records, schema = read_format_b(data_path, schema_path)
+        columns, schema = read_format_b(data_path, schema_path)
     else:
         tsv = sorted(data_dir.glob("*.tsv")) + sorted(data_dir.glob("*.txt"))
         if not tsv:
             raise DataError(f"no data.csv+schema.json or .tsv file under {data_dir}")
-        records, schema = read_format_a(tsv[0])
+        columns, schema = read_format_a(tsv[0])
     informative = None
     meta_path = data_dir / "meta.json"
     if meta_path.exists():
@@ -238,7 +238,7 @@ def _load_dataset(data_dir: Path):
                 and len(set(informative)) == len(informative)):
             raise DataError(f"{meta_path}: informative_fields must be a list of distinct field "
                             f"positions in [0, {n}), got {informative!r}")
-    return records, schema, informative
+    return columns, schema, informative
 
 
 def _json_object(path: Path) -> dict:
@@ -289,8 +289,8 @@ def cmd_train(args) -> int:
     root = _out_root(args.out)
     run_dir = _make_run_dir(root, f"{config.config_hash()}-seed{config.seed}", args.force)
     with _manifest(run_dir, "train", config.config_hash(), config.seed, [str(data_dir)]):
-        records, schema, informative = _load_dataset(data_dir)
-        data = prepare(records, schema, seed=config.seed, min_freq=config.min_freq,
+        columns, schema, informative = _load_dataset(data_dir)
+        data = prepare(columns, schema, seed=config.seed, min_freq=config.min_freq,
                        informative_fields=informative)
         row = _run_single(config, data, run_dir, dump_selection=args.dump_selection)
     print(f"run dir: {run_dir}")
@@ -324,7 +324,7 @@ def cmd_compare(args) -> int:
     tag = base.config_hash()
     run_dir = _make_run_dir(root, f"compare-{tag}-{'-'.join(methods)}", args.force)
     with _manifest(run_dir, "compare", tag, seeds[0], [str(data_dir)]):
-        records, schema, informative = _load_dataset(data_dir)
+        columns, schema, informative = _load_dataset(data_dir)
         prepared_by_seed: dict[int, object] = {}
         per_method: dict[str, list[dict]] = {}
         for method in methods:
@@ -332,7 +332,7 @@ def cmd_compare(args) -> int:
             for seed in seeds:
                 config = apply_overrides(base, {"method": method, "seed": seed})
                 if seed not in prepared_by_seed:
-                    prepared_by_seed[seed] = prepare(records, schema, seed=seed,
+                    prepared_by_seed[seed] = prepare(columns, schema, seed=seed,
                                                      min_freq=config.min_freq,
                                                      informative_fields=informative)
                 cell_dir = run_dir / f"{method}-seed{seed}"

@@ -1,4 +1,4 @@
-"""Raw-record ingestion, quantization, vocabularies, splits, synthetic data.
+"""Reading, encoding, quantization, vocabularies, splits, synthetic data.
 
 Two input formats are supported:
 
@@ -7,19 +7,36 @@ Two input formats are supported:
 * format B: comma-separated with a header row naming the fields, plus a JSON
   schema file declaring each field ``categorical`` or ``numerical``.
 
+Every reader, and the synthetic generator, yields `Columns`: one encoder
+numbers each field's distinct tokens chunk by chunk as they are read, so no
+per-record object is ever built. Two tokenizers feed it:
+
+* split: each chunk of `CHUNK_LINES` lines is cut by one split at the
+  separator, then into fields by stride slices. Every format-A file, and
+  every format-B file without a double quote, carriage return or NUL, is
+  read this way.
+* row by row: a format-B file with one of those characters needs the CSV
+  quoting rules and is read by ``csv.reader``. A file on which the split
+  tokenizer meets a row it does not take (another column count, a label
+  other than ``0`` or ``1``, a line that does not decode) is read again
+  row by row from its start, so every fault is reported by the row-by-row
+  reader, with its line number.
+
 Numeric fields are bucketized with the standard log-square transform before
-vocabulary mapping. Rare tokens fall into a per-field out-of-vocabulary ID.
+vocabulary mapping, once per distinct raw token. Rare tokens fall into a
+per-field out-of-vocabulary ID.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,12 +57,6 @@ class FieldSchema:
     def __post_init__(self):
         if self.kind not in ("categorical", "numerical"):
             raise DataError(f"unknown field kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    label: int
-    tokens: tuple[str, ...]
 
 
 @dataclass
@@ -96,39 +107,52 @@ class Columns:
     keys: list[list[str]]
 
 
-def _number(tokens: Sequence[str]) -> tuple[np.ndarray, list[str]]:
-    """Number the distinct tokens from 0 in first-occurrence order: the code
-    of each token, and the token of each code."""
+def _numbering() -> defaultdict:
+    """A token-to-code map in which an unseen token takes the next code, so
+    codes number the distinct tokens from 0 in first-occurrence order."""
     code_of = defaultdict()
-    code_of.default_factory = code_of.__len__  # an unseen token takes the next code
-    codes = np.fromiter(map(code_of.__getitem__, tokens), np.int64, len(tokens))
-    return codes, list(code_of)
+    code_of.default_factory = code_of.__len__
+    return code_of
 
 
-def _encode_field(column: Sequence[str], numerical: bool) -> tuple[np.ndarray, list[str]]:
-    codes, keys = _number(column)
-    if numerical:  # bucketized once per distinct raw token
-        bucket_codes, keys = _number([MISSING_TOKEN if raw in ("", MISSING_TOKEN)
-                                      else str(discretize_numeric(raw)) for raw in keys])
-        codes = bucket_codes[codes]
-    return codes, keys
+def _codes(code_of: defaultdict, tokens: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(code_of.__getitem__, tokens), np.int64, len(tokens))
 
 
-def encode_columns(records: Sequence[RawRecord], schema: Sequence[FieldSchema]) -> Columns:
-    """Transpose the records into one code array per field; the schema's
-    fields are taken in order, each naming the token at its position."""
-    rows = [rec.tokens for rec in records]
-    if rows and set(map(len, rows)) != {len(schema)}:
-        i = next(i for i, tokens in enumerate(rows) if len(tokens) != len(schema))
-        raise DataError(f"record {i} has {len(rows[i])} tokens, schema has {len(schema)}")
-    tokens = list(chain.from_iterable(rows))
-    codes = np.empty((len(schema), len(rows)), dtype=np.int64)
-    keys = []
-    for n, fs in enumerate(schema):
-        codes[n], field_keys = _encode_field(tokens[n::len(schema)], fs.kind == "numerical")
-        keys.append(field_keys)
-    labels = np.array([rec.label for rec in records], dtype=np.float64)
-    return Columns(codes=codes, labels=labels, keys=keys)
+class _Encoder:
+    """Columns built chunk by chunk, so no record is ever held whole: each
+    field's tokens are numbered as they arrive, by one map per field carried
+    across chunks, and numeric fields are bucketized at the end, once per
+    distinct raw token."""
+
+    def __init__(self, schema: Sequence[FieldSchema]):
+        self.schema = schema
+        self.code_of = [_numbering() for _ in schema]
+        self.chunks: list[list[np.ndarray]] = [[] for _ in schema]
+        self.labels: list[np.ndarray] = []
+
+    def add(self, labels: Sequence[float], fields: Sequence[Sequence[str]]) -> None:
+        """One chunk: its labels and, per schema field, its tokens in order."""
+        for chunks, code_of, tokens in zip(self.chunks, self.code_of, fields):
+            chunks.append(_codes(code_of, tokens))
+        self.labels.append(np.asarray(labels, dtype=np.float64))
+
+    def finish(self) -> Columns:
+        labels = np.concatenate([np.empty(0), *self.labels])
+        codes = np.empty((len(self.schema), len(labels)), dtype=np.int64)
+        keys = []
+        for n, fs in enumerate(self.schema):
+            np.concatenate([np.empty(0, np.int64), *self.chunks[n]], out=codes[n])
+            field_keys = list(self.code_of[n])
+            if fs.kind == "numerical":
+                bucket_of = _numbering()
+                bucket_codes = _codes(bucket_of, [
+                    MISSING_TOKEN if raw in ("", MISSING_TOKEN) else str(discretize_numeric(raw))
+                    for raw in field_keys])
+                codes[n] = bucket_codes[codes[n]]
+                field_keys = list(bucket_of)
+            keys.append(field_keys)
+        return Columns(codes=codes, labels=labels, keys=keys)
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,7 +233,7 @@ class SyntheticSpec:
 
 @dataclass
 class SyntheticData:
-    records: list[RawRecord]
+    columns: Columns
     schema: list[FieldSchema]
     informative_fields: list[int]
     teacher_logits: np.ndarray
@@ -224,7 +248,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     (uniform on +/-[0.5, 1.5] times logit_scale), so every informative field
     carries signal for every instance while noise fields carry exactly none.
     Noise fields are drawn independently of the label. Deterministic per
-    teacher_seed.
+    teacher_seed. A record's token in a field is its category, in decimal.
     """
     rng = np.random.default_rng(spec.teacher_seed)
     informative = sorted(rng.choice(spec.n_fields, size=spec.n_informative, replace=False).tolist())
@@ -243,9 +267,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 
     schema = [FieldSchema(name=f"f{n:02d}", kind="categorical", index=n)
               for n in range(spec.n_fields)]
-    records = [RawRecord(label=int(labels[i]), tokens=tuple(str(v) for v in x[i]))
-               for i in range(spec.n_records)]
-    return SyntheticData(records=records, schema=schema,
+    enc = _Encoder(schema)
+    enc.add(labels, [list(map(str, column)) for column in x.T.tolist()])
+    return SyntheticData(columns=enc.finish(), schema=schema,
                          informative_fields=informative, teacher_logits=logits)
 
 
@@ -286,48 +310,127 @@ def _not_utf8(path: Path) -> DataError:
     return DataError(f"{path}: not UTF-8 text")
 
 
-def write_format_b(records: Iterable[RawRecord], schema: Sequence[FieldSchema],
+# Lines tokenized by one split: bounds the token lists alive at once.
+CHUNK_LINES = 8192
+
+_LABEL_VALUES = {"0": 0.0, "1": 1.0}
+
+
+class _Unsplittable(Exception):
+    """A chunk the split tokenizer might read otherwise than the row-by-row
+    reader does, or on which that reader alone can name the fault."""
+
+
+def _split_chunks(enc: _Encoder, lines: Iterator[str], sep: str, special: str,
+                  longest: int) -> None:
+    """Feed `enc` the records on `lines`, CHUNK_LINES at a time, each chunk
+    tokenized by one split at `sep` and cut into fields by stride slices.
+
+    Raises _Unsplittable on a chunk with a line of another separator count,
+    a line longer than `longest`, a character in `special`, or a label
+    other than "0" and "1"."""
+    n_fields = len(enc.schema)
+    width = n_fields + 1
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        if any(map(n_fields.__ne__, map(str.count, chunk, repeat(sep)))) \
+                or max(map(len, chunk)) > longest:
+            raise _Unsplittable
+        text = sep.join(chunk)
+        if any(c in text for c in special):
+            raise _Unsplittable
+        tokens = text.replace("\n", "").split(sep)  # each line ends at its one newline
+        try:
+            labels = np.fromiter(map(_LABEL_VALUES.__getitem__, tokens[::width]), np.float64,
+                                 len(chunk))
+        except KeyError:
+            raise _Unsplittable from None
+        enc.add(labels, [tokens[n::width] for n in range(1, width)])
+
+
+def _read_rows(enc: _Encoder, rows: Iterable[tuple[int, list[str]]], path: Path,
+               count_error: str) -> None:
+    """Feed `enc` the (line number, tokens) rows, checking each in turn: its
+    column count (`count_error` formats the count found), then its label."""
+    n_cols = len(enc.schema) + 1
+    labels, chunk = [], []
+    for lineno, row in rows:
+        if len(row) != n_cols:
+            raise DataError(f"{path}:{lineno}: " + count_error.format(len(row)))
+        try:
+            label = int(row[0])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad label {row[0]!r}") from exc
+        if label not in (0, 1):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1")
+        labels.append(label)
+        chunk.append(row)
+        if len(chunk) == CHUNK_LINES:
+            enc.add(labels, list(zip(*chunk))[1:])
+            labels, chunk = [], []
+    if chunk:
+        enc.add(labels, list(zip(*chunk))[1:])
+
+
+def _read_columns(path: Path, schema: Sequence[FieldSchema],
+                  read: Callable[[_Encoder, bool], None]) -> Columns:
+    """The columns of the data file at `path`. `read(enc, split)` feeds
+    `enc` its records, split-tokenized if `split`, else row by row. A file
+    the split tokenizer rejects or cannot decode is read again row by row,
+    so every fault is reported by the row-by-row reader, with its line."""
+    try:
+        try:
+            read(enc := _Encoder(schema), True)
+        except (_Unsplittable, UnicodeDecodeError):
+            read(enc := _Encoder(schema), False)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+    if not enc.labels:
+        raise DataError(f"{path}: no records")
+    return enc.finish()
+
+
+def write_format_b(columns: Columns, schema: Sequence[FieldSchema],
                    data_path: Path, schema_path: Path) -> None:
+    """Write `columns` in format B. A categorical field is written as the
+    tokens it was read from, a numerical field as its buckets."""
+    fields = [np.array(keys, dtype=object)[codes].tolist()
+              for keys, codes in zip(columns.keys, columns.codes)]
     with open(data_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["label"] + [fs.name for fs in schema])
-        for rec in records:
-            writer.writerow([rec.label] + list(rec.tokens))
+        writer.writerows(zip(columns.labels.astype(np.int64).tolist(), *fields))
     Path(schema_path).write_text(schema_to_json(schema) + "\n", encoding="utf-8")
 
 
-def read_format_b(data_path: Path, schema_path: Path) -> tuple[list[RawRecord], list[FieldSchema]]:
+def read_format_b(data_path: Path, schema_path: Path) -> tuple[Columns, list[FieldSchema]]:
+    """The columns of a format-B file and its schema. The header must name
+    the schema's fields in order, after "label"."""
     try:
         schema = schema_from_json(Path(schema_path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise _not_utf8(schema_path) from exc
     except DataError as exc:
         raise DataError(f"{schema_path}: {exc}") from exc
-    records = []
-    try:
+
+    def read(enc, split):
         with open(data_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[0] != "label":
+            if not header or header[0] != "label":
                 raise DataError(f"{data_path}: expected a header starting with 'label'")
             if len(header) - 1 != len(schema):
                 raise DataError(f"{data_path}: {len(header) - 1} columns, "
                                 f"schema has {len(schema)}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(schema) + 1:
-                    raise DataError(f"{data_path}:{lineno}: bad column count {len(row)}")
-                try:
-                    label = int(row[0])
-                except ValueError as exc:
-                    raise DataError(f"{data_path}:{lineno}: bad label {row[0]!r}") from exc
-                if label not in (0, 1):
-                    raise DataError(f"{data_path}:{lineno}: label must be 0 or 1")
-                records.append(RawRecord(label=label, tokens=tuple(row[1:])))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(data_path) from exc
-    if not records:
-        raise DataError(f"{data_path}: no records")
-    return records, schema
+            for n, (name, fs) in enumerate(zip(header[1:], schema)):
+                if name != fs.name:
+                    raise DataError(f"{data_path}: header column {n + 2} is {name!r}, "
+                                    f"schema field {n} is {fs.name!r}")
+            if split:  # csv.reader has taken the header's lines alone from `fh`
+                _split_chunks(enc, fh, ",", '"\r\0', csv.field_size_limit())
+            else:
+                _read_rows(enc, enumerate(reader, start=2), data_path, "bad column count {}")
+
+    return _read_columns(data_path, schema, read), schema
 
 
 CRITEO_NUMERIC = 13
@@ -342,27 +445,18 @@ def criteo_schema() -> list[FieldSchema]:
     return fields
 
 
-def read_format_a(data_path: Path) -> tuple[list[RawRecord], list[FieldSchema]]:
+def read_format_a(data_path: Path) -> tuple[Columns, list[FieldSchema]]:
     """Tab-separated: label, 13 numeric, 26 categorical. Empty field = missing."""
     schema = criteo_schema()
-    n_cols = 1 + CRITEO_NUMERIC + CRITEO_CATEGORICAL
-    records = []
-    try:
+    count_error = f"{{}} columns, expected {len(schema) + 1}"
+
+    def read(enc, split):
         with open(data_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != n_cols:
-                    raise DataError(f"{data_path}:{lineno}: {len(parts)} columns, "
-                                    f"expected {n_cols}")
-                try:
-                    label = int(parts[0])
-                except ValueError as exc:
-                    raise DataError(f"{data_path}:{lineno}: bad label {parts[0]!r}") from exc
-                if label not in (0, 1):
-                    raise DataError(f"{data_path}:{lineno}: label must be 0 or 1")
-                records.append(RawRecord(label=label, tokens=tuple(parts[1:])))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(data_path) from exc
-    if not records:
-        raise DataError(f"{data_path}: no records")
-    return records, schema
+            if split:
+                _split_chunks(enc, fh, "\t", "", sys.maxsize)
+            else:
+                _read_rows(enc, ((lineno, line.rstrip("\n").split("\t"))
+                                 for lineno, line in enumerate(fh, start=1)),
+                           data_path, count_error)
+
+    return _read_columns(data_path, schema, read), schema

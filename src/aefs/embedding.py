@@ -78,12 +78,14 @@ class EmbeddingSet:
         self.lookup_counts[fields] += x.shape[0]
         return out
 
-    def embed_selected(self, x: np.ndarray, indices: np.ndarray) -> Tensor:
+    def embed_selected(self, x: np.ndarray, indices: np.ndarray, checked: bool = False) -> Tensor:
         """Embed only the fields in `indices`, in their given order.
 
         x is (B, N) ids, indices is (B, k) distinct field positions per row;
         the result is (B, k, d). Exactly k lookups per instance are counted
         and unselected tables are untouched by both forward and backward.
+        `checked` says that the caller has already verified those positions
+        against the same N.
         """
         x = np.asarray(x)
         indices = np.asarray(indices)
@@ -92,10 +94,11 @@ class EmbeddingSet:
             raise DimensionError(f"ids {x.shape} vs indices {indices.shape}")
         if indices.size == 0:
             return Tensor(np.zeros((b, 0, self._dim)))
-        if out_of_range(indices, self.n_fields):
-            raise SelectionIndexError("field index out of range")
-        if repeats_in_rows(indices, self.n_fields):
-            raise SelectionIndexError("duplicate field index in a selection")
+        if not checked:
+            if out_of_range(indices, self.n_fields):
+                raise SelectionIndexError("field index out of range")
+            if repeats_in_rows(indices, self.n_fields):
+                raise SelectionIndexError("duplicate field index in a selection")
 
         rows = np.arange(b)[:, None]
         ids = x[rows, indices]

@@ -288,13 +288,13 @@ def _select(pair: DualModel, x: np.ndarray, training: bool, reweight: bool):
     e_a = pair.aux_embeddings.embed(x)               # (B, N, d2)
     s = pair.controller(e_a, training)               # (B, N)
     indices = k_max_indices_batch(s.data, pair.k)    # (B, k)
-    sel = gather_fields(s, indices)                  # (B, k)
+    sel = gather_fields(s, indices)                  # (B, k); the batch's one index check
     weights = sel / sel.sum(axis=1, keepdims=True) if reweight else sel
     return e_a, s, indices, weights
 
 
 def _main_branch(pair: DualModel, x: np.ndarray, indices: np.ndarray, weights: Tensor):
-    e_m = pair.main_embeddings.embed_selected(x, indices)  # k lookups each
+    e_m = pair.main_embeddings.embed_selected(x, indices, checked=True)  # k lookups each
     e_m_sel = scale_embeddings(e_m, weights)
     return e_m_sel, pair.main_predictor(e_m_sel)
 
@@ -307,7 +307,7 @@ def aefs_forward(pair: DualModel, x: np.ndarray, training: bool,
     Auxiliary lookups per instance: N. Main lookups per instance: k.
     """
     e_a, s, indices, weights = _select(pair, x, training, reweight)
-    e_a_sel = scale_embeddings(gather_fields(e_a, indices), weights)
+    e_a_sel = scale_embeddings(gather_fields(e_a, indices, checked=True), weights)
     p_a = pair.aux_predictor(e_a_sel)
     e_m_sel, p_m = _main_branch(pair, x, indices, weights)
     return ForwardTrace(scores=s, indices=indices, weights=weights,

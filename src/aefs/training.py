@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset, FieldSchema, RawRecord, Vocabulary, build_vocab, \
-    encode_columns, quantize_all, split_dataset
+from .data import Columns, DataError, Dataset, FieldSchema, Vocabulary, build_vocab, \
+    quantize_all, split_dataset
 from .embedding import activation_averages
 from .metrics import Metrics, auc as auc_metric, logloss as logloss_metric
 from .numerics import Adam, RowGrad, no_tape
@@ -178,11 +178,10 @@ class PreparedData:
         return len(self.schema)
 
 
-def prepare(records: Sequence[RawRecord], schema: Sequence[FieldSchema], seed: int,
+def prepare(columns: Columns, schema: Sequence[FieldSchema], seed: int,
             min_freq: int = 10, informative_fields=None) -> PreparedData:
-    """Encode each field once, split 8:1:1, then build the vocabulary from
-    the training split only."""
-    columns = encode_columns(records, schema)
+    """Split the encoded records 8:1:1, build the vocabulary from the
+    training split only, and gather each split's IDs."""
     splits = split_dataset(columns, seed)
     vocab = build_vocab(columns, splits[0], min_freq=min_freq)
     train, val, test = quantize_all(columns, splits, vocab)

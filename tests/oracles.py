@@ -12,6 +12,8 @@ the no-selection model that embedded every field with its own lookup, and
 the activation ledger that counted every selected index per batch. So is
 the per-record data path that `prepare` replaced with per-field encoding: a
 vocabulary counted token by token, and one `Instance` per record. So are the
+readers that built one `RawRecord` per row, before every reader fed the
+columnar encoder, and the transposition of those records into `Columns`. So are the
 logistic function through boolean masks and a field gather whose backward
 scatters with ``np.add.at``, as scoring had them before it ran without the
 tape.
@@ -19,15 +21,17 @@ tape.
 The rest are single-instance selection helpers, finite-difference gradient
 checks, per-field table views, and other small functions the tests call.
 """
+import csv
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
 
 from aefs import numerics
-from aefs.data import MISSING_TOKEN, OOV_ID, DataError, Dataset, Vocabulary, discretize_numeric, \
-    split_indices
+from aefs.data import MISSING_TOKEN, OOV_ID, Columns, DataError, Dataset, Vocabulary, \
+    _not_utf8, criteo_schema, discretize_numeric, schema_from_json, split_indices
 from aefs.embedding import EmbeddingSet
 from aefs.numerics import AdamState, DegenerateBatchError, DimensionError, RowGrad, Tensor
 from aefs.predictors import PredictorConfig, bce, build_predictor
@@ -425,6 +429,98 @@ def grad_check(loss_fn, params, eps: float = 1e-5) -> float:
             if err > worst:
                 worst = err
     return worst
+
+
+@dataclass(frozen=True)
+class RawRecord:
+    label: int
+    tokens: tuple[str, ...]
+
+
+def _record_label(token: str, path, lineno: int) -> int:
+    try:
+        label = int(token)
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: bad label {token!r}") from exc
+    if label not in (0, 1):
+        raise DataError(f"{path}:{lineno}: label must be 0 or 1")
+    return label
+
+
+def reference_read_format_b(data_path, schema_path):
+    """(records, schema) of a format-B file, one `RawRecord` per
+    ``csv.reader`` row."""
+    try:
+        schema = schema_from_json(Path(schema_path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(schema_path) from exc
+    except DataError as exc:
+        raise DataError(f"{schema_path}: {exc}") from exc
+    records = []
+    try:
+        with open(data_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[0] != "label":
+                raise DataError(f"{data_path}: expected a header starting with 'label'")
+            if len(header) - 1 != len(schema):
+                raise DataError(f"{data_path}: {len(header) - 1} columns, "
+                                f"schema has {len(schema)}")
+            names = [fs.name for fs in schema]
+            if header[1:] != names:
+                n = next(n for n, name in enumerate(header[1:]) if name != names[n])
+                raise DataError(f"{data_path}: header column {n + 2} is {header[n + 1]!r}, "
+                                f"schema field {n} is {names[n]!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(schema) + 1:
+                    raise DataError(f"{data_path}:{lineno}: bad column count {len(row)}")
+                records.append(RawRecord(_record_label(row[0], data_path, lineno),
+                                         tuple(row[1:])))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(data_path) from exc
+    if not records:
+        raise DataError(f"{data_path}: no records")
+    return records, schema
+
+
+def reference_read_format_a(data_path):
+    """(records, schema) of a format-A file, one `RawRecord` per line."""
+    schema = criteo_schema()
+    n_cols = 1 + len(schema)
+    records = []
+    try:
+        with open(data_path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split("\t")
+                if len(parts) != n_cols:
+                    raise DataError(f"{data_path}:{lineno}: {len(parts)} columns, "
+                                    f"expected {n_cols}")
+                records.append(RawRecord(_record_label(parts[0], data_path, lineno),
+                                         tuple(parts[1:])))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(data_path) from exc
+    if not records:
+        raise DataError(f"{data_path}: no records")
+    return records, schema
+
+
+def encode_columns(records, schema) -> Columns:
+    """The records transposed into `Columns`, field by field: each token
+    bucketized where its field is numerical, then numbered in order of
+    first occurrence."""
+    if any(len(rec.tokens) != len(schema) for rec in records):
+        i = next(i for i, rec in enumerate(records) if len(rec.tokens) != len(schema))
+        raise DataError(f"record {i} has {len(records[i].tokens)} tokens, "
+                        f"schema has {len(schema)}")
+    codes = np.empty((len(schema), len(records)), dtype=np.int64)
+    keys = []
+    for fs in schema:
+        code_of = {}
+        for i, rec in enumerate(records):
+            codes[fs.index, i] = code_of.setdefault(_field_token(rec, fs), len(code_of))
+        keys.append(list(code_of))
+    labels = np.array([rec.label for rec in records], dtype=np.float64)
+    return Columns(codes=codes, labels=labels, keys=keys)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def test_criterion_2_accounting_identity():
 def test_criterion_3_lookup_reduction():
     from aefs.selection import DualModel, LateSelectionModel
     sd = generate_synthetic(SyntheticSpec(n_records=2000, teacher_seed=5))
-    data = prepare(sd.records, sd.schema, seed=0, min_freq=1)
+    data = prepare(sd.columns, sd.schema, seed=0, min_freq=1)
     vocab = data.vocab.vocab_sizes
     assert len(vocab) == 16
 

@@ -193,8 +193,8 @@ class TestTrain:
         assert main(train_args(synth_dir, tmp_path / "runs")) == 0
         run = next((tmp_path / "runs").iterdir())
         config = parse_config_text((run / "config.txt").read_text())
-        records, schema = read_format_b(synth_dir / "data.csv", synth_dir / "schema.json")
-        data = prepare(records, schema, seed=config.seed, min_freq=config.min_freq)
+        columns, schema = read_format_b(synth_dir / "data.csv", synth_dir / "schema.json")
+        data = prepare(columns, schema, seed=config.seed, min_freq=config.min_freq)
         fresh = build_model(data.vocab.vocab_sizes, config,
                             np.random.default_rng(123), np.random.default_rng(4))
         load_checkpoint(fresh, run / "model.ckpt")
@@ -221,6 +221,8 @@ class TestInputFaults:
          "numeric token 'inf' is NaN or +inf"),
         ({"data.csv": mixed_rows("1e400"), "schema.json": MIXED_SCHEMA},
          "numeric token '1e400' is NaN or +inf"),
+        ({"data.csv": mixed_rows("1").replace(b"label,c0,n0", b"label,n0,c0"),
+          "schema.json": MIXED_SCHEMA}, "header column 2 is 'n0', schema field 0 is 'c0'"),
         ({"data.csv": mixed_rows("1"), "schema.json": b"{"}, "schema.json: invalid JSON"),
         ({"data.csv": mixed_rows("1"), "schema.json": b'{"columns": []}'},
          "schema.json: missing key 'fields'"),
@@ -245,7 +247,7 @@ class TestInputFaults:
           "meta.json": b'{"informative_fields": [-1]}'}, "in [0, 2), got [-1]"),
         ({"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA,
           "meta.json": b'{"informative_fields": [1, 1]}'}, "in [0, 2), got [1, 1]"),
-    ], ids=["inf", "1e400", "invalid-json", "no-fields", "no-kind", "no-name",
+    ], ids=["inf", "1e400", "header-names", "invalid-json", "no-fields", "no-kind", "no-name",
             "format-b-not-utf8", "format-a-not-utf8", "meta-invalid-json", "meta-not-object",
             "informative-not-list", "informative-out-of-range", "informative-negative",
             "informative-repeated"])

@@ -1,29 +1,37 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aefs.data
 from aefs.data import (
     MISSING_TOKEN,
     OOV_ID,
     DataError,
     FieldSchema,
-    RawRecord,
     SyntheticSpec,
     build_vocab,
+    criteo_schema,
     discretize_numeric,
-    encode_columns,
     generate_synthetic,
     quantize_all,
     read_format_a,
     read_format_b,
+    schema_to_json,
     split_dataset,
     split_indices,
     write_format_b,
 )
 from aefs.metrics import auc, welch_t_test
 from aefs.training import prepare
-from oracles import reference_prepare, vocab_from_json, vocab_to_json
+from oracles import RawRecord, encode_columns, reference_prepare, reference_read_format_a, \
+    reference_read_format_b, vocab_from_json, vocab_to_json
 
 
 class TestDiscretize:
@@ -183,6 +191,17 @@ class TestSplit:
             split_dataset(columns_of(range(9)), seed=0)
 
 
+def tokens_of(columns, n):
+    """Field n's token of every record."""
+    return [columns.keys[n][c] for c in columns.codes[n]]
+
+
+def column_bytes(columns):
+    """Everything `Columns` holds, compared bit for bit."""
+    return (columns.codes.dtype, columns.codes.shape, columns.codes.tobytes(),
+            columns.labels.dtype, columns.labels.tobytes(), columns.keys)
+
+
 @pytest.fixture(scope="module")
 def default_synth():
     return generate_synthetic(SyntheticSpec())
@@ -192,24 +211,22 @@ class TestSynthetic:
     def test_deterministic(self):
         a = generate_synthetic(SyntheticSpec(n_records=500))
         b = generate_synthetic(SyntheticSpec(n_records=500))
-        assert a.records == b.records
+        assert column_bytes(a.columns) == column_bytes(b.columns)
         assert a.informative_fields == b.informative_fields
 
     def test_teacher_auc_on_default_spec(self, default_synth):
-        labels = [r.label for r in default_synth.records]
-        assert auc(default_synth.teacher_logits, labels) > 0.75
+        assert auc(default_synth.teacher_logits, default_synth.columns.labels) > 0.75
 
     def test_zero_informative_is_unlearnable(self):
         sd = generate_synthetic(SyntheticSpec(n_informative=0, n_records=50_000))
-        labels = [r.label for r in sd.records]
-        score = [float(r.tokens[0]) for r in sd.records]
-        assert abs(auc(score, labels) - 0.5) < 0.02
+        score = [float(token) for token in tokens_of(sd.columns, 0)]
+        assert abs(auc(score, sd.columns.labels) - 0.5) < 0.02
 
     def test_noise_field_independent_of_label(self, default_synth):
         sd = default_synth
         noise = next(n for n in range(16) if n not in sd.informative_fields)
-        labels = np.array([r.label for r in sd.records], dtype=float)
-        vals = np.array([int(r.tokens[noise]) for r in sd.records])
+        labels = sd.columns.labels
+        vals = np.array([int(token) for token in tokens_of(sd.columns, noise)])
         g0 = labels[vals == 0]
         g1 = labels[vals == 1]
         assert welch_t_test(g0, g1) > 1e-3
@@ -225,9 +242,9 @@ class TestFormats:
                                               vocab_size=5, n_records=50))
         data_path = tmp_path / "data.csv"
         schema_path = tmp_path / "schema.json"
-        write_format_b(sd.records, sd.schema, data_path, schema_path)
-        records, schema = read_format_b(data_path, schema_path)
-        assert records == sd.records
+        write_format_b(sd.columns, sd.schema, data_path, schema_path)
+        columns, schema = read_format_b(data_path, schema_path)
+        assert column_bytes(columns) == column_bytes(sd.columns)
         assert [fs.name for fs in schema] == [fs.name for fs in sd.schema]
 
     def test_format_b_bad_header(self, tmp_path):
@@ -238,16 +255,27 @@ class TestFormats:
         with pytest.raises(DataError):
             read_format_b(p, s)
 
+    def test_format_b_header_names_the_schema_fields_in_order(self, tmp_path):
+        # a swapped pair would otherwise bucketize column b as numerical field a
+        (tmp_path / "data.csv").write_text("label,b,a\n0,x,5\n")
+        (tmp_path / "schema.json").write_text(schema_to_json(
+            [FieldSchema("a", "numerical", 0), FieldSchema("b", "categorical", 1)]))
+        with pytest.raises(DataError) as info:
+            read_format_b(tmp_path / "data.csv", tmp_path / "schema.json")
+        assert str(info.value) == \
+            f"{tmp_path / 'data.csv'}: header column 2 is 'b', schema field 0 is 'a'"
+
     def test_format_a(self, tmp_path):
         line = "\t".join(["1"] + ["4"] * 13 + ["aa"] * 26)
         blank = "\t".join(["0"] + [""] * 13 + [""] * 26)
         p = tmp_path / "criteo.tsv"
         p.write_text(line + "\n" + blank + "\n")
-        records, schema = read_format_a(p)
-        assert len(records) == 2 and len(schema) == 39
+        columns, schema = read_format_a(p)
+        assert columns.codes.shape == (39, 2) and len(schema) == 39
         assert schema[0].kind == "numerical" and schema[13].kind == "categorical"
-        vocab = vocab_of(records, schema, min_freq=1)
-        assert [len(row) for row in ids_of(records, schema, vocab)] == [39, 39]
+        vocab = build_vocab(columns, np.arange(2), min_freq=1)
+        (ds,) = quantize_all(columns, [np.arange(2)], vocab)
+        assert ds.x.shape == (2, 39)
 
     def test_format_a_bad_columns(self, tmp_path):
         p = tmp_path / "short.tsv"
@@ -310,7 +338,7 @@ class TestPrepareMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_vocabulary_and_split_bytes(self, record_set, min_freq, seed):
         records, schema = record_set
-        data = prepare(records, schema, seed=seed, min_freq=min_freq)
+        data = prepare(encode_columns(records, schema), schema, seed=seed, min_freq=min_freq)
         vocab, *splits = reference_prepare(records, schema, seed, min_freq=min_freq)
         assert [list(m.items()) for m in data.vocab.field_maps] == \
             [list(m.items()) for m in vocab.field_maps]
@@ -323,16 +351,16 @@ class TestPrepareMatchesReference:
     def test_tokens_outside_training_are_oov(self):
         schema = two_field_schema()
         records = [RawRecord(i % 2, (f"t{i}", str(i))) for i in range(40)]
-        data = prepare(records, schema, seed=0, min_freq=1)
+        data = prepare(encode_columns(records, schema), schema, seed=0, min_freq=1)
         assert len(data.vocab.field_maps[0]) == len(data.train)
         assert (data.val.x[:, 0] == OOV_ID).all() and (data.test.x[:, 0] == OOV_ID).all()
 
-    def test_bad_numeric_token_anywhere_is_a_data_error(self):
-        schema = two_field_schema()
-        records = [RawRecord(i % 2, ("a", "5")) for i in range(20)]
-        records[13] = RawRecord(1, ("a", "1e400"))
+    def test_bad_numeric_token_anywhere_is_a_data_error(self, tmp_path):
+        rows = [f"{i % 2},a,{'1e400' if i == 13 else 5}\n" for i in range(20)]
+        (tmp_path / "data.csv").write_text("label,cat,num\n" + "".join(rows))
+        (tmp_path / "schema.json").write_text(schema_to_json(two_field_schema()))
         with pytest.raises(DataError, match=r"'1e400' is NaN or \+inf"):
-            prepare(records, schema, seed=0, min_freq=1)
+            read_format_b(tmp_path / "data.csv", tmp_path / "schema.json")
 
 
 ONE_FIELD_SCHEMA = '{"fields": [{"name": "f0", "kind": "categorical"}]}'
@@ -373,3 +401,109 @@ class TestInputFaults:
                                               encoding="latin-1")
         with pytest.raises(DataError, match=r"schema\.json:1: not UTF-8 text$"):
             read_format_b(tmp_path / "data.csv", tmp_path / "schema.json")
+
+
+# Reader property: every table reads to the Columns of the per-record
+# reference path, or to its error, whichever tokenizer the reader takes.
+PLAIN_TOKENS = ["", "a", "b", "7", "07", "a b", " a", "é", "日本", MISSING_TOKEN]
+NEEDS_QUOTING = ["a,b", 'q"t', '"', "l\nb", "cr\r", "x\r\ny", ","]
+GOOD_NUMERIC = ["", MISSING_TOKEN, "0", "1", "2.5", "100", "-3", " 8", "1e6"]
+BAD_NUMERIC = ["x", "1e400"]
+ODD_LABELS = [" 1", "01", "+1", "2", "x", ""]
+RARELY = st.integers(0, 4).map(lambda v: v == 4)  # most tables keep clear of each fault
+
+
+@st.composite
+def token_tables(draw, kinds, tokens):
+    """(labels, one token list per field): mostly clean labels and numbers,
+    with at times one odd label or one bad numeric token."""
+    n = draw(st.integers(0, 14))
+    labels = draw(st.lists(st.sampled_from(["0", "1"]), min_size=n, max_size=n))
+    columns = [draw(st.lists(st.sampled_from(GOOD_NUMERIC if kind == "numerical" else tokens),
+                             min_size=n, max_size=n)) for kind in kinds]
+    if n and draw(RARELY):
+        labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_LABELS))
+    numeric = [n_field for n_field, kind in enumerate(kinds) if kind == "numerical"]
+    if n and numeric and draw(RARELY):
+        columns[draw(st.sampled_from(numeric))][draw(st.integers(0, n - 1))] = \
+            draw(st.sampled_from(BAD_NUMERIC))
+    return labels, columns
+
+
+def table_text(draw, header, labels, columns, sep, quote):
+    """The table as file text: CRLF or LF, empty lines dropped in, with or
+    without a final newline; `quote` writes rows through csv.writer."""
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = [[label, *tokens] for label, tokens in zip(labels, zip(*columns))]
+    if quote:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=eol).writerows(rows)
+        body = buf.getvalue().split(eol)[:-1] if rows else []
+    else:
+        body = [sep.join(row) for row in rows]
+    if body and draw(RARELY):
+        body.insert(draw(st.integers(1, len(body))), "")
+    lines = ([sep.join(header)] if header else []) + body
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def read_outcome(read):
+    """What a read gives: its Columns' bytes, or its exception and text."""
+    try:
+        return column_bytes(read())
+    except Exception as exc:  # the two paths must fail alike, whatever the fault
+        return type(exc), str(exc)
+
+
+class TestReadersMatchReference:
+    @given(st.data(), st.lists(st.sampled_from(["categorical", "numerical"]),
+                               min_size=1, max_size=4),
+           st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_format_b(self, data, kinds, chunk):
+        quoting = data.draw(st.booleans())
+        labels, columns = data.draw(token_tables(
+            kinds, PLAIN_TOKENS + (NEEDS_QUOTING if quoting else [])))
+        schema = [FieldSchema(f"f{n}", kind, n) for n, kind in enumerate(kinds)]
+        header = ["label"] + [fs.name for fs in schema]
+        if data.draw(RARELY):
+            header[data.draw(st.integers(0, len(header) - 1))] = "other"
+        text = table_text(data.draw, header, labels, columns, ",", data.draw(st.booleans()))
+        with tempfile.TemporaryDirectory() as tmp:
+            data_path, schema_path = Path(tmp) / "data.csv", Path(tmp) / "schema.json"
+            data_path.write_bytes(text.encode("utf-8"))
+            schema_path.write_text(schema_to_json(schema))
+            with mock.patch.object(aefs.data, "CHUNK_LINES", chunk):
+                got = read_outcome(lambda: read_format_b(data_path, schema_path)[0])
+            want = read_outcome(lambda: encode_columns(
+                *reference_read_format_b(data_path, schema_path)))
+        assert got == want
+
+    @pytest.mark.parametrize("length", [9, 10, 11])
+    def test_field_over_the_csv_limit_fails_as_in_csv_reader(self, tmp_path, length):
+        (tmp_path / "schema.json").write_text(ONE_FIELD_SCHEMA)
+        (tmp_path / "data.csv").write_text("label,f0\n" + f"0,{'a' * length}\n" * 3)
+        limit = csv.field_size_limit(10)
+        try:
+            got = read_outcome(lambda: read_format_b(tmp_path / "data.csv",
+                                                     tmp_path / "schema.json")[0])
+            want = read_outcome(lambda: encode_columns(*reference_read_format_b(
+                tmp_path / "data.csv", tmp_path / "schema.json")))
+        finally:
+            csv.field_size_limit(limit)
+        assert got == want
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_format_a(self, data, chunk):
+        schema = criteo_schema()
+        labels, columns = data.draw(token_tables(
+            [fs.kind for fs in schema], PLAIN_TOKENS + ["a,b", 'q"t', '"']))
+        text = table_text(data.draw, None, labels, columns, "\t", False)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "clicks.tsv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(aefs.data, "CHUNK_LINES", chunk):
+                got = read_outcome(lambda: read_format_a(path)[0])
+            want = read_outcome(lambda: encode_columns(*reference_read_format_a(path)))
+        assert got == want

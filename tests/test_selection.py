@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+
+import aefs.embedding
+import aefs.numerics
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aefs.embedding import SelectionIndexError
-from aefs.numerics import DimensionError, Linear, RowGrad, Tensor
+from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, repeats_in_rows
 from aefs.predictors import bce
 from aefs.selection import (
     DualModel,
@@ -204,6 +207,27 @@ class TestEarlySelection:
         trace = aefs_forward(pair, x, training=True)
         np.testing.assert_array_equal(trace.indices,
                                       k_max_indices_batch(trace.scores.data, pair.k))
+
+    @pytest.mark.parametrize("call", ["score", "loss"])
+    def test_one_index_check_per_batch(self, monkeypatch, call):
+        # the top-k indices are checked once, though the selected scores,
+        # the auxiliary embeddings and the main tables all read them
+        calls = []
+
+        def counted(idx, n):
+            calls.append(idx)
+            return repeats_in_rows(idx, n)
+
+        monkeypatch.setattr(aefs.numerics, "repeats_in_rows", counted)
+        monkeypatch.setattr(aefs.embedding, "repeats_in_rows", counted)
+        pair = make_pair(seed=8)
+        rng = np.random.default_rng(18)
+        x = rng.integers(0, 4, size=(8, 6))
+        if call == "score":
+            pair.score(x, training=False)
+        else:
+            pair.loss(x, rng.integers(0, 2, size=8).astype(float))[0].backward()
+        assert len(calls) == 1 and calls[0].shape == (8, pair.k)
 
     def test_full_joint_loss_grad_check(self):
         pair = make_pair(seed=7)

@@ -35,7 +35,7 @@ METHODS = ("none", "randomhalf", "adafs", "aefs")
 def small_data():
     sd = generate_synthetic(SyntheticSpec(n_fields=6, n_informative=3, vocab_size=10,
                                           n_records=3000, teacher_seed=3))
-    return prepare(sd.records, sd.schema, seed=0, min_freq=1,
+    return prepare(sd.columns, sd.schema, seed=0, min_freq=1,
                    informative_fields=sd.informative_fields)
 
 
@@ -98,8 +98,8 @@ class TestPrepare:
         # rebuilding with a different seed must reproduce deterministically
         sd = generate_synthetic(SyntheticSpec(n_fields=4, n_informative=2,
                                               vocab_size=6, n_records=200, teacher_seed=1))
-        a = prepare(sd.records, sd.schema, seed=3, min_freq=1)
-        b = prepare(sd.records, sd.schema, seed=3, min_freq=1)
+        a = prepare(sd.columns, sd.schema, seed=3, min_freq=1)
+        b = prepare(sd.columns, sd.schema, seed=3, min_freq=1)
         assert a.vocab.field_maps == b.vocab.field_maps
         np.testing.assert_array_equal(a.train.x, b.train.x)
 
@@ -675,7 +675,7 @@ def many_row_data():
     # about 2.4k table rows per model; a batch of 64 touches a few percent
     sd = generate_synthetic(SyntheticSpec(n_fields=6, n_informative=3, vocab_size=400,
                                           n_records=2000, teacher_seed=5))
-    return prepare(sd.records, sd.schema, seed=0, min_freq=1)
+    return prepare(sd.columns, sd.schema, seed=0, min_freq=1)
 
 
 class TestRowSparseTrainingIsExact:
