@@ -22,8 +22,7 @@ from .data import (
 )
 from .embedding import EmbeddingSet, activation_averages, delta_el, delta_pae, full_param_count
 from .metrics import Metrics, auc, emit_report, logloss, welch_t_test
-from .numerics import Adam, AdamState, BatchNorm1d, Linear, RowGrad, Tensor, sigmoid, softmax, \
-    xavier_init
+from .numerics import Adam, AdamState, Linear, RowGrad, Tensor, sigmoid, softmax, xavier_init
 from .predictors import Controller, PredictorConfig, bce, build_predictor
 from .selection import (
     DualModel,

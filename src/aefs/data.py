@@ -415,20 +415,24 @@ def read_format_b(data_path: Path, schema_path: Path) -> tuple[Columns, list[Fie
     def read(enc, split):
         with open(data_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "label":
-                raise DataError(f"{data_path}: expected a header starting with 'label'")
-            if len(header) - 1 != len(schema):
-                raise DataError(f"{data_path}: {len(header) - 1} columns, "
-                                f"schema has {len(schema)}")
-            for n, (name, fs) in enumerate(zip(header[1:], schema)):
-                if name != fs.name:
-                    raise DataError(f"{data_path}: header column {n + 2} is {name!r}, "
-                                    f"schema field {n} is {fs.name!r}")
-            if split:  # csv.reader has taken the header's lines alone from `fh`
-                _split_chunks(enc, fh, ",", '"\r\0', csv.field_size_limit())
-            else:
-                _read_rows(enc, enumerate(reader, start=2), data_path, "bad column count {}")
+            try:
+                header = next(reader, None)
+                if not header or header[0] != "label":
+                    raise DataError(f"{data_path}: expected a header starting with 'label'")
+                if len(header) - 1 != len(schema):
+                    raise DataError(f"{data_path}: {len(header) - 1} columns, "
+                                    f"schema has {len(schema)}")
+                for n, (name, fs) in enumerate(zip(header[1:], schema)):
+                    if name != fs.name:
+                        raise DataError(f"{data_path}: header column {n + 2} is {name!r}, "
+                                        f"schema field {n} is {fs.name!r}")
+                if split:  # csv.reader has taken the header's lines alone from `fh`
+                    _split_chunks(enc, fh, ",", '"\r\0', csv.field_size_limit())
+                else:
+                    _read_rows(enc, enumerate(reader, start=2), data_path,
+                               "bad column count {}")
+            except csv.Error as exc:  # a field over csv.field_size_limit(), say
+                raise DataError(f"{data_path}:{reader.line_num}: {exc}") from exc
 
     return _read_columns(data_path, schema, read), schema
 

@@ -1,8 +1,9 @@
 """Dense float64 numeric core with reverse-mode gradients.
 
 A small tape-based engine over numpy arrays: enough ops to express
-embedding lookups, affine towers, batch normalization, softmax scoring,
-per-instance gather/scatter selection, and the losses built on them.
+embedding lookups, affine towers, batch normalization folded into the
+affine map after it, softmax scoring, per-instance gather/scatter
+selection, and the losses built on them.
 Everything runs at 64-bit precision so finite-difference gradient checks
 can be held to tight tolerances. A table read by row lookups gets a
 row-sparse gradient (``RowGrad``) holding only the rows it touched.
@@ -517,72 +518,82 @@ class Linear:
         return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
 
 
-class BatchNorm1d:
-    """Per-feature batch normalization with learnable affine.
+BLOCK_ELEMS = 1 << 15  # 256 KiB of float64: a block's working arrays stay in L2
 
-    Training mode normalizes by batch statistics (biased variance) and
-    updates running statistics; inference mode normalizes by the running
-    statistics. Training requires a batch of at least 2 rows.
+
+def _row_blocks(param: Array) -> list:
+    """Index expressions that cut `param` along axis 0 into blocks of about
+    BLOCK_ELEMS entries, whole rows each, in order."""
+    if param.ndim == 0:
+        return [Ellipsis]
+    n = param.shape[0]
+    rows = max(1, BLOCK_ELEMS // max(math.prod(param.shape[1:]), 1))
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def batch_moments(x: Array) -> tuple[Array, Array]:
+    """Per-column mean and biased variance of the (B, D) batch `x`, B >= 2:
+    the arithmetic of ``np.mean`` and ``np.var`` in fewer passes."""
+    n = x.shape[0]
+    if n < 2:
+        raise DegenerateBatchError("batch statistics need a batch of at least 2 rows")
+    mean = x.sum(axis=0) / n
+    dev = x - mean
+    dev *= dev
+    return mean, dev.sum(axis=0) / n
+
+
+def normalized_affine(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, bias: Tensor,
+                      mean: Array, std: Array, batch_stats: bool) -> Tensor:
+    """Batch normalization then an affine map, ``((x - mean) / std * gamma +
+    beta) @ w + bias``, as one node that forms neither the (B, D) normalized
+    nor the affine activations, in either direction.
+
+    With ``s = gamma / std`` (``s * w`` scales row i of w by s_i) the output
+    is ``x @ (s * w) + ((beta - mean * s) @ w + bias)``. `batch_stats` says
+    that `mean` and `std` are the batch's own, so the input gradient gets
+    their terms. From the upstream G, one ``x.T @ G`` gives
+    ``xn.T @ G = (x.T @ G - outer(mean, sum(G))) / std``, and from it
+    ``dw = gamma * xn.T @ G + outer(beta, sum(G))``,
+    ``dgamma = rowsum(w * xn.T @ G)``, ``dbeta = w @ sum(G)`` and
+    ``dbias = sum(G)``. ``dx = G @ (s * w).T``, plus ``x * c1 + c0`` with
+    batch statistics, where ``c1 = -s * dgamma / (B * std)`` and
+    ``c0 = -s * dbeta / B - mean * c1``. Equal to batch norm and affine map
+    composed as separate nodes up to rounding, not bit for bit.
     """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"normalized_affine input {x.shape}, map {w.shape}")
+    s = gamma.data / std
+    ws = s[:, None] * w.data
+    out = x.data @ ws
+    out += (beta.data - mean * s) @ w.data + bias.data
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_features), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_features), requires_grad=True)
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+    def bw(g):
+        g_sum = g.sum(axis=0)
+        xn_g = x.data.T @ g
+        xn_g -= np.outer(mean, g_sum)
+        xn_g /= std[:, None]
+        d_gamma = (w.data * xn_g).sum(axis=1)
+        d_beta = w.data @ g_sum
+        if x.requires_grad:
+            dx = g @ ws.T
+            if batch_stats:
+                n = x.shape[0]
+                c1 = -s * d_gamma / (n * std)
+                c0 = -s * d_beta / n - mean * c1
+                for rows in _row_blocks(dx):  # a cache-sized temporary per block
+                    t = x.data[rows] * c1
+                    t += c0
+                    dx[rows] += t
+            _accum(x, dx, owned=True)
+        xn_g *= gamma.data[:, None]
+        xn_g += np.outer(beta.data, g_sum)
+        _accum(w, xn_g, owned=True)
+        _accum(gamma, d_gamma, owned=True)
+        _accum(beta, d_beta, owned=True)
+        _accum(bias, g_sum, owned=True)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise DimensionError(f"batch_norm input {x.shape}, expected (*, {self.num_features})")
-        if training:
-            if x.shape[0] < 2:
-                raise DegenerateBatchError("batch_norm training mode needs batch >= 2")
-            # np.mean and np.var in fewer passes, with the same arithmetic
-            n = x.shape[0]
-            mu = x.data.sum(axis=0) / n
-            xn = x.data - mu
-            var = (xn * xn).sum(axis=0) / n
-            std = np.sqrt(var + self.eps)
-            xn /= std
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mu
-            self.running_var = (1.0 - m) * self.running_var + m * var
-        else:
-            std = np.sqrt(self.running_var + self.eps)
-            xn = (x.data - self.running_mean) / std
-        gamma, beta = self.gamma, self.beta
-        out = gamma.data * xn
-        out += beta.data
-
-        def bw(g):
-            t = g * xn
-            _accum(gamma, t.sum(axis=0), owned=True)
-            _accum(beta, g.sum(axis=0), owned=True)
-            if x.requires_grad:
-                # dx = (dxn - mean(dxn) - xn * mean(dxn * xn)) / std, op for
-                # op, with `t` as the one scratch array
-                dxn = g * gamma.data
-                if training:
-                    m1 = dxn.sum(axis=0) / n
-                    np.multiply(dxn, xn, out=t)
-                    m2 = t.sum(axis=0) / n
-                    np.multiply(xn, m2, out=t)
-                    dxn -= m1
-                    dxn -= t
-                dxn /= std
-                _accum(x, dxn, owned=True)
-
-        return Tensor(out, parents=(x, gamma, beta), backward=bw)
-
-    def named_params(self, prefix: str = ""):
-        return [(prefix + "gamma", self.gamma), (prefix + "beta", self.beta)]
-
-    def named_buffers(self, prefix: str = ""):
-        return [(prefix + "running_mean", self.running_mean),
-                (prefix + "running_var", self.running_var)]
+    return Tensor(out, parents=(x, gamma, beta, w, bias), backward=bw)
 
 
 @dataclass
@@ -602,19 +613,6 @@ class AdamState:
                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
         return cls(m=np.zeros_like(param), v=np.zeros_like(param),
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-
-ADAM_BLOCK_ELEMS = 1 << 15  # 256 KiB of float64: a block's five arrays stay in L2
-
-
-def _row_blocks(param: Array) -> list:
-    """Index expressions that cut `param` along axis 0 into blocks of about
-    ADAM_BLOCK_ELEMS entries, whole rows each, in order."""
-    if param.ndim == 0:
-        return [Ellipsis]
-    n = param.shape[0]
-    rows = max(1, ADAM_BLOCK_ELEMS // max(math.prod(param.shape[1:]), 1))
-    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 class Adam:

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    BatchNorm1d,
     DimensionError,
     Linear,
     Tensor,
+    batch_moments,
     clip,
     concat,
     log,
+    normalized_affine,
     relu,
     sigmoid,
     softmax,
@@ -173,13 +174,27 @@ def build_predictor(config: PredictorConfig, rng: np.random.Generator):
 class Controller:
     """Importance scorer: batch norm over the flattened field embeddings,
     one affine map down to N logits, softmax. Scores are positive and sum
-    to 1 per instance."""
+    to 1 per instance.
+
+    The batch norm and the affine map run as one `normalized_affine` node.
+    Training mode normalizes by the batch's statistics (biased variance)
+    and moves the running statistics toward them; inference mode
+    normalizes by the running statistics. Training needs a batch of at
+    least 2 rows.
+    """
+
+    momentum = 0.1
+    eps = 1e-5
 
     def __init__(self, n_fields: int, emb_dim: int, rng: np.random.Generator):
         self.n_fields = n_fields
         self.emb_dim = emb_dim
-        self.bn = BatchNorm1d(n_fields * emb_dim)
-        self.fc = Linear(n_fields * emb_dim, n_fields, rng)
+        width = n_fields * emb_dim
+        self.gamma = Tensor(np.ones(width), requires_grad=True)
+        self.beta = Tensor(np.zeros(width), requires_grad=True)
+        self.running_mean = np.zeros(width)
+        self.running_var = np.ones(width)
+        self.fc = Linear(width, n_fields, rng)
 
     def __call__(self, e: Tensor, training: bool) -> Tensor:
         if e.ndim != 3 or e.shape[1] != self.n_fields or e.shape[2] != self.emb_dim:
@@ -187,14 +202,25 @@ class Controller:
                 f"controller input {e.shape}, expected (*, {self.n_fields}, {self.emb_dim})")
         b = e.shape[0]
         flat = e.reshape(b, self.n_fields * self.emb_dim)
-        return softmax(self.fc(self.bn(flat, training=training)), axis=1)
+        if training:
+            mean, var = batch_moments(flat.data)
+            m = self.momentum
+            self.running_mean = (1.0 - m) * self.running_mean + m * mean
+            self.running_var = (1.0 - m) * self.running_var + m * var
+        else:
+            mean, var = self.running_mean, self.running_var
+        logits = normalized_affine(flat, self.gamma, self.beta, self.fc.weight, self.fc.bias,
+                                   mean, np.sqrt(var + self.eps), batch_stats=training)
+        return softmax(logits, axis=1)
 
     def named_params(self, prefix: str = ""):
-        return (self.bn.named_params(prefix + "controller.bn.")
+        bn = prefix + "controller.bn."
+        return ([(bn + "gamma", self.gamma), (bn + "beta", self.beta)]
                 + self.fc.named_params(prefix + "controller.fc."))
 
     def named_buffers(self, prefix: str = ""):
-        return self.bn.named_buffers(prefix + "controller.bn.")
+        bn = prefix + "controller.bn."
+        return [(bn + "running_mean", self.running_mean), (bn + "running_var", self.running_var)]
 
 
 def bce(y_hat: Tensor, y: np.ndarray) -> Tensor:

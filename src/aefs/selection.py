@@ -104,6 +104,10 @@ class LateSelectionModel(_OnePredictor):
     def __init__(self, vocab_sizes, dim: int, backbone: str, hidden_dims, n_cross_layers,
                  rng: np.random.Generator, mode: str = "soft", k: int | None = None,
                  reweight: bool = True):
+        if mode not in ("soft", "hard"):
+            raise ValueError(f"unknown selection mode {mode!r}")
+        if mode == "hard" and k is None:
+            raise ValueError("hard selection needs k")
         n = len(vocab_sizes)
         self.n_fields = n
         self.mode, self.k, self.reweight = mode, k, reweight
@@ -114,28 +118,24 @@ class LateSelectionModel(_OnePredictor):
 
     def score(self, x: np.ndarray, training: bool):
         """Returns (prediction, every field per row, None)."""
-        p, _, _ = self.forward(x, training, self.mode, self.k, self.reweight)
+        p, _, _ = self.forward(x, training)
         return p, np.tile(np.arange(self.n_fields), (x.shape[0], 1)), None
 
-    def forward(self, x: np.ndarray, training: bool, mode: str = "soft",
-                k: int | None = None, reweight: bool = True):
-        """Returns (prediction, scores, hard-selection indices or None)."""
+    def forward(self, x: np.ndarray, training: bool, soft: bool = False):
+        """Returns (prediction, scores, hard-selection indices or None), in
+        the model's own mode, or in soft mode if `soft`."""
         e = self.main_embeddings.embed(x)
         s = self.controller(e, training)
-        if mode == "soft":
+        if soft or self.mode == "soft":
             weights = s
             indices = None
-        elif mode == "hard":
-            if k is None:
-                raise ValueError("hard selection needs k")
-            indices = k_max_indices_batch(s.data, k)
+        else:
+            indices = k_max_indices_batch(s.data, self.k)
             sel = gather_fields(s, indices)
-            if reweight:
+            if self.reweight:
                 sel = sel / sel.sum(axis=1, keepdims=True)
             # kept weights return to their field positions, zeros elsewhere
             weights = _scatter_weights(sel, indices, s.data.shape)
-        else:
-            raise ValueError(f"unknown selection mode {mode!r}")
         b = x.shape[0]
         scaled = e * weights.reshape(b, self.n_fields, 1)
         return self.predictor(scaled), s, indices
@@ -147,7 +147,7 @@ class LateSelectionModel(_OnePredictor):
         return self.named_params()
 
     def warmup_forward(self, x: np.ndarray) -> Tensor:
-        p, _, _ = self.forward(x, training=True, mode="soft")
+        p, _, _ = self.forward(x, training=True, soft=True)
         return p
 
     def named_params(self):

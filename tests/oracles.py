@@ -6,8 +6,7 @@ before embedding gradients became row-sparse, Adam became in place and the
 tape began handing gradient buffers to their parents: a dense zero gradient
 scattered into with ``np.add.at``, an Adam update that builds a new array
 per operation, a gradient accumulator that copies every first gradient,
-batch normalization through ``np.mean``/``np.var`` with one new array per
-operation, and the embedding alignment loss composed from tape ops. So are
+and the embedding alignment loss composed from tape ops. So are
 the no-selection model that embedded every field with its own lookup, and
 the activation ledger that counted every selected index per batch. So is
 the per-record data path that `prepare` replaced with per-field encoding: a
@@ -17,6 +16,11 @@ columnar encoder, and the transposition of those records into `Columns`. So are 
 logistic function through boolean masks and a field gather whose backward
 scatters with ``np.add.at``, as scoring had them before it ran without the
 tape.
+
+The controller as the package had it before its batch norm was folded into
+its affine map (batch norm through ``np.mean``/``np.var``, affine and
+softmax as separate nodes) is a reference to rounding only: the fold
+computes the same values in another order.
 
 The rest are single-instance selection helpers, finite-difference gradient
 checks, per-field table views, and other small functions the tests call.
@@ -33,7 +37,8 @@ from aefs import numerics
 from aefs.data import MISSING_TOKEN, OOV_ID, Columns, DataError, Dataset, Vocabulary, \
     _not_utf8, criteo_schema, discretize_numeric, schema_from_json, split_indices
 from aefs.embedding import EmbeddingSet
-from aefs.numerics import AdamState, DegenerateBatchError, DimensionError, RowGrad, Tensor
+from aefs.numerics import AdamState, DegenerateBatchError, DimensionError, RowGrad, Tensor, \
+    affine, softmax
 from aefs.predictors import PredictorConfig, bce, build_predictor
 from aefs.selection import aefs_forward, embedding_alignment_loss
 
@@ -80,24 +85,23 @@ def copying_accum(t, g, owned=False):
         t.grad += g
 
 
-def batchnorm_reference(bn, x, training):
-    """``BatchNorm1d.__call__`` by the textbook formula, one array per op."""
-    if x.ndim != 2 or x.shape[1] != bn.num_features:
-        raise DimensionError(f"batch_norm input {x.shape}, expected (*, {bn.num_features})")
+def batchnorm_reference(ctrl, x, training):
+    """The controller's batch normalization by the textbook formula, one
+    array per op, as a tape node of its own."""
     if training:
         if x.shape[0] < 2:
-            raise DegenerateBatchError("batch_norm training mode needs batch >= 2")
+            raise DegenerateBatchError("batch statistics need a batch of at least 2 rows")
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        std = np.sqrt(var + bn.eps)
+        std = np.sqrt(var + ctrl.eps)
         xn = (x.data - mu) / std
-        m = bn.momentum
-        bn.running_mean = (1.0 - m) * bn.running_mean + m * mu
-        bn.running_var = (1.0 - m) * bn.running_var + m * var
+        m = ctrl.momentum
+        ctrl.running_mean = (1.0 - m) * ctrl.running_mean + m * mu
+        ctrl.running_var = (1.0 - m) * ctrl.running_var + m * var
     else:
-        std = np.sqrt(bn.running_var + bn.eps)
-        xn = (x.data - bn.running_mean) / std
-    gamma, beta = bn.gamma, bn.beta
+        std = np.sqrt(ctrl.running_var + ctrl.eps)
+        xn = (x.data - ctrl.running_mean) / std
+    gamma, beta = ctrl.gamma, ctrl.beta
     out = gamma.data * xn + beta.data
 
     def bw(g):
@@ -114,11 +118,20 @@ def batchnorm_reference(bn, x, training):
     return Tensor(out, parents=(x, gamma, beta), backward=bw)
 
 
+def reference_controller(ctrl, e, training):
+    """``Controller.__call__`` as separate tape nodes: reshape, the textbook
+    batch normalization, affine (matmul and add), softmax."""
+    if e.ndim != 3 or e.shape[1:] != (ctrl.n_fields, ctrl.emb_dim):
+        raise DimensionError(f"controller input {e.shape}")
+    flat = e.reshape(e.shape[0], ctrl.n_fields * ctrl.emb_dim)
+    h = batchnorm_reference(ctrl, flat, training)
+    return softmax(affine(h, ctrl.fc.weight, ctrl.fc.bias), axis=1)
+
+
 def use_reference_tape(monkeypatch):
-    """Route the tape through the copying accumulator and the reference
-    batch normalization for the rest of a test (or monkeypatch context)."""
+    """Route the tape through the copying accumulator for the rest of a
+    test (or monkeypatch context)."""
     monkeypatch.setattr(numerics, "_accum", copying_accum)
-    monkeypatch.setattr(numerics.BatchNorm1d, "__call__", batchnorm_reference)
 
 
 def composed_embedding_alignment_loss(aux_embeds, main_embeds, fc):

@@ -97,9 +97,10 @@ def test_criterion_3_lookup_reduction():
     assert pair.main_embeddings.lookup_counts.sum() == 8 * n_inst
     assert pair.aux_embeddings.lookup_counts.sum() == 16 * n_inst
 
-    late = LateSelectionModel(vocab, 32, "mlp", (16, 16), 2, np.random.default_rng(1))
+    late = LateSelectionModel(vocab, 32, "mlp", (16, 16), 2, np.random.default_rng(1),
+                              mode="hard", k=8)
     for start in range(0, n_inst, 256):
-        late.forward(data.test.x[start:start + 256], training=False, mode="hard", k=8)
+        late.forward(data.test.x[start:start + 256], training=False)
     assert late.main_embeddings.lookup_counts.sum() == 16 * n_inst
     ok("3 lookup reduction",
        f"over {n_inst} instances: main 8/instance, aux 16/instance, "

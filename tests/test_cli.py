@@ -247,10 +247,13 @@ class TestInputFaults:
           "meta.json": b'{"informative_fields": [-1]}'}, "in [0, 2), got [-1]"),
         ({"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA,
           "meta.json": b'{"informative_fields": [1, 1]}'}, "in [0, 2), got [1, 1]"),
+        # one field past csv.field_size_limit()'s default of 131072 characters
+        ({"data.csv": mixed_rows("1").replace(b"1,a1,1\n", b"1,a" + b"1" * 131072 + b",1\n"),
+          "schema.json": MIXED_SCHEMA}, "data.csv:3: field larger than field limit (131072)"),
     ], ids=["inf", "1e400", "header-names", "invalid-json", "no-fields", "no-kind", "no-name",
             "format-b-not-utf8", "format-a-not-utf8", "meta-invalid-json", "meta-not-object",
             "informative-not-list", "informative-out-of-range", "informative-negative",
-            "informative-repeated"])
+            "informative-repeated", "format-b-oversize-field"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, files, message):
         data = tmp_path / "data"
         data.mkdir()

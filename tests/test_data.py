@@ -481,6 +481,8 @@ class TestReadersMatchReference:
 
     @pytest.mark.parametrize("length", [9, 10, 11])
     def test_field_over_the_csv_limit_fails_as_in_csv_reader(self, tmp_path, length):
+        """A field csv.reader refuses is a DataError naming its file and
+        line, where the reference lets csv's own error escape."""
         (tmp_path / "schema.json").write_text(ONE_FIELD_SCHEMA)
         (tmp_path / "data.csv").write_text("label,f0\n" + f"0,{'a' * length}\n" * 3)
         limit = csv.field_size_limit(10)
@@ -491,7 +493,21 @@ class TestReadersMatchReference:
                 tmp_path / "data.csv", tmp_path / "schema.json")))
         finally:
             csv.field_size_limit(limit)
-        assert got == want
+        if length > 10:
+            assert want == (csv.Error, "field larger than field limit (10)")
+            assert got == (DataError, f"{tmp_path / 'data.csv'}:2: {want[1]}")
+        else:
+            assert got == want
+
+    def test_header_field_over_the_csv_limit_names_line_1(self, tmp_path):
+        (tmp_path / "schema.json").write_text(ONE_FIELD_SCHEMA)
+        (tmp_path / "data.csv").write_text(f"label,{'f' * 11}\n0,a\n")
+        limit = csv.field_size_limit(10)
+        try:
+            with pytest.raises(DataError, match=r"data\.csv:1: field larger than field limit"):
+                read_format_b(tmp_path / "data.csv", tmp_path / "schema.json")
+        finally:
+            csv.field_size_limit(limit)
 
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)

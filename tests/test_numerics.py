@@ -7,24 +7,26 @@ from aefs import numerics
 from aefs.numerics import (
     Adam,
     AdamState,
-    BatchNorm1d,
     DegenerateBatchError,
     DimensionError,
     Linear,
     RowGrad,
     Tensor,
     affine,
+    batch_moments,
     concat,
     gather_fields,
     no_tape,
+    normalized_affine,
     relu,
     sigmoid,
     softmax,
     scatter_rows,
     xavier_init,
 )
+from aefs.predictors import Controller
 from oracles import adam_step, add_at_gather_fields, boolean_mask_sigmoid, dense_scatter, exp, \
-    grad_check, same_bits, use_reference_tape
+    grad_check, reference_controller, same_bits, use_reference_tape
 
 
 def matmul_oracle(a, b):
@@ -137,8 +139,7 @@ class TestNoTape:
     def ops(w):
         """A graph over leaf `w` of shape (4, 3) through several op kinds."""
         h = relu(affine(w, Tensor(np.ones((3, 2))), Tensor(np.zeros(2))))
-        bn = BatchNorm1d(2)
-        g = gather_fields(softmax(bn(h, training=False)), np.array([[1], [0], [1], [0]]))
+        g = gather_fields(softmax(batch_norm(h, training=True)), np.array([[1], [0], [1], [0]]))
         return [h, g, sigmoid(g), (h * 2.0 - 1.0).sum(), concat([h, h], axis=1)]
 
     def test_tensors_made_inside_record_nothing(self):
@@ -221,83 +222,106 @@ class TestGatherFields:
             gather_fields(x, np.array(idx, dtype=dtype))
 
 
+def batch_norm(x, gamma=None, beta=None, training=True, running=None, eps=1e-5):
+    """Batch normalization alone: `normalized_affine` through the identity
+    map, with the batch's moments or the `running` (mean, var)."""
+    width = x.shape[1]
+    gamma = Tensor(np.ones(width)) if gamma is None else gamma
+    beta = Tensor(np.zeros(width)) if beta is None else beta
+    mean, var = batch_moments(x.data) if training else running
+    return normalized_affine(x, gamma, beta, Tensor(np.eye(width)), Tensor(np.zeros(width)),
+                             mean, np.sqrt(var + eps), batch_stats=training)
+
+
 class TestBatchNorm:
     def test_constant_column_zeroed_before_affine(self):
-        bn = BatchNorm1d(2)
         x = Tensor(np.column_stack([np.full(5, 3.0), np.arange(5.0)]))
-        y = bn(x, training=True)
+        y = batch_norm(x)
         np.testing.assert_allclose(y.data[:, 0], 0.0, atol=1e-12)
 
     def test_standardized_column_unchanged(self):
         rng = np.random.default_rng(5)
         col = rng.normal(size=64)
         col = (col - col.mean()) / col.std()
-        bn = BatchNorm1d(1)
-        y = bn(Tensor(col[:, None]), training=True)
+        y = batch_norm(Tensor(col[:, None]))
         np.testing.assert_allclose(y.data[:, 0], col, atol=1e-4)
 
     def test_output_moments_match_gamma_beta(self):
         rng = np.random.default_rng(6)
-        bn = BatchNorm1d(3)
-        bn.gamma.data[:] = [2.0, 0.5, 1.5]
-        bn.beta.data[:] = [1.0, -1.0, 0.0]
-        y = bn(Tensor(rng.normal(5.0, 3.0, size=(512, 3))), training=True)
-        np.testing.assert_allclose(y.data.mean(axis=0), bn.beta.data, atol=1e-5)
-        np.testing.assert_allclose(y.data.std(axis=0), bn.gamma.data, atol=1e-3)
+        gamma, beta = Tensor(np.array([2.0, 0.5, 1.5])), Tensor(np.array([1.0, -1.0, 0.0]))
+        y = batch_norm(Tensor(rng.normal(5.0, 3.0, size=(512, 3))), gamma, beta)
+        np.testing.assert_allclose(y.data.mean(axis=0), beta.data, atol=1e-5)
+        np.testing.assert_allclose(y.data.std(axis=0), gamma.data, atol=1e-3)
 
     def test_batch_of_one_rejected_in_training(self):
-        bn = BatchNorm1d(2)
         with pytest.raises(DegenerateBatchError):
-            bn(Tensor(np.ones((1, 2))), training=True)
+            batch_moments(np.ones((1, 2)))
 
     def test_inference_uses_running_stats(self):
-        bn = BatchNorm1d(1)
-        bn.running_mean, bn.running_var = np.array([10.0]), np.array([4.0])
-        y = bn(Tensor([[12.0]]), training=False)
-        np.testing.assert_allclose(y.data[0, 0], 2.0 / np.sqrt(4.0 + bn.eps), atol=1e-12)
+        y = batch_norm(Tensor([[12.0]]), training=False,
+                       running=(np.array([10.0]), np.array([4.0])))
+        np.testing.assert_allclose(y.data[0, 0], 2.0 / np.sqrt(4.0 + 1e-5), atol=1e-12)
+
+    def test_moments_are_numpy_mean_and_var(self):
+        x = np.random.default_rng(4).normal(2.0, 3.0, size=(50, 7))
+        mean, var = batch_moments(x)
+        assert same_bits(mean, x.mean(axis=0)) and same_bits(var, x.var(axis=0))
 
     def test_training_backward_matches_finite_difference(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        bn = BatchNorm1d(3)
-        bn.gamma.data[:] = rng.normal(1.0, 0.1, size=3)
+        gamma = Tensor(rng.normal(1.0, 0.1, size=3), requires_grad=True)
+        beta = Tensor(np.zeros(3), requires_grad=True)
         coeff = rng.normal(size=(6, 3))
 
         def loss():
-            return (bn(x, training=True) * coeff).sum()
+            return (batch_norm(x, gamma, beta) * coeff).sum()
 
-        err = grad_check(loss, [x, bn.gamma, bn.beta], eps=1e-6)
+        err = grad_check(loss, [x, gamma, beta], eps=1e-6)
         assert err < 1e-6
 
 
+def assert_close(got, want, rtol, name):
+    """Each entry within `rtol` of the largest magnitude in `want`."""
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= rtol * scale, name
+
+
 class TestBatchNormMatchesReference:
-    """Training and inference mode against the textbook formula, bit for bit."""
+    """The controller's folded batch norm and affine map against the
+    textbook composition (`reference_controller`: batch norm through
+    np.mean and np.var, affine, softmax, each a node of its own). Scores and
+    the five gradients agree to rounding; the running statistics bit for
+    bit."""
 
     @pytest.mark.parametrize("rows", [64, 50])
     @pytest.mark.parametrize("training", [True, False])
-    def test_forward_running_stats_and_grads(self, training, rows, monkeypatch):
+    def test_forward_running_stats_and_grads(self, training, rows):
         rng = np.random.default_rng(12)
-        x_val = rng.normal(2.0, 3.0, size=(rows, 12))
-        upstream = rng.normal(size=(rows, 12))
+        x_val = rng.normal(2.0, 3.0, size=(rows, 4, 3))
+        upstream = rng.normal(size=(rows, 4))
         gamma, beta = rng.normal(1.0, 0.2, size=12), rng.normal(size=12)
         mean, var = rng.normal(size=12), rng.uniform(0.5, 2.0, size=12)
+        bias = rng.normal(size=4)
 
-        def run():
-            bn = BatchNorm1d(12)
-            bn.gamma.data[:], bn.beta.data[:] = gamma, beta
-            bn.running_mean, bn.running_var = mean.copy(), var.copy()
+        def run(call):
+            c = Controller(4, 3, np.random.default_rng(3))
+            c.gamma.data[:], c.beta.data[:], c.fc.bias.data[:] = gamma, beta, bias
+            c.running_mean, c.running_var = mean.copy(), var.copy()
             x = Tensor(x_val.copy(), requires_grad=True)
-            y = bn(x, training=training)
+            y = call(c, x, training)
             (y * Tensor(upstream)).sum().backward()
-            return [y.data, bn.running_mean, bn.running_var,
-                    x.grad, bn.gamma.grad, bn.beta.grad]
+            return [y.data, c.running_mean, c.running_var, x.grad, c.gamma.grad, c.beta.grad,
+                    c.fc.weight.grad, c.fc.bias.grad]
 
-        fast = run()
-        use_reference_tape(monkeypatch)
-        ref = run()
-        names = ["out", "running_mean", "running_var", "x.grad", "gamma.grad", "beta.grad"]
-        for name, a, b in zip(names, fast, ref):
-            assert same_bits(a, b), name
+        folded, ref = run(Controller.__call__), run(reference_controller)
+        names = ["scores", "running_mean", "running_var", "x.grad", "gamma.grad", "beta.grad",
+                 "weight.grad", "bias.grad"]
+        for name, a, b in zip(names, folded, ref):
+            if name.startswith("running"):
+                assert same_bits(a, b), name
+            else:
+                assert_close(a, b, 1e-12, name)
 
 
 # Graphs where one gradient buffer could reach two owners: a tensor used
@@ -496,7 +520,7 @@ class TestAdamMatchesReference:
     def test_blocked_sweep(self, monkeypatch, shape):
         # blocks of at most 8 entries: the table spans many blocks, and a
         # row gradient leaves some blocks untouched and fills others
-        monkeypatch.setattr(numerics, "ADAM_BLOCK_ELEMS", 8)
+        monkeypatch.setattr(numerics, "BLOCK_ELEMS", 8)
         rng = np.random.default_rng(4)
         p, opt, ref, ref_state = self.twin(shape, lr=0.01)
         assert opt._scratch[0].size <= 8

@@ -130,10 +130,28 @@ class TestController:
         def loss():
             return (c(e, training=True, ) * coeff).sum()
 
-        err = grad_check(loss, [c.fc.weight, c.fc.bias, c.bn.gamma, c.bn.beta])
+        err = grad_check(loss, [c.fc.weight, c.fc.bias, c.gamma, c.beta])
         assert err < 1e-3
         loss().backward()
         assert np.abs(c.fc.weight.grad).max() > 0
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_five_gradients_match_finite_difference(self, training):
+        """x, gamma, beta, weight and bias of the folded node, with the
+        batch's statistics and with running ones."""
+        r = np.random.default_rng(10)
+        c = Controller(n_fields=3, emb_dim=2, rng=rng())
+        c.gamma.data[:], c.beta.data[:] = r.normal(1.0, 0.3, size=6), r.normal(size=6)
+        c.fc.bias.data[:] = r.normal(size=3)
+        c.running_mean, c.running_var = r.normal(size=6), r.uniform(0.5, 2.0, size=6)
+        e = Tensor(r.normal(2.0, 3.0, size=(5, 3, 2)), requires_grad=True)
+        coeff = r.normal(size=(5, 3))
+
+        def loss():
+            return (c(e, training=training) * coeff).sum()
+
+        err = grad_check(loss, [e, c.gamma, c.beta, c.fc.weight, c.fc.bias], eps=1e-6)
+        assert err < 1e-7
 
     def test_degenerate_batch(self):
         from aefs.numerics import DegenerateBatchError

@@ -142,28 +142,42 @@ class TestLateSelection:
         model = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(6))
         model.controller.fc.weight.data[:] = 0.0
         x = np.random.default_rng(7).integers(0, 4, size=(4, 6))
-        _, scores, _ = model.forward(x, training=True, mode="soft")
+        _, scores, _ = model.forward(x, training=True)
         np.testing.assert_allclose(scores.data, 1.0 / 6.0)
 
     def test_hard_with_full_k_equals_soft(self):
         rng = np.random.default_rng(8)
         m_soft = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(11))
-        m_hard = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(11))
+        m_hard = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(11),
+                                    mode="hard", k=6)
         x = rng.integers(0, 4, size=(5, 6))
-        p_soft, _, _ = m_soft.forward(x, training=True, mode="soft")
-        p_hard, _, _ = m_hard.forward(x, training=True, mode="hard", k=6)
+        p_soft, _, _ = m_soft.forward(x, training=True)
+        p_hard, _, _ = m_hard.forward(x, training=True)
         np.testing.assert_allclose(p_hard.data, p_soft.data, atol=1e-12)
 
     def test_hard_mode_still_embeds_all_fields(self):
-        model = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(9))
+        model = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(9),
+                                   mode="hard", k=3)
         x = np.random.default_rng(10).integers(0, 4, size=(8, 6))
-        model.forward(x, training=True, mode="hard", k=3)
+        model.forward(x, training=True)
         assert model.main_embeddings.lookup_counts.sum() == 8 * 6
 
     def test_unknown_mode(self):
-        model = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(9))
-        with pytest.raises(ValueError):
-            model.forward(np.zeros((2, 6), dtype=int), training=True, mode="medium")
+        with pytest.raises(ValueError, match="unknown selection mode 'medium'"):
+            LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(9), mode="medium")
+        with pytest.raises(ValueError, match="hard selection needs k"):
+            LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(9), mode="hard")
+
+    def test_soft_asks_for_soft_mode_in_a_hard_model(self):
+        x = np.random.default_rng(12).integers(0, 4, size=(5, 6))
+        m_soft = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(11))
+        m_hard = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(11),
+                                    mode="hard", k=3)
+        p_soft, _, none = m_hard.forward(x, training=True, soft=True)
+        assert none is None
+        assert same_bits(p_soft.data, m_soft.forward(x, training=True)[0].data)
+        _, _, indices = m_hard.forward(x, training=True)
+        assert indices.shape == (5, 3)
 
 
 class TestEarlySelection:

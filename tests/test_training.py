@@ -8,6 +8,7 @@ import aefs.selection as selection_mod
 import aefs.training as training_mod
 from aefs.data import DataError, Dataset, SyntheticSpec, generate_synthetic
 from aefs.numerics import Adam, RowGrad, Tensor
+from aefs.predictors import Controller
 from aefs.selection import DualModel
 from aefs.training import (
     ConfigError,
@@ -26,7 +27,7 @@ from aefs.training import (
 )
 from oracles import ActivationLedger, PlainModel, composed_embedding_alignment_loss, \
     dense_scatter, embedding_discrepancy, prediction_discrepancy, record_batch_activation, \
-    reference_adam_step, same_bits, use_reference_tape
+    reference_adam_step, reference_controller, same_bits, use_reference_tape
 
 METHODS = ("none", "randomhalf", "adafs", "aefs")
 
@@ -256,10 +257,10 @@ class TestEvaluate:
 
     def test_no_running_stat_updates(self, small_data):
         res = train(small_data, small_config(max_epochs=1))
-        bn = res.fitted.model.controller.bn
-        mean_before = bn.running_mean.copy()
+        controller = res.fitted.model.controller
+        mean_before = controller.running_mean.copy()
         evaluate(res.fitted, small_data.test)
-        np.testing.assert_array_equal(bn.running_mean, mean_before)
+        np.testing.assert_array_equal(controller.running_mean, mean_before)
 
     def test_selection_dump(self, small_data, tmp_path):
         import json
@@ -680,9 +681,9 @@ def many_row_data():
 
 class TestRowSparseTrainingIsExact:
     """Training equals, bit for bit, a run on the reference code: dense
-    scatters, the allocating Adam, the copying tape, the textbook batch
-    normalization (which `adafs` runs in its controller) and the composed
-    embedding alignment loss (`aefs`)."""
+    scatters, the allocating Adam, the copying tape and the composed
+    embedding alignment loss (`aefs`). Both sides run the same, folded,
+    controller; `TestFoldedController` holds it to the textbook one."""
 
     @pytest.mark.parametrize("method", ["none", "aefs", "adafs"])
     def test_matches_dense_gradients_and_reference_adam(self, many_row_data, method,
@@ -701,6 +702,84 @@ class TestRowSparseTrainingIsExact:
             da, db = dict(a.__dict__), dict(b.__dict__)
             da.pop("seconds"), db.pop("seconds")
             assert da == db
+
+
+class TestFoldedController:
+    """Training with the folded controller ends where training with the
+    textbook one (`reference_controller`: batch norm, affine and softmax as
+    separate nodes) ends, to rounding: the two differ in the last bits of
+    each step, so they are held to a tolerance, not to bit identity. Every
+    top-k selection, in training and in validation, is the same."""
+
+    @pytest.mark.parametrize("method,mode", [("adafs", "soft"), ("adafs", "hard"),
+                                             ("aefs", "soft")])
+    def test_training_matches_textbook_controller(self, many_row_data, method, mode,
+                                                  monkeypatch):
+        cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
+                           pretrain_epochs=1)
+        top_k = selection_mod.k_max_indices_batch
+
+        def run():
+            picked = []
+
+            def recording(scores, k):
+                picked.append(top_k(scores, k))
+                return picked[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(selection_mod, "k_max_indices_batch", recording)
+                result = train(many_row_data, cfg)
+            return result, picked
+
+        folded, folded_picks = run()
+        monkeypatch.setattr(Controller, "__call__", reference_controller)
+        textbook, textbook_picks = run()
+        assert bool(folded_picks) == (mode == "hard" or method == "aefs")
+        assert len(folded_picks) == len(textbook_picks)
+        assert all(same_bits(a, b) for a, b in zip(folded_picks, textbook_picks))
+        for (name, a), (_, b) in zip(folded.fitted.named_params(),
+                                     textbook.fitted.named_params()):
+            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-9, err_msg=name)
+        for (name, a), (_, b) in zip(folded.fitted.named_buffers(),
+                                     textbook.fitted.named_buffers()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
+        for a, b in zip(folded.report.rows, textbook.report.rows):
+            for key, value in a.__dict__.items():
+                if key != "seconds":
+                    assert value == pytest.approx(b.__dict__[key], rel=1e-9, abs=1e-12), key
+
+
+class TestParameterNames:
+    """Checkpoints name every tensor; these names and shapes are the ones
+    checkpoints have always been written with."""
+
+    EXPECTED = {
+        "none": ([("emb.weight", (18, 8)), ("mlp.h0.weight", (32, 8)), ("mlp.h0.bias", (8,)),
+                  ("mlp.out.weight", (8, 1)), ("mlp.out.bias", (1,))], []),
+        "adafs": ([("emb.weight", (18, 8)), ("controller.bn.gamma", (32,)),
+                   ("controller.bn.beta", (32,)), ("controller.fc.weight", (32, 4)),
+                   ("controller.fc.bias", (4,)), ("mlp.h0.weight", (32, 8)),
+                   ("mlp.h0.bias", (8,)), ("mlp.out.weight", (8, 1)), ("mlp.out.bias", (1,))],
+                  [("controller.bn.running_mean", (32,)), ("controller.bn.running_var", (32,))]),
+        "aefs": ([("aux.emb.weight", (18, 2)), ("aux.controller.bn.gamma", (8,)),
+                  ("aux.controller.bn.beta", (8,)), ("aux.controller.fc.weight", (8, 4)),
+                  ("aux.controller.fc.bias", (4,)), ("aux.mlp.h0.weight", (4, 8)),
+                  ("aux.mlp.h0.bias", (8,)), ("aux.mlp.out.weight", (8, 1)),
+                  ("aux.mlp.out.bias", (1,)), ("aux.align_fc.weight", (2, 8)),
+                  ("aux.align_fc.bias", (8,)), ("main.emb.weight", (18, 8)),
+                  ("main.mlp.h0.weight", (16, 8)), ("main.mlp.h0.bias", (8,)),
+                  ("main.mlp.out.weight", (8, 1)), ("main.mlp.out.bias", (1,))],
+                 [("aux.controller.bn.running_mean", (8,)),
+                  ("aux.controller.bn.running_var", (8,))]),
+    }
+
+    @pytest.mark.parametrize("method", sorted(EXPECTED))
+    def test_names_and_shapes_are_pinned(self, method):
+        fitted = build_model([3, 4, 5, 6], small_config(method=method),
+                             np.random.default_rng(0), np.random.default_rng(1))
+        params = [(name, t.data.shape) for name, t in fitted.named_params()]
+        buffers = [(name, arr.shape) for name, arr in fitted.named_buffers()]
+        assert (params, buffers) == self.EXPECTED[method]
 
 
 class TestNoneIsEveryFieldSubset:
