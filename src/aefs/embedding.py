@@ -85,7 +85,9 @@ class EmbeddingSet:
         the result is (B, k, d). Exactly k lookups per instance are counted
         and unselected tables are untouched by both forward and backward.
         `checked` says that the caller has already verified those positions
-        against the same N.
+        against the same N, and every id of `x` against the same vocabulary
+        sizes (as an `embed` of all of `x` by a set built from the same
+        `vocab_sizes` does).
         """
         x = np.asarray(x)
         indices = np.asarray(indices)
@@ -102,7 +104,8 @@ class EmbeddingSet:
 
         rows = np.arange(b)[:, None]
         ids = x[rows, indices]
-        self._check_ids(ids, indices)
+        if not checked:
+            self._check_ids(ids, indices)
         out = self._lookup(ids + self.offsets[indices])
         self.lookup_counts += np.bincount(indices.reshape(-1), minlength=self.n_fields)
         return out

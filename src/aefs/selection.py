@@ -32,16 +32,29 @@ def k_max_indices_batch(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
-    """Multiply each selected field vector by its weight.
+    """Multiply each field vector by its weight: (B, n, d) by (B, n).
 
-    e_sel is (B, k, d) and weights is (B, k); broadcasting handles the rest,
-    so the gradient with respect to each weight is the inner product of the
-    upstream gradient with that field's embedding.
+    One tape node. The forward is the broadcast product. The backward
+    takes each weight's gradient, the inner product of the upstream
+    gradient with that field's embedding, as one contraction over d,
+    without a (B, n, d) product array; it then scales the released upstream
+    gradient in place by the weights, which gives the embeddings theirs.
+    The embedding gradient is bit-identical to a broadcast multiply's; the
+    weight gradient sums its d terms in another order, so it equals the
+    multiply's to rounding.
     """
     if e_sel.shape[:2] != weights.shape:
         raise DimensionError(f"embeddings {e_sel.shape} vs weights {weights.shape}")
-    b, k = weights.shape
-    return e_sel * weights.reshape(b, k, 1)
+    w = weights.data[:, :, None]
+
+    def bw(g):
+        if weights.requires_grad:
+            _accum(weights, np.einsum("bnd,bnd->bn", g, e_sel.data), owned=True)
+        if e_sel.requires_grad:
+            g *= w
+            _accum(e_sel, g, owned=True)
+
+    return Tensor(e_sel.data * w, parents=(e_sel, weights), backward=bw)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +149,7 @@ class LateSelectionModel(_OnePredictor):
                 sel = sel / sel.sum(axis=1, keepdims=True)
             # kept weights return to their field positions, zeros elsewhere
             weights = _scatter_weights(sel, indices, s.data.shape)
-        b = x.shape[0]
-        scaled = e * weights.reshape(b, self.n_fields, 1)
-        return self.predictor(scaled), s, indices
+        return self.predictor(scale_embeddings(e, weights)), s, indices
 
     def warmup_params(self):
         """A soft-mode phase before hard selection starts trains every
@@ -244,8 +255,7 @@ class DualModel:
         b = x.shape[0]
         e_a = self.aux_embeddings.embed(x)
         s = self.controller(e_a, training=True)
-        scaled = e_a * s.reshape(b, self.n_fields, 1)
-        flat = scaled.reshape(b, self.n_fields * self.d2)
+        flat = scale_embeddings(e_a, s).reshape(b, self.n_fields * self.d2)
         return sigmoid(self.pretrain_head()(flat)).reshape(b)
 
     def named_params(self):
@@ -320,12 +330,16 @@ def embedding_alignment_loss(aux_embeds: Tensor, main_embeds: Tensor,
     """Mean squared difference between the lifted auxiliary embeddings and
     the main embeddings, averaged over batch and all k*d1 components.
 
-    One tape node. Its forward and backward evaluate, op for op, what the
-    composed graph ``((fc(aux) - main) ** 2).mean()`` evaluates, so values
-    and gradients are bit-identical to it: the doubled ``c*diff`` is the
-    two equal products the square's backward adds, and main, then the
-    bias, the weight and aux receive their gradients as that graph hands
-    them down.
+    One tape node, with values and gradients bit-identical to the composed
+    graph ``((fc(aux) - main) ** 2).mean()``. The forward builds the
+    residual ``r = aux @ W + b - main`` in one buffer. The backward scales
+    it in place to main's gradient ``(-2*c*g) * r``: the composed graph
+    adds two equal products ``(c*g) * r`` and negates their sum, and
+    doubling and negation are exact. The bias, weight and aux gradients are
+    computed from that buffer and their small results negated, again
+    exactly. Main, then the bias, the weight and aux receive their
+    gradients, as the composed graph hands them down; main takes the
+    buffer itself, once nothing else reads it.
     """
     if aux_embeds.shape[:2] != main_embeds.shape[:2]:
         raise DimensionError(f"selection shapes differ: {aux_embeds.shape} vs {main_embeds.shape}")
@@ -335,24 +349,28 @@ def embedding_alignment_loss(aux_embeds: Tensor, main_embeds: Tensor,
         raise DimensionError(f"alignment map {w.shape} cannot lift {aux_embeds.shape} "
                              f"to {main_embeds.shape}")
     a2 = aux_embeds.data.reshape(b * k, d2)
-    diff = a2 @ w.data
-    diff += bias.data
-    diff = diff.reshape(main_embeds.shape)
-    diff -= main_embeds.data
-    c = 1.0 / diff.size
-    out = (diff * diff).sum() * c
+    r = a2 @ w.data
+    r += bias.data
+    r = r.reshape(main_embeds.shape)
+    r -= main_embeds.data
+    c = 1.0 / r.size
+    out = (r * r).sum() * c
 
     def bw(g):
-        gd = (g * c) * diff
-        gd += gd
-        _accum(main_embeds, -gd, owned=True)
-        gd2 = gd.reshape(b * k, -1)
-        _accum(bias, gd2.sum(axis=0), owned=True)
-        _accum(w, a2.T @ gd2, owned=True)
-        _accum(aux_embeds, (gd2 @ w.data.T).reshape(aux_embeds.shape), owned=True)
+        np.multiply(r, (g * c) * -2.0, out=r)  # main's gradient
+        g_main = r.reshape(b * k, -1)
+        g_bias = -g_main.sum(axis=0)
+        g_w = a2.T @ g_main
+        g_w *= -1.0
+        g_aux = g_main @ w.data.T
+        g_aux *= -1.0
+        _accum(main_embeds, r, owned=True)
+        _accum(bias, g_bias, owned=True)
+        _accum(w, g_w, owned=True)
+        _accum(aux_embeds, g_aux.reshape(aux_embeds.shape), owned=True)
 
-    # main last: the tape then visits main before aux, as it does in the
-    # composed graph
+    # main as the last parent: the tape then visits main before aux, as it
+    # does in the composed graph
     return Tensor(out, parents=(aux_embeds, w, bias, main_embeds), backward=bw)
 
 

@@ -83,8 +83,8 @@ class TrainConfig:
                               f"got {self.hidden_dims}")
         if self.n_cross_layers < 1:
             raise ConfigError(f"n_cross_layers must be at least 1, got {self.n_cross_layers}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
     def to_text(self) -> str:
         lines = []
@@ -341,7 +341,7 @@ def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
              selection_dump_path: Path | None = None,
              informative_fields: Sequence[int] | None = None) -> Metrics:
     """Frozen-parameter evaluation with inference-mode batch norm, scored
-    without the tape.
+    without the tape. A non-finite score raises NumericAbort.
 
     The main table's lookup counts over the pass give each field's
     selection count, and from those the activated parameters and lookups
@@ -368,6 +368,10 @@ def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
                 if weights is not None:
                     entry["weights"] = [float(w) for w in weights[j]]
                 dump_lines.append(json.dumps(entry, sort_keys=True))
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericAbort(f"non-finite score {scores[bad[0]]} for instance {bad[0]} "
+                           f"of {n} in evaluation")
     if dump_lines is not None:
         Path(selection_dump_path).write_text("\n".join(dump_lines) + "\n")
     counts = main_set.lookup_counts - before

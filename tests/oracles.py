@@ -20,7 +20,9 @@ tape.
 The controller as the package had it before its batch norm was folded into
 its affine map (batch norm through ``np.mean``/``np.var``, affine and
 softmax as separate nodes) is a reference to rounding only: the fold
-computes the same values in another order.
+computes the same values in another order. So is the field weighting as a
+reshape and a broadcast multiply: its weight gradient sums over d in
+another order than the one-node contraction.
 
 The rest are single-instance selection helpers, finite-difference gradient
 checks, per-field table views, and other small functions the tests call.
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from aefs import numerics
+from aefs import numerics, selection
 from aefs.data import MISSING_TOKEN, OOV_ID, Columns, DataError, Dataset, Vocabulary, \
     _not_utf8, criteo_schema, discretize_numeric, schema_from_json, split_indices
 from aefs.embedding import EmbeddingSet
@@ -129,9 +131,19 @@ def reference_controller(ctrl, e, training):
 
 
 def use_reference_tape(monkeypatch):
-    """Route the tape through the copying accumulator for the rest of a
-    test (or monkeypatch context)."""
+    """Route the tape, the selection nodes included, through the copying
+    accumulator for the rest of a test (or monkeypatch context)."""
     monkeypatch.setattr(numerics, "_accum", copying_accum)
+    monkeypatch.setattr(selection, "_accum", copying_accum)
+
+
+def composed_scale_embeddings(e_sel, weights):
+    """``scale_embeddings`` as two tape nodes: the weights reshaped to
+    (B, n, 1), and a broadcast multiply."""
+    if e_sel.shape[:2] != weights.shape:
+        raise DimensionError(f"embeddings {e_sel.shape} vs weights {weights.shape}")
+    b, n = weights.shape
+    return e_sel * weights.reshape(b, n, 1)
 
 
 def composed_embedding_alignment_loss(aux_embeds, main_embeds, fc):

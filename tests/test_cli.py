@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aefs.cli as cli_mod
 import aefs.selection as selection_mod
@@ -214,7 +219,9 @@ def mixed_rows(bad_numeric):
 
 class TestInputFaults:
     """Faulty input files end a run with exit 2, one stderr line and a
-    failed manifest, never a traceback."""
+    failed manifest, never a traceback. A learning rate that is not finite
+    is a configuration error; one that drives the model's scores non-finite
+    is a numeric abort."""
 
     @pytest.mark.parametrize("files,message", [
         ({"data.csv": mixed_rows("inf"), "schema.json": MIXED_SCHEMA},
@@ -268,6 +275,70 @@ class TestInputFaults:
         manifest = json.loads((next((tmp_path / "r").iterdir()) / "manifest.json").read_text())
         assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
             ("failed", 2, err[0])
+
+
+    @pytest.fixture(scope="class")
+    def tiny_synth(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tiny")
+        assert main(["synth", "--out", str(out), "--records", "300", "--seed", "7"]) == 0
+        return out
+
+    def test_infinite_lr_exits_1_with_one_line(self, tiny_synth, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert main(["train", "--data", str(tiny_synth), "--out", str(out), "--lr", "inf",
+                     "--max-epochs", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: lr must be positive and finite, got inf"]
+        assert not out.exists()
+
+    def test_non_finite_scores_exit_3_and_fail_the_run(self, tiny_synth, tmp_path, capsys):
+        # one Adam step of about 1e308 per parameter (240 training records,
+        # one batch): the validation scores come out NaN
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert main(["train", "--data", str(tiny_synth), "--out", str(out), "--lr", "1e308",
+                     "--max-epochs", "1"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric abort: non-finite score nan"), err
+        manifest = json.loads((next(out.iterdir()) / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", 3, err[0])
+
+
+def _flags(**values):
+    """``--name=value`` arguments, so that negative values do not read as
+    options."""
+    return [f"--{name.replace('_', '-')}={value}" for name, value in values.items()]
+
+
+_NAN_OR_NON_POSITIVE = st.one_of(st.floats(max_value=0.0), st.just(math.nan))
+INVALID_TRAIN_FLAGS = st.one_of(
+    st.one_of(_NAN_OR_NON_POSITIVE, st.floats(min_value=1.0, exclude_min=True))
+    .map(lambda r: _flags(r=r)),
+    st.integers(1, 64).flatmap(lambda d1: st.integers(d1 + 1, d1 + 64).map(
+        lambda d2: _flags(d1=d1, d2=d2))),
+    st.integers(max_value=0).map(lambda d1: _flags(d1=d1)),
+    st.integers(max_value=0).map(lambda d2: _flags(d2=d2)),
+    st.integers(max_value=1).map(lambda b: _flags(batch_size=b)),
+    st.integers(max_value=0).map(lambda e: _flags(max_epochs=e)),
+    st.integers(max_value=-1).map(lambda e: _flags(pretrain_epochs=e)),
+    st.one_of(_NAN_OR_NON_POSITIVE, st.just(math.inf)).map(lambda lr: _flags(lr=lr)),
+)
+
+
+class TestInvalidTrainFlags:
+    @settings(max_examples=150, deadline=None)
+    @given(flags=INVALID_TRAIN_FLAGS)
+    def test_exit_1_with_one_config_error_line(self, synth_dir, tmp_path_factory, flags):
+        out = tmp_path_factory.getbasetemp() / "never-made"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(train_args(synth_dir, out, *flags))
+        lines = err.getvalue().splitlines()
+        assert rc == 1, (flags, lines)
+        assert len(lines) == 1 and lines[0].startswith("config error: "), (flags, lines)
+        assert not out.exists()
 
 
 class TestFailedRunManifest:

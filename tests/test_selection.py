@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aefs.embedding import SelectionIndexError
 from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, repeats_in_rows
-from aefs.predictors import bce
+from aefs.predictors import Controller, bce
 from aefs.selection import (
     DualModel,
     FixedSubsetModel,
@@ -21,8 +21,8 @@ from aefs.selection import (
     scale_embeddings,
 )
 from oracles import DegenerateSelectionError, PlainModel, SelectionResult, \
-    composed_embedding_alignment_loss, grad_check, k_max_indices, l1_normalize_selected, \
-    same_bits, tables
+    composed_embedding_alignment_loss, composed_scale_embeddings, grad_check, k_max_indices, \
+    l1_normalize_selected, same_bits, tables, use_reference_tape
 
 VOCAB6 = [5, 7, 4, 6, 5, 8]
 
@@ -122,6 +122,92 @@ class TestScale:
             return (scaled * scaled).sum()
 
         assert grad_check(loss, [e, w]) < 1e-8
+
+
+def scale_value_and_grads(scale, e, w, upstream):
+    for t in (e, w):
+        t.grad = None
+    out = scale(e, w)
+    (out * Tensor(upstream)).sum().backward()
+    return out.data, e.grad, w.grad
+
+
+class TestScaleNode:
+    """The one-node field weighting against the reshape and broadcast
+    multiply in tests/oracles.py: the forward and the embedding gradient
+    bit for bit, the weight gradient, summed over d in another order, to
+    rounding."""
+
+    @pytest.mark.parametrize("b,n,d", [(5, 1, 4), (5, 3, 1), (64, 8, 32)])
+    def test_matches_composed(self, b, n, d):
+        rng = np.random.default_rng(b * 1000 + n * 10 + d)
+        e = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+        w = Tensor(rng.random((b, n)), requires_grad=True)
+        upstream = rng.normal(size=(b, n, d))
+        node = scale_value_and_grads(scale_embeddings, e, w, upstream)
+        composed = scale_value_and_grads(composed_scale_embeddings, e, w, upstream)
+        assert same_bits(node[0], composed[0])
+        assert same_bits(node[1], composed[1])
+        scale = np.abs(composed[2]).max()
+        np.testing.assert_allclose(node[2], composed[2], rtol=1e-12, atol=1e-12 * scale)
+
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(31)
+        e = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        w = Tensor(rng.random((3, 2)))
+        scale_embeddings(e, w).sum().backward()
+        assert w.grad is None
+        assert same_bits(e.grad, np.broadcast_to(w.data[:, :, None], e.shape))
+        e2 = Tensor(e.data)
+        w2 = Tensor(w.data, requires_grad=True)
+        scale_embeddings(e2, w2).sum().backward()
+        assert e2.grad is None
+        np.testing.assert_allclose(w2.grad, e.data.sum(axis=2), rtol=1e-14)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionError):
+            scale_embeddings(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4))))
+
+    @staticmethod
+    def _shared_graph(scale, e, ctrl, k1, k2):
+        # as in adafs: e feeds the controller and, weighted by its scores,
+        # two consumers of the weighted output
+        b, n, d = e.shape
+        out = scale(e, ctrl(e, training=True))
+        h = out.reshape(b, n * d) @ Tensor(k2)
+        return (out * Tensor(k1)).sum() + (h * h).sum()
+
+    def _leaf_grads(self, scale, leaves, e, ctrl, k1, k2):
+        for t in leaves:
+            t.grad = None
+        self._shared_graph(scale, e, ctrl, k1, k2).backward()
+        return [t.grad for t in leaves]
+
+    def test_in_place_backward_owns_its_buffer(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        b, n, d = 16, 5, 3
+        e = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+        ctrl = Controller(n, d, rng)
+        k1, k2 = rng.normal(size=(b, n, d)), rng.normal(size=(n * d, 2))
+        leaves = [e] + [t for _, t in ctrl.named_params()]
+        fast = self._leaf_grads(scale_embeddings, leaves, e, ctrl, k1, k2)
+        for i, g in enumerate(fast):
+            assert not any(np.shares_memory(g, h) for h in fast[i + 1:])
+        use_reference_tape(monkeypatch)
+        copying = self._leaf_grads(scale_embeddings, leaves, e, ctrl, k1, k2)
+        composed = self._leaf_grads(composed_scale_embeddings, leaves, e, ctrl, k1, k2)
+        for (name, _), a, c, r in zip([("e", e)] + ctrl.named_params(), fast, copying, composed):
+            assert same_bits(a, c), name
+            np.testing.assert_allclose(a, r, rtol=0, atol=1e-12 * np.abs(r).max(), err_msg=name)
+
+    def test_grad_check_through_the_controller(self):
+        rng = np.random.default_rng(33)
+        e = Tensor(rng.normal(size=(6, 4, 2)), requires_grad=True)
+        ctrl = Controller(4, 2, rng)
+        k1, k2 = rng.normal(size=(6, 4, 2)), rng.normal(size=(8, 2))
+        leaves = [e] + [t for _, t in ctrl.named_params()]
+        assert grad_check(lambda: self._shared_graph(scale_embeddings, e, ctrl, k1, k2),
+                          leaves) < 1e-6
 
 
 class TestSelectionResult:
@@ -242,6 +328,42 @@ class TestEarlySelection:
         else:
             pair.loss(x, rng.integers(0, 2, size=8).astype(float))[0].backward()
         assert len(calls) == 1 and calls[0].shape == (8, pair.k)
+
+    @pytest.mark.parametrize("call", ["score", "loss"])
+    def test_one_id_check_per_batch(self, monkeypatch, call):
+        # the auxiliary lookup checks every id; the main lookup of the
+        # selected fields reads the same ids against the same vocabularies
+        calls = []
+        check = aefs.embedding.EmbeddingSet._check_ids
+
+        def counted(es, ids, fields):
+            calls.append(ids.shape)
+            return check(es, ids, fields)
+
+        monkeypatch.setattr(aefs.embedding.EmbeddingSet, "_check_ids", counted)
+        pair = make_pair(seed=8)
+        rng = np.random.default_rng(18)
+        x = rng.integers(0, 4, size=(8, 6))
+        if call == "score":
+            pair.score(x, training=False)
+        else:
+            pair.loss(x, rng.integers(0, 2, size=8).astype(float))[0].backward()
+        assert calls == [(8, 6)]
+
+    @pytest.mark.parametrize("call", ["score", "loss"])
+    @pytest.mark.parametrize("selected", [True, False])
+    @pytest.mark.parametrize("bad_id", [-1, "vocab"])
+    def test_out_of_range_id_rejected(self, call, selected, bad_id):
+        pair = make_pair(seed=9)
+        rng = np.random.default_rng(19)
+        x = rng.integers(0, 4, size=(8, 6))
+        y = rng.integers(0, 2, size=8).astype(float)
+        _, indices, _ = pair.score(x, training=False)
+        fields = indices[3] if selected else np.setdiff1d(np.arange(6), indices[3])
+        field = int(fields[0])
+        x[3, field] = VOCAB6[field] if bad_id == "vocab" else bad_id
+        with pytest.raises(IndexError, match="category id out of range"):
+            pair.score(x, training=False) if call == "score" else pair.loss(x, y)
 
     def test_full_joint_loss_grad_check(self):
         pair = make_pair(seed=7)
@@ -365,6 +487,67 @@ class TestFusedAlignmentLoss:
         for a, c in zip(fused[1], composed[1]):
             assert same_bits(a, c)
         assert grad_check(lambda: embedding_alignment_loss(e, e, fc), leaves) < 1e-6
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_prior_gradients_match_composed(self, shared):
+        # every leaf, main included, already holds a gradient when the
+        # alignment loss hands on its own
+        rng = np.random.default_rng(24)
+        aux = Tensor(rng.normal(size=(6, 3, 4 if shared else 2)), requires_grad=True)
+        main = aux if shared else Tensor(rng.normal(size=(6, 3, 4)), requires_grad=True)
+        fc = Linear(aux.shape[2], 4, rng)
+        fc.bias.data[:] = rng.normal(size=4)
+        leaves = [aux, fc.weight, fc.bias] + ([] if shared else [main])
+        prior = [rng.normal(size=t.shape) for t in leaves]
+
+        def grads(eal):
+            for t, p in zip(leaves, prior):
+                t.grad = p.copy()
+            loss = eal(aux, main, fc)
+            loss.backward()
+            return loss.data, [t.grad for t in leaves]
+
+        fused, composed = grads(embedding_alignment_loss), grads(composed_embedding_alignment_loss)
+        assert same_bits(fused[0], composed[0])
+        for a, c in zip(fused[1], composed[1]):
+            assert same_bits(a, c)
+
+    @pytest.mark.parametrize("main_first", [True, False])
+    def test_interior_main_with_and_without_a_prior_gradient(self, main_first):
+        # main is a weighted selection read by a second consumer, whose
+        # gradient reaches main before or after the alignment loss's
+        rng = np.random.default_rng(25)
+        aux = Tensor(rng.normal(size=(6, 3, 2)), requires_grad=True)
+        emb = Tensor(rng.normal(size=(6, 3, 4)), requires_grad=True)
+        w = Tensor(rng.random((6, 3)), requires_grad=True)
+        fc = Linear(2, 4, rng)
+        fc.bias.data[:] = rng.normal(size=4)
+        other = rng.normal(size=(6, 3, 4))
+        leaves = [aux, emb, w, fc.weight, fc.bias]
+        seen = []
+
+        def grads(eal):
+            for t in leaves:
+                t.grad = None
+            main = scale_embeddings(emb, w)
+            loss_eal = eal(aux, main, fc)
+            loss_other = (main * Tensor(other)).sum()
+            eal_backward = loss_eal._backward
+
+            def spy(g):
+                seen.append(main.grad is not None)
+                eal_backward(g)
+
+            loss_eal._backward = spy
+            loss = loss_other + loss_eal if main_first else loss_eal + loss_other
+            loss.backward()
+            return loss.data, [t.grad for t in leaves]
+
+        fused, composed = grads(embedding_alignment_loss), grads(composed_embedding_alignment_loss)
+        assert same_bits(fused[0], composed[0])
+        for a, c in zip(fused[1], composed[1]):
+            assert same_bits(a, c)
+        assert seen == [main_first, main_first]  # both cases are reached
 
     @pytest.mark.parametrize("backbone", ["mlp", "dcn", "deepfm"])
     @pytest.mark.parametrize("with_pal", [True, False])

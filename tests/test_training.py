@@ -26,8 +26,9 @@ from aefs.training import (
     train,
 )
 from oracles import ActivationLedger, PlainModel, composed_embedding_alignment_loss, \
-    dense_scatter, embedding_discrepancy, prediction_discrepancy, record_batch_activation, \
-    reference_adam_step, reference_controller, same_bits, use_reference_tape
+    composed_scale_embeddings, dense_scatter, embedding_discrepancy, prediction_discrepancy, \
+    record_batch_activation, reference_adam_step, reference_controller, same_bits, \
+    use_reference_tape
 
 METHODS = ("none", "randomhalf", "adafs", "aefs")
 
@@ -74,6 +75,11 @@ class TestConfig:
             TrainConfig(d1=4, d2=8)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("inf"), float("-inf"), float("nan")])
+    def test_lr_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ConfigError, match="lr must be positive and finite"):
+            TrainConfig(lr=lr)
 
     def test_hash_ignores_seed(self):
         a = small_config(seed=1)
@@ -272,6 +278,18 @@ class TestEvaluate:
         entry = json.loads(lines[0])
         assert len(entry["indices"]) == 3
         assert abs(sum(entry["weights"]) - 1.0) < 1e-9
+
+
+    @pytest.mark.parametrize("param,value", [(-1, np.nan), (0, np.inf)])
+    def test_non_finite_score_aborts(self, small_data, tmp_path, param, value):
+        fitted = build_model(small_data.vocab.vocab_sizes, small_config(method="none"),
+                             np.random.default_rng(0), np.random.default_rng(1))
+        # the output bias, or the embedding table: inf - inf in the first layer
+        fitted.named_params()[param][1].data[:] = value
+        dump = tmp_path / "sel.jsonl"
+        with pytest.raises(NumericAbort, match="non-finite score nan for instance 0 of "):
+            evaluate(fitted, small_data.test, selection_dump_path=dump)
+        assert not dump.exists()
 
 
 class TestScoringWithoutTape:
@@ -744,6 +762,49 @@ class TestFoldedController:
                                      textbook.fitted.named_buffers()):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
         for a, b in zip(folded.report.rows, textbook.report.rows):
+            for key, value in a.__dict__.items():
+                if key != "seconds":
+                    assert value == pytest.approx(b.__dict__[key], rel=1e-9, abs=1e-12), key
+
+
+class TestScaleNodeTraining:
+    """Training with the one-node field weighting ends where training with
+    the reshape and broadcast multiply (`composed_scale_embeddings`) ends,
+    to rounding: the weight gradients differ in the last bits. Every top-k
+    selection, in training and in validation, is the same."""
+
+    @pytest.mark.parametrize("method,mode", [("adafs", "soft"), ("adafs", "hard"),
+                                             ("aefs", "soft")])
+    def test_training_matches_composed_weighting(self, many_row_data, method, mode,
+                                                 monkeypatch):
+        cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
+                           pretrain_epochs=1)
+        top_k = selection_mod.k_max_indices_batch
+
+        def run():
+            picked = []
+
+            def recording(scores, k):
+                picked.append(top_k(scores, k))
+                return picked[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(selection_mod, "k_max_indices_batch", recording)
+                result = train(many_row_data, cfg)
+            return result, picked
+
+        node, node_picks = run()
+        monkeypatch.setattr(selection_mod, "scale_embeddings", composed_scale_embeddings)
+        composed, composed_picks = run()
+        assert bool(node_picks) == (mode == "hard" or method == "aefs")
+        assert len(node_picks) == len(composed_picks)
+        assert all(same_bits(a, b) for a, b in zip(node_picks, composed_picks))
+        for (name, a), (_, b) in zip(node.fitted.named_params(), composed.fitted.named_params()):
+            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-9, err_msg=name)
+        for (name, a), (_, b) in zip(node.fitted.named_buffers(),
+                                     composed.fitted.named_buffers()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
+        for a, b in zip(node.report.rows, composed.report.rows):
             for key, value in a.__dict__.items():
                 if key != "seconds":
                     assert value == pytest.approx(b.__dict__[key], rel=1e-9, abs=1e-12), key
