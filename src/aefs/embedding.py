@@ -102,13 +102,17 @@ class EmbeddingSet:
             if repeats_in_rows(indices, self.n_fields):
                 raise SelectionIndexError("duplicate field index in a selection")
 
-        rows = np.arange(b)[:, None]
-        ids = x[rows, indices]
+        flat = self.flat_rows(x, indices)
         if not checked:
-            self._check_ids(ids, indices)
-        out = self._lookup(ids + self.offsets[indices])
+            self._check_ids(flat - self.offsets[indices], indices)
+        out = self._lookup(flat)
         self.lookup_counts += np.bincount(indices.reshape(-1), minlength=self.n_fields)
         return out
+
+    def flat_rows(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Rows of the shared matrix that `embed_selected(x, indices)` reads:
+        (B, k), row i holding those of the fields `indices[i]` of `x[i]`."""
+        return x[np.arange(x.shape[0])[:, None], indices] + self.offsets[indices]
 
     def _lookup(self, flat: np.ndarray) -> Tensor:
         """Rows `flat` of the shared matrix, (B, n) -> (B, n, d); backward

@@ -57,8 +57,10 @@ class Tensor:
     nodes carry a closure that routes the upstream gradient to their parents;
     ``backward()`` releases an interior node's ``.grad`` (sets it to None)
     as soon as its closure has run, so a parent may take over that buffer
-    without a copy. Leaves keep theirs. A tensor made inside `no_tape` is a
-    constant whatever its operands.
+    without a copy. Leaves keep theirs. A closure may return a function,
+    which the pass calls once every closure has run, in the order they
+    returned them; it may add only to leaves' gradients. A tensor made
+    inside `no_tape` is a constant whatever its operands.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -112,10 +114,15 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
+        deferred = []
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                then = node._backward(node.grad)
                 node.grad = None
+                if then is not None:
+                    deferred.append(then)
+        for then in deferred:
+            then()
 
     # arithmetic sugar; non-Tensor operands become constants
     def __add__(self, other):
@@ -435,16 +442,44 @@ def scatter_rows(table: Tensor, ids: Array, g: Array) -> None:
             prior = RowGrad(np.arange(n), prior, n)
         ids = np.concatenate([prior.rows, ids])
         g = np.concatenate([prior.values, g])
+    rows, slots = distinct_rows(ids, n)
+    # one bincount over (row slot, column) pairs: each bin adds its
+    # weights in input order, starting from zero
+    bins = (slots * d)[:, None] + np.arange(d)
+    values = np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=rows.size * d)
+    table.grad = RowGrad(rows, values.reshape(rows.size, d), n)
+
+
+def add_rows(table: Tensor, rows: Array, values: Array) -> None:
+    """Add ``values[i]`` to row ``rows[i]`` of ``table.grad``; `rows` is
+    ascending and distinct. Each row adds the new term after the gradient
+    already there. A RowGrad that holds every row of `rows` (as after a
+    lookup of those rows) takes the terms in place, and a dense gradient
+    too; any other gradient goes through `scatter_rows`."""
+    grad = table.grad
+    if isinstance(grad, RowGrad) and np.array_equal(grad.rows, rows):
+        grad.values += values
+        return
+    if isinstance(grad, RowGrad) and grad.rows.size:
+        at = np.minimum(np.searchsorted(grad.rows, rows), grad.rows.size - 1)
+        if (grad.rows[at] == rows).all():
+            grad.values[at] += values
+            return
+    elif isinstance(grad, np.ndarray):
+        grad[rows] += values
+        return
+    scatter_rows(table, rows, values)
+
+
+def distinct_rows(ids: Array, n: int) -> tuple[Array, Array]:
+    """The distinct entries of the 1-D `ids`, all in ``[0, n)``, ascending,
+    and each entry's position among them."""
     touched = np.zeros(n, dtype=bool)
     touched[ids] = True
     rows = np.flatnonzero(touched)
     slot = np.empty(n, dtype=np.intp)
     slot[rows] = np.arange(rows.size)
-    # one bincount over (row slot, column) pairs: each bin adds its
-    # weights in input order, starting from zero
-    bins = (slot[ids] * d)[:, None] + np.arange(d)
-    values = np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=rows.size * d)
-    table.grad = RowGrad(rows, values.reshape(rows.size, d), n)
+    return rows, slot[ids]
 
 
 def out_of_range(idx: Array, limit) -> bool:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingSet, SelectionIndexError
-from .numerics import DimensionError, Linear, Tensor, _accum, gather_fields, sigmoid
+from .numerics import DimensionError, Linear, Tensor, _accum, add_rows, distinct_rows, \
+    gather_fields, out_of_range, sigmoid
 from .predictors import Controller, PredictorConfig, bce, build_predictor
 
 
@@ -144,7 +145,7 @@ class LateSelectionModel(_OnePredictor):
             indices = None
         else:
             indices = k_max_indices_batch(s.data, self.k)
-            sel = gather_fields(s, indices)
+            sel = gather_fields(s, indices, checked=True)  # argsort's: distinct, in range
             if self.reweight:
                 sel = sel / sel.sum(axis=1, keepdims=True)
             # kept weights return to their field positions, zeros elsewhere
@@ -234,7 +235,9 @@ class DualModel:
         loss = bce_a + bce_m
         terms = {"bce_aux": bce_a.item(), "bce_main": bce_m.item()}
         if self.enable_eal:
-            eal = embedding_alignment_loss(trace.aux_embeds, trace.main_embeds, self.align_fc)
+            eal = embedding_alignment_loss(self.aux_embeddings.weight, self.main_embeddings.weight,
+                                           self.main_embeddings.flat_rows(x, trace.indices),
+                                           trace.weights, self.align_fc)
             loss = loss + eal
             terms["eal"] = eal.item()
         if self.enable_pal:
@@ -298,7 +301,9 @@ def _select(pair: DualModel, x: np.ndarray, training: bool, reweight: bool):
     e_a = pair.aux_embeddings.embed(x)               # (B, N, d2)
     s = pair.controller(e_a, training)               # (B, N)
     indices = k_max_indices_batch(s.data, pair.k)    # (B, k)
-    sel = gather_fields(s, indices)                  # (B, k); the batch's one index check
+    # (B, k); argsort's top k are distinct and in range by construction,
+    # so neither this gather nor the main lookup checks them
+    sel = gather_fields(s, indices, checked=True)
     weights = sel / sel.sum(axis=1, keepdims=True) if reweight else sel
     return e_a, s, indices, weights
 
@@ -325,53 +330,81 @@ def aefs_forward(pair: DualModel, x: np.ndarray, training: bool,
                         aux_pred=p_a, main_pred=p_m)
 
 
-def embedding_alignment_loss(aux_embeds: Tensor, main_embeds: Tensor,
+def embedding_alignment_loss(aux: Tensor, main: Tensor, rows: np.ndarray, weights: Tensor,
                              fc: Linear) -> Tensor:
     """Mean squared difference between the lifted auxiliary embeddings and
-    the main embeddings, averaged over batch and all k*d1 components.
+    the main embeddings of a batch's weighted selected lookups, averaged
+    over its B*k lookups and their d1 components.
 
-    One tape node, with values and gradients bit-identical to the composed
-    graph ``((fc(aux) - main) ** 2).mean()``. The forward builds the
-    residual ``r = aux @ W + b - main`` in one buffer. The backward scales
-    it in place to main's gradient ``(-2*c*g) * r``: the composed graph
-    adds two equal products ``(c*g) * r`` and negates their sum, and
-    doubling and negation are exact. The bias, weight and aux gradients are
-    computed from that buffer and their small results negated, again
-    exactly. Main, then the bias, the weight and aux receive their
-    gradients, as the composed graph hands them down; main takes the
-    buffer itself, once nothing else reads it.
+    `aux` (n, d2) and `main` (n, d1) are the two embedding tables, which
+    share their row layout; lookup (i, j) reads row ``r = rows[i, j]`` of
+    both and is weighted by ``w = weights[i, j]``. Its residual is
+    ``(w*a_r) @ W + b - w*m_r = w*u_r + b`` with ``u_r = a_r @ W - m_r``,
+    so one tape node computes the loss over the R distinct rows alone, with
+    ``S1_r`` and ``S2_r`` the sums of w and of w**2 over the lookups of row
+    r and c = 1 / (B*k*d1): the value is
+    ``c * sum_r(S2_r*|u_r|^2 + 2*S1_r*(u_r . b)) + c*B*k*|b|^2``. With
+    ``G_r = 2*c*g * (S2_r*u_r + S1_r*b)``, the backward gives main's rows
+    ``-G``, aux's rows ``G @ W.T``, W ``A.T @ G`` (A the aux rows), b
+    ``2*c*g * (sum_r S1_r*u_r + B*k*b)`` and each weight
+    ``2*c*g * (w*|u_r|^2 + u_r . b)``; no array of B*k*d1 entries is formed
+    in either direction, and G takes over u's buffer. The tables take their
+    rows after every closure of the backward pass has run, so after the
+    lookups' scatters, which then start from no gradient. Equal to the
+    per-lookup composition up to rounding, not bit for bit.
     """
-    if aux_embeds.shape[:2] != main_embeds.shape[:2]:
-        raise DimensionError(f"selection shapes differ: {aux_embeds.shape} vs {main_embeds.shape}")
-    b, k, d2 = aux_embeds.shape
-    w, bias = fc.weight, fc.bias
-    if w.shape != (d2, main_embeds.shape[2]):
-        raise DimensionError(f"alignment map {w.shape} cannot lift {aux_embeds.shape} "
-                             f"to {main_embeds.shape}")
-    a2 = aux_embeds.data.reshape(b * k, d2)
-    r = a2 @ w.data
-    r += bias.data
-    r = r.reshape(main_embeds.shape)
-    r -= main_embeds.data
-    c = 1.0 / r.size
-    out = (r * r).sum() * c
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape != weights.shape:
+        raise DimensionError(f"rows {rows.shape} vs weights {weights.shape}")
+    if aux.ndim != 2 or main.ndim != 2 or aux.shape[0] != main.shape[0]:
+        raise DimensionError(f"tables {aux.shape} and {main.shape} do not share their rows")
+    if aux._backward is not None or main._backward is not None:
+        raise ValueError("the alignment loss adds to its tables' gradients after the "
+                         "backward pass, so each table must be a leaf")
+    n, d2 = aux.shape
+    d1 = main.shape[1]
+    w_map, bias = fc.weight, fc.bias
+    if w_map.shape != (d2, d1):
+        raise DimensionError(f"alignment map {w_map.shape} cannot lift {aux.shape} "
+                             f"to {main.shape}")
+    if out_of_range(rows, n):
+        raise IndexError(f"row out of range [0, {n})")
+    uniq, inv = distinct_rows(rows.reshape(-1), n)
+    w = weights.data.reshape(-1)
+    s1 = np.bincount(inv, weights=w, minlength=uniq.size)
+    s2 = np.bincount(inv, weights=w * w, minlength=uniq.size)
+    a = np.take(aux.data, uniq, axis=0)
+    u = a @ w_map.data
+    u -= np.take(main.data, uniq, axis=0)
+    uu = np.einsum("rd,rd->r", u, u)
+    ub = u @ bias.data
+    lookups = rows.size
+    c = 1.0 / (lookups * d1)
+    out = c * (s2 @ uu + 2.0 * (s1 @ ub) + lookups * (bias.data @ bias.data))
 
     def bw(g):
-        np.multiply(r, (g * c) * -2.0, out=r)  # main's gradient
-        g_main = r.reshape(b * k, -1)
-        g_bias = -g_main.sum(axis=0)
-        g_w = a2.T @ g_main
-        g_w *= -1.0
-        g_aux = g_main @ w.data.T
-        g_aux *= -1.0
-        _accum(main_embeds, r, owned=True)
-        _accum(bias, g_bias, owned=True)
-        _accum(w, g_w, owned=True)
-        _accum(aux_embeds, g_aux.reshape(aux_embeds.shape), owned=True)
+        scale = 2.0 * c * g
+        g_w = uu[inv]
+        g_w *= w
+        g_w += ub[inv]
+        g_w *= scale
+        _accum(weights, g_w.reshape(rows.shape), owned=True)
+        _accum(bias, scale * (s1 @ u + lookups * bias.data), owned=True)
+        gu = u  # u's last reader: G takes over its buffer
+        gu *= s2[:, None]
+        gu += np.outer(s1, bias.data)
+        gu *= scale
+        _accum(w_map, a.T @ gu, owned=True)
 
-    # main as the last parent: the tape then visits main before aux, as it
-    # does in the composed graph
-    return Tensor(out, parents=(aux_embeds, w, bias, main_embeds), backward=bw)
+        def merge_rows():
+            if aux.requires_grad:
+                add_rows(aux, uniq, gu @ w_map.data.T)
+            if main.requires_grad:
+                add_rows(main, uniq, np.negative(gu, out=gu))
+
+        return merge_rows
+
+    return Tensor(out, parents=(aux, main, weights, w_map, bias), backward=bw)
 
 
 def prediction_alignment_loss(aux_pred: Tensor, main_pred: Tensor) -> Tensor:

@@ -301,6 +301,10 @@ def _restore(fitted: FittedModel, state: dict[str, np.ndarray]):
         arr[:] = state["buffer." + name]
 
 
+# Training and scoring run with numpy's floating-point warnings off: an
+# overflow or invalid operation ends in a non-finite loss, gradient or
+# score, which the run's own checks report as one NumericAbort line.
+@np.errstate(all="ignore")
 def pretrain(fitted: FittedModel, train_data: Dataset, config: TrainConfig,
              shuffle_rng: np.random.Generator) -> None:
     """Warm up before joint training: `pretrain_epochs` epochs of BCE on the
@@ -337,6 +341,7 @@ def _step(opt: Adam, named_params, loss, terms: dict, where: str) -> None:
     opt.step()
 
 
+@np.errstate(all="ignore")
 def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
              selection_dump_path: Path | None = None,
              informative_fields: Sequence[int] | None = None) -> Metrics:
@@ -396,6 +401,7 @@ class TrainResult:
     report: TrainReport
 
 
+@np.errstate(all="ignore")
 def train(data: PreparedData, config: TrainConfig) -> TrainResult:
     """Optimize per the configured method and return the best-validation model."""
     if len(data.train) == 0 or len(data.val) == 0:

@@ -5,9 +5,8 @@ The bit-for-bit references are the allocating formulations the package used
 before embedding gradients became row-sparse, Adam became in place and the
 tape began handing gradient buffers to their parents: a dense zero gradient
 scattered into with ``np.add.at``, an Adam update that builds a new array
-per operation, a gradient accumulator that copies every first gradient,
-and the embedding alignment loss composed from tape ops. So are
-the no-selection model that embedded every field with its own lookup, and
+per operation, and a gradient accumulator that copies every first
+gradient. So are the no-selection model that embedded every field with its own lookup, and
 the activation ledger that counted every selected index per batch. So is
 the per-record data path that `prepare` replaced with per-field encoding: a
 vocabulary counted token by token, and one `Instance` per record. So are the
@@ -22,7 +21,9 @@ its affine map (batch norm through ``np.mean``/``np.var``, affine and
 softmax as separate nodes) is a reference to rounding only: the fold
 computes the same values in another order. So is the field weighting as a
 reshape and a broadcast multiply: its weight gradient sums over d in
-another order than the one-node contraction.
+another order than the one-node contraction. So is the embedding alignment
+loss composed from tape ops over every selected lookup: the package sums
+it over the distinct rows a batch selects.
 
 The rest are single-instance selection helpers, finite-difference gradient
 checks, per-field table views, and other small functions the tests call.
@@ -146,15 +147,34 @@ def composed_scale_embeddings(e_sel, weights):
     return e_sel * weights.reshape(b, n, 1)
 
 
-def composed_embedding_alignment_loss(aux_embeds, main_embeds, fc):
-    """``embedding_alignment_loss`` as eight tape nodes: reshape, affine
-    (matmul and add), reshape, subtract, square, sum and scale."""
-    if aux_embeds.shape[:2] != main_embeds.shape[:2]:
-        raise DimensionError(f"selection shapes differ: {aux_embeds.shape} vs {main_embeds.shape}")
-    b, k, d2 = aux_embeds.shape
-    d1 = main_embeds.shape[2]
-    mapped = fc(aux_embeds.reshape(b * k, d2)).reshape(b, k, d1)
-    diff = mapped - main_embeds
+def take_rows(table, rows):
+    """Rows `rows` (B, k) of the (n, d) `table` as a (B, k, d) tape node,
+    whose backward scatters into the table."""
+    rows = np.asarray(rows)
+
+    def bw(g):
+        numerics.scatter_rows(table, rows.reshape(-1), g.reshape(-1, table.shape[1]))
+
+    return Tensor(table.data[rows], parents=(table,), backward=bw)
+
+
+def composed_embedding_alignment_loss(aux, main, rows, weights, fc):
+    """``embedding_alignment_loss`` per lookup, from tape ops, as the package
+    computed it over the weighted selected embeddings: both tables' rows
+    gathered to (B, k, d) and weighted (reshape, multiply), the auxiliary
+    ones lifted by the affine map (reshape, matmul, add, reshape), then
+    subtract, square, sum and scale."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape != weights.shape:
+        raise DimensionError(f"rows {rows.shape} vs weights {weights.shape}")
+    if aux.shape[0] != main.shape[0]:
+        raise DimensionError(f"tables {aux.shape} and {main.shape} do not share their rows")
+    b, k = rows.shape
+    d2, d1 = aux.shape[1], main.shape[1]
+    a = composed_scale_embeddings(take_rows(aux, rows), weights)
+    m = composed_scale_embeddings(take_rows(main, rows), weights)
+    mapped = fc(a.reshape(b * k, d2)).reshape(b, k, d1)
+    diff = mapped - m
     return (diff * diff).mean()
 
 
@@ -379,9 +399,11 @@ def embedding_discrepancy(fitted, dataset, batch_size: int = 2048) -> float:
     n = len(dataset)
     for start in range(0, n, batch_size):
         x = dataset.x[start:start + batch_size]
-        trace = aefs_forward(fitted.model, x, training=False, reweight=fitted.model.reweight)
-        loss = embedding_alignment_loss(trace.aux_embeds, trace.main_embeds,
-                                        fitted.model.align_fc)
+        pair = fitted.model
+        trace = aefs_forward(pair, x, training=False, reweight=pair.reweight)
+        loss = embedding_alignment_loss(pair.aux_embeddings.weight, pair.main_embeddings.weight,
+                                        pair.main_embeddings.flat_rows(x, trace.indices),
+                                        trace.weights, pair.align_fc)
         total += loss.item() * x.shape[0]
     return total / n
 

@@ -127,7 +127,9 @@ def test_criterion_4_full_joint_loss_grad_check():
     def loss():
         t = aefs_forward(pair, x, training=True)
         return (bce(t.aux_pred, y) + bce(t.main_pred, y)
-                + embedding_alignment_loss(t.aux_embeds, t.main_embeds, pair.align_fc)
+                + embedding_alignment_loss(pair.aux_embeddings.weight, pair.main_embeddings.weight,
+                                           pair.main_embeddings.flat_rows(x, t.indices),
+                                           t.weights, pair.align_fc)
                 + prediction_alignment_loss(t.aux_pred, t.main_pred))
 
     params = [t for _, t in pair.named_params()]

@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aefs
 import aefs.cli as cli_mod
 import aefs.selection as selection_mod
 from aefs.cli import main
@@ -385,7 +390,7 @@ class TestFailedRunManifest:
     def test_infinite_eal_exits_3_and_names_the_term(self, synth_dir, tmp_path,
                                                      monkeypatch, capsys):
         monkeypatch.setattr(selection_mod, "embedding_alignment_loss",
-                            lambda *args: Tensor(np.array(np.inf)))
+                            lambda aux, main, rows, weights, fc: Tensor(np.array(np.inf)))
         out = tmp_path / "runs"
         assert main(train_args(synth_dir, out)) == 3
         err = capsys.readouterr().err.strip()
@@ -394,6 +399,25 @@ class TestFailedRunManifest:
         assert manifest["exit_code"] == 3
         assert manifest["error"] == err == ("numeric abort: non-finite loss inf at epoch 1, "
                                             "batch 1 (first non-finite term: eal)")
+
+    @pytest.mark.parametrize("method", ["adafs", "aefs"])
+    def test_overflow_prints_only_the_abort_line(self, tmp_path, method):
+        # in a process of its own: pytest would capture numpy's warnings
+        src = Path(aefs.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default",
+                   OPENBLAS_NUM_THREADS="1")
+        script = "import sys; from aefs.cli import main; sys.exit(main(sys.argv[1:]))"
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        assert run("synth", "--out", str(tmp_path / "synth"), "--records", "300").returncode == 0
+        done = run("train", "--data", str(tmp_path / "synth"), "--out", str(tmp_path / "runs"),
+                   "--method", method, "--lr", "1e308", "--max-epochs", "1")
+        assert done.returncode == 3
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("numeric abort: ")
+        assert "Warning" not in done.stdout + done.stderr
 
     def test_zero_variance_comparison_marks_run_failed(self, synth_dir, tmp_path,
                                                        monkeypatch, capsys):

@@ -12,9 +12,11 @@ from aefs.numerics import (
     Linear,
     RowGrad,
     Tensor,
+    add_rows,
     affine,
     batch_moments,
     concat,
+    distinct_rows,
     gather_fields,
     no_tape,
     normalized_affine,
@@ -609,6 +611,71 @@ class TestRowGrad:
         scatter_rows(w, ids, g)
         dense_scatter(ref, ids, g)
         assert same_bits(w.grad.dense(), ref.grad)
+
+
+class TestAddRows:
+    """`add_rows` adds each row's term after the gradient already there, as
+    a dense gradient taking ``grad[rows] += values`` would."""
+
+    @pytest.mark.parametrize("prior", ["none", "covering", "partial", "dense"])
+    def test_matches_dense_addition(self, prior):
+        rng = np.random.default_rng(7)
+        w = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
+        rows, values = np.array([1, 4, 5, 9]), rng.normal(size=(4, 3))
+        ref = np.zeros((12, 3))
+        if prior == "dense":
+            w.grad = rng.normal(size=(12, 3))
+            ref = w.grad.copy()
+        elif prior != "none":
+            # rows 0, 4, 5 and 11, plus rows 1 and 9 when covering
+            ids = rng.choice([0, 4, 5, 11], size=30)
+            if prior == "covering":
+                ids[:2] = [9, 1]
+            g = rng.normal(size=(30, 3))
+            scatter_rows(w, ids, g)
+            t = Tensor(ref, requires_grad=True)
+            dense_scatter(t, ids, g)
+            ref = t.grad
+            assert prior == "covering" or not np.isin(rows, w.grad.rows).all()
+        add_rows(w, rows, values)
+        ref[rows] += values
+        grad = w.grad
+        if prior == "dense":
+            assert grad is ref or same_bits(grad, ref)
+        else:
+            assert isinstance(grad, RowGrad) and same_bits(grad.dense(), ref)
+
+    def test_distinct_rows(self):
+        ids = np.array([7, 2, 7, 0, 2, 2])
+        rows, at = distinct_rows(ids, 9)
+        np.testing.assert_array_equal(rows, [0, 2, 7])
+        np.testing.assert_array_equal(rows[at], ids)
+
+
+class TestDeferredBackward:
+    def test_returned_function_runs_after_every_closure(self):
+        # the first closure to run returns a function; the pass calls it
+        # once the other closures have run, and only then
+        order = []
+        x = Tensor(np.ones(2), requires_grad=True)
+        inner = x * 2.0
+        real = inner._backward
+
+        def inner_bw(g):
+            order.append("inner")
+            real(g)
+
+        inner._backward = inner_bw
+
+        def outer_bw(g):
+            order.append("outer")
+            numerics._accum(inner, np.full(inner.shape, g), owned=True)
+            return lambda: order.append("deferred")
+
+        outer = Tensor(inner.data.sum(), parents=(inner,), backward=outer_bw)
+        outer.backward()
+        assert order == ["outer", "inner", "deferred"]
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
 class TestXavier:

@@ -699,9 +699,10 @@ def many_row_data():
 
 class TestRowSparseTrainingIsExact:
     """Training equals, bit for bit, a run on the reference code: dense
-    scatters, the allocating Adam, the copying tape and the composed
-    embedding alignment loss (`aefs`). Both sides run the same, folded,
-    controller; `TestFoldedController` holds it to the textbook one."""
+    scatters, the allocating Adam and the copying tape. Both sides run the
+    same, folded, controller and the same embedding alignment loss;
+    `TestFoldedController` and `TestAlignmentNodeTraining` hold those to
+    their compositions."""
 
     @pytest.mark.parametrize("method", ["none", "aefs", "adafs"])
     def test_matches_dense_gradients_and_reference_adam(self, many_row_data, method,
@@ -710,8 +711,6 @@ class TestRowSparseTrainingIsExact:
         fast = train(many_row_data, cfg)
         monkeypatch.setattr(embedding_mod, "scatter_rows", dense_scatter)
         monkeypatch.setattr(Adam, "step", reference_adam_step)
-        monkeypatch.setattr(selection_mod, "embedding_alignment_loss",
-                            composed_embedding_alignment_loss)
         use_reference_tape(monkeypatch)
         dense = train(many_row_data, cfg)
         for (name, a), (_, b) in zip(fast.fitted.named_params(), dense.fitted.named_params()):
@@ -720,6 +719,36 @@ class TestRowSparseTrainingIsExact:
             da, db = dict(a.__dict__), dict(b.__dict__)
             da.pop("seconds"), db.pop("seconds")
             assert da == db
+
+
+def train_recording_picks(data, cfg, monkeypatch):
+    """Train, recording every top-k selection made on the way."""
+    top_k = selection_mod.k_max_indices_batch
+    picked = []
+
+    def recording(scores, k):
+        picked.append(top_k(scores, k))
+        return picked[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(selection_mod, "k_max_indices_batch", recording)
+        result = train(data, cfg)
+    return result, picked
+
+
+def assert_trained_alike(run, picks, ref, ref_picks):
+    """The same top-k at every selection; parameters and buffers within
+    1e-9, and report figures within 1e-9 relative."""
+    assert len(picks) == len(ref_picks)
+    assert all(same_bits(a, b) for a, b in zip(picks, ref_picks))
+    for (name, a), (_, b) in zip(run.fitted.named_params(), ref.fitted.named_params()):
+        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-9, err_msg=name)
+    for (name, a), (_, b) in zip(run.fitted.named_buffers(), ref.fitted.named_buffers()):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
+    for a, b in zip(run.report.rows, ref.report.rows):
+        for key, value in a.__dict__.items():
+            if key != "seconds":
+                assert value == pytest.approx(b.__dict__[key], rel=1e-9, abs=1e-12), key
 
 
 class TestFoldedController:
@@ -735,36 +764,11 @@ class TestFoldedController:
                                                   monkeypatch):
         cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
                            pretrain_epochs=1)
-        top_k = selection_mod.k_max_indices_batch
-
-        def run():
-            picked = []
-
-            def recording(scores, k):
-                picked.append(top_k(scores, k))
-                return picked[-1]
-
-            with monkeypatch.context() as m:
-                m.setattr(selection_mod, "k_max_indices_batch", recording)
-                result = train(many_row_data, cfg)
-            return result, picked
-
-        folded, folded_picks = run()
+        folded, folded_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
         monkeypatch.setattr(Controller, "__call__", reference_controller)
-        textbook, textbook_picks = run()
+        textbook, textbook_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
         assert bool(folded_picks) == (mode == "hard" or method == "aefs")
-        assert len(folded_picks) == len(textbook_picks)
-        assert all(same_bits(a, b) for a, b in zip(folded_picks, textbook_picks))
-        for (name, a), (_, b) in zip(folded.fitted.named_params(),
-                                     textbook.fitted.named_params()):
-            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-9, err_msg=name)
-        for (name, a), (_, b) in zip(folded.fitted.named_buffers(),
-                                     textbook.fitted.named_buffers()):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
-        for a, b in zip(folded.report.rows, textbook.report.rows):
-            for key, value in a.__dict__.items():
-                if key != "seconds":
-                    assert value == pytest.approx(b.__dict__[key], rel=1e-9, abs=1e-12), key
+        assert_trained_alike(folded, folded_picks, textbook, textbook_picks)
 
 
 class TestScaleNodeTraining:
@@ -779,35 +783,32 @@ class TestScaleNodeTraining:
                                                  monkeypatch):
         cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
                            pretrain_epochs=1)
-        top_k = selection_mod.k_max_indices_batch
-
-        def run():
-            picked = []
-
-            def recording(scores, k):
-                picked.append(top_k(scores, k))
-                return picked[-1]
-
-            with monkeypatch.context() as m:
-                m.setattr(selection_mod, "k_max_indices_batch", recording)
-                result = train(many_row_data, cfg)
-            return result, picked
-
-        node, node_picks = run()
+        node, node_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
         monkeypatch.setattr(selection_mod, "scale_embeddings", composed_scale_embeddings)
-        composed, composed_picks = run()
+        composed, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
         assert bool(node_picks) == (mode == "hard" or method == "aefs")
-        assert len(node_picks) == len(composed_picks)
-        assert all(same_bits(a, b) for a, b in zip(node_picks, composed_picks))
-        for (name, a), (_, b) in zip(node.fitted.named_params(), composed.fitted.named_params()):
-            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-9, err_msg=name)
-        for (name, a), (_, b) in zip(node.fitted.named_buffers(),
-                                     composed.fitted.named_buffers()):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-9, err_msg=name)
-        for a, b in zip(node.report.rows, composed.report.rows):
-            for key, value in a.__dict__.items():
-                if key != "seconds":
-                    assert value == pytest.approx(b.__dict__[key], rel=1e-9, abs=1e-12), key
+        assert_trained_alike(node, node_picks, composed, composed_picks)
+
+
+class TestAlignmentNodeTraining:
+    """`aefs` training with the embedding alignment loss over distinct rows
+    ends where training with the per-lookup composition
+    (`composed_embedding_alignment_loss`) ends, to rounding. Every top-k
+    selection, in training and in validation, is the same."""
+
+    @pytest.mark.parametrize("main,aux,reweight", [("mlp", "mlp", True),
+                                                   ("dcn", "deepfm", True),
+                                                   ("deepfm", "mlp", False)])
+    def test_training_matches_composed_alignment_loss(self, many_row_data, main, aux, reweight,
+                                                      monkeypatch):
+        cfg = small_config(max_epochs=2, batch_size=64, pretrain_epochs=1, backbone_main=main,
+                           backbone_aux=aux, enable_topk_reweight=reweight)
+        node, node_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        monkeypatch.setattr(selection_mod, "embedding_alignment_loss",
+                            composed_embedding_alignment_loss)
+        composed, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        assert node_picks and node.report.rows[0].eal > 0
+        assert_trained_alike(node, node_picks, composed, composed_picks)
 
 
 class TestParameterNames:
