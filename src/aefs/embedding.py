@@ -69,25 +69,26 @@ class EmbeddingSet:
         the caller checks once; the default, every field, reads `x` without
         a copy. Each embedded field counts one lookup per row.
         """
+        return self.lookup(self.rows(x, fields), fields)
+
+    def rows(self, x: np.ndarray, fields=slice(None)) -> np.ndarray:
+        """Rows of the shared matrix that hold the fields `fields` (as in
+        `embed`) of each row of the (B, N) ids `x`: (B, n), every id checked
+        against its table. A set built from the same vocabulary sizes has
+        the same offsets, so they address its rows too."""
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.n_fields:
             raise DimensionError(f"id batch {x.shape}, expected (*, {self.n_fields})")
         ids = x[:, fields]
         self._check_ids(ids, fields)
-        out = self._lookup(ids + self.offsets[fields])
-        self.lookup_counts[fields] += x.shape[0]
-        return out
+        return ids + self.offsets[fields]
 
-    def embed_selected(self, x: np.ndarray, indices: np.ndarray, checked: bool = False) -> Tensor:
+    def embed_selected(self, x: np.ndarray, indices: np.ndarray) -> Tensor:
         """Embed only the fields in `indices`, in their given order.
 
         x is (B, N) ids, indices is (B, k) distinct field positions per row;
         the result is (B, k, d). Exactly k lookups per instance are counted
         and unselected tables are untouched by both forward and backward.
-        `checked` says that the caller has already verified those positions
-        against the same N, and every id of `x` against the same vocabulary
-        sizes (as an `embed` of all of `x` by a set built from the same
-        `vocab_sizes` does).
         """
         x = np.asarray(x)
         indices = np.asarray(indices)
@@ -96,33 +97,35 @@ class EmbeddingSet:
             raise DimensionError(f"ids {x.shape} vs indices {indices.shape}")
         if indices.size == 0:
             return Tensor(np.zeros((b, 0, self._dim)))
-        if not checked:
-            if out_of_range(indices, self.n_fields):
-                raise SelectionIndexError("field index out of range")
-            if repeats_in_rows(indices, self.n_fields):
-                raise SelectionIndexError("duplicate field index in a selection")
-
+        if out_of_range(indices, self.n_fields):
+            raise SelectionIndexError("field index out of range")
+        if repeats_in_rows(indices, self.n_fields):
+            raise SelectionIndexError("duplicate field index in a selection")
         flat = self.flat_rows(x, indices)
-        if not checked:
-            self._check_ids(flat - self.offsets[indices], indices)
-        out = self._lookup(flat)
-        self.lookup_counts += np.bincount(indices.reshape(-1), minlength=self.n_fields)
-        return out
+        self._check_ids(flat - self.offsets[indices], indices)
+        return self.lookup(flat, indices)
 
     def flat_rows(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Rows of the shared matrix that `embed_selected(x, indices)` reads:
         (B, k), row i holding those of the fields `indices[i]` of `x[i]`."""
         return x[np.arange(x.shape[0])[:, None], indices] + self.offsets[indices]
 
-    def _lookup(self, flat: np.ndarray) -> Tensor:
-        """Rows `flat` of the shared matrix, (B, n) -> (B, n, d); backward
-        gives the matrix a row-sparse gradient over the rows read."""
+    def lookup(self, rows: np.ndarray, fields=slice(None)) -> Tensor:
+        """Rows `rows` of the shared matrix, (B, n) -> (B, n, d), which the
+        caller has checked; backward gives the matrix a row-sparse gradient
+        over the rows read. Each entry counts one lookup of its field:
+        `fields` is a slice or 1-D array of the columns' fields, as in
+        `embed`, or the (B, n) field of each entry."""
         weight = self.weight
 
         def bw(g):
-            scatter_rows(weight, flat.reshape(-1), g.reshape(-1, self._dim))
+            scatter_rows(weight, rows.reshape(-1), g.reshape(-1, self._dim))
 
-        return Tensor(np.take(weight.data, flat, axis=0), parents=(weight,), backward=bw)
+        if isinstance(fields, np.ndarray) and fields.ndim == 2:
+            self.lookup_counts += np.bincount(fields.reshape(-1), minlength=self.n_fields)
+        else:
+            self.lookup_counts[fields] += rows.shape[0]
+        return Tensor(np.take(weight.data, rows, axis=0), parents=(weight,), backward=bw)
 
     def named_params(self, prefix: str = ""):
         return [(prefix + "weight", self.weight)]

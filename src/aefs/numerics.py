@@ -267,14 +267,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = x @ w + bias, bias broadcast per row."""
+    """y = x @ w + bias, bias broadcast per row.
+
+    One tape node: the forward adds the bias in place to the product, and
+    the backward gives x ``g @ w.T``, w ``x.T @ g`` and the bias
+    ``g.sum(axis=0)``, the values a matmul node and an add node compute.
+    """
     if x.ndim != 2 or w.ndim != 2:
         raise DimensionError(f"affine needs 2-D operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise DimensionError(f"affine inner dims {x.shape[1]} != {w.shape[0]}")
     if b.data.shape != (w.shape[1],):
         raise DimensionError(f"affine bias shape {b.data.shape}, expected ({w.shape[1]},)")
-    return add(matmul(x, w), b)
+    out = x.data @ w.data
+    out += b.data
+
+    def bw(g):
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0), owned=True)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T, owned=True)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g, owned=True)
+
+    return Tensor(out, parents=(x, w, b), backward=bw)
 
 
 def log(a: Tensor) -> Tensor:

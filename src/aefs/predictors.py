@@ -174,7 +174,8 @@ def build_predictor(config: PredictorConfig, rng: np.random.Generator):
 class Controller:
     """Importance scorer: batch norm over the flattened field embeddings,
     one affine map down to N logits, softmax. Scores are positive and sum
-    to 1 per instance.
+    to 1 per instance. Top-k selection with re-weighting reads the logits
+    alone (`selection.topk_softmax`).
 
     The batch norm and the affine map run as one `normalized_affine` node.
     Training mode normalizes by the batch's statistics (biased variance)
@@ -197,6 +198,11 @@ class Controller:
         self.fc = Linear(width, n_fields, rng)
 
     def __call__(self, e: Tensor, training: bool) -> Tensor:
+        """The (B, N) scores: the softmax of the logits."""
+        return softmax(self.logits(e, training), axis=1)
+
+    def logits(self, e: Tensor, training: bool) -> Tensor:
+        """The (B, N) logits of the (B, N, d) embeddings `e`."""
         if e.ndim != 3 or e.shape[1] != self.n_fields or e.shape[2] != self.emb_dim:
             raise DimensionError(
                 f"controller input {e.shape}, expected (*, {self.n_fields}, {self.emb_dim})")
@@ -209,9 +215,8 @@ class Controller:
             self.running_var = (1.0 - m) * self.running_var + m * var
         else:
             mean, var = self.running_mean, self.running_var
-        logits = normalized_affine(flat, self.gamma, self.beta, self.fc.weight, self.fc.bias,
-                                   mean, np.sqrt(var + self.eps), batch_stats=training)
-        return softmax(logits, axis=1)
+        return normalized_affine(flat, self.gamma, self.beta, self.fc.weight, self.fc.bias,
+                                 mean, np.sqrt(var + self.eps), batch_stats=training)
 
     def named_params(self, prefix: str = ""):
         bn = prefix + "controller.bn."

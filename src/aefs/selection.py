@@ -14,7 +14,7 @@ import numpy as np
 
 from .embedding import EmbeddingSet, SelectionIndexError
 from .numerics import DimensionError, Linear, Tensor, _accum, add_rows, distinct_rows, \
-    gather_fields, out_of_range, sigmoid
+    gather_fields, out_of_range, sigmoid, softmax
 from .predictors import Controller, PredictorConfig, bce, build_predictor
 
 
@@ -32,30 +32,60 @@ def k_max_indices_batch(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-s, axis=1, kind="stable")[:, :k]
 
 
+def topk_softmax(logits: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
+    """The k largest of each row of the (B, N) logits, descending, ties to
+    the lower field, and their weights: a softmax over those k logits.
+
+    One tape node. The weights equal the full softmax's top k divided by
+    their sum up to rounding: the normalizer over all N cancels. The logits
+    are shifted by their row's largest, so a NaN anywhere in a row makes
+    its weights NaN, as under the full softmax. With w the weights and g
+    their upstream gradient, the backward gives the selected logits
+    ``w * (g - sum(w * g))`` and every other logit exactly 0, which the
+    composition gives only up to rounding. Returns (indices, weights).
+    """
+    indices = k_max_indices_batch(logits.data, k)
+    rows = np.arange(indices.shape[0])[:, None]
+    w = logits.data[rows, indices]
+    w -= logits.data.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        dz = g - (g * w).sum(axis=1, keepdims=True)
+        dz *= w
+        full = np.zeros_like(logits.data)
+        full[rows, indices] = dz
+        _accum(logits, full, owned=True)
+
+    return indices, Tensor(w, parents=(logits,), backward=bw)
+
+
 def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
     """Multiply each field vector by its weight: (B, n, d) by (B, n).
 
-    One tape node. The forward is the broadcast product. The backward
-    takes each weight's gradient, the inner product of the upstream
-    gradient with that field's embedding, as one contraction over d,
-    without a (B, n, d) product array; it then scales the released upstream
-    gradient in place by the weights, which gives the embeddings theirs.
-    The embedding gradient is bit-identical to a broadcast multiply's; the
-    weight gradient sums its d terms in another order, so it equals the
-    multiply's to rounding.
+    One tape node. The forward is the product as one ``einsum``, bit for
+    bit the broadcast product and faster at a training batch's size. The
+    backward takes each weight's gradient, the inner product of the
+    upstream gradient with that field's embedding, as one contraction over
+    d, without a (B, n, d) product array; it then scales the released
+    upstream gradient in place by the weights, which gives the embeddings
+    theirs. The embedding gradient is bit-identical to a broadcast
+    multiply's; the weight gradient sums its d terms in another order, so
+    it equals the multiply's to rounding.
     """
     if e_sel.shape[:2] != weights.shape:
         raise DimensionError(f"embeddings {e_sel.shape} vs weights {weights.shape}")
-    w = weights.data[:, :, None]
 
     def bw(g):
         if weights.requires_grad:
             _accum(weights, np.einsum("bnd,bnd->bn", g, e_sel.data), owned=True)
         if e_sel.requires_grad:
-            g *= w
+            g *= weights.data[:, :, None]
             _accum(e_sel, g, owned=True)
 
-    return Tensor(e_sel.data * w, parents=(e_sel, weights), backward=bw)
+    return Tensor(np.einsum("bnd,bn->bnd", e_sel.data, weights.data), parents=(e_sel, weights),
+                  backward=bw)
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +166,18 @@ class LateSelectionModel(_OnePredictor):
         return p, np.tile(np.arange(self.n_fields), (x.shape[0], 1)), None
 
     def forward(self, x: np.ndarray, training: bool, soft: bool = False):
-        """Returns (prediction, scores, hard-selection indices or None), in
-        the model's own mode, or in soft mode if `soft`."""
+        """Returns (prediction, controller logits, hard-selection indices or
+        None), in the model's own mode, or in soft mode if `soft`."""
         e = self.main_embeddings.embed(x)
-        s = self.controller(e, training)
+        logits = self.controller.logits(e, training)
         if soft or self.mode == "soft":
-            weights = s
+            weights = softmax(logits, axis=1)
             indices = None
         else:
-            indices = k_max_indices_batch(s.data, self.k)
-            sel = gather_fields(s, indices, checked=True)  # argsort's: distinct, in range
-            if self.reweight:
-                sel = sel / sel.sum(axis=1, keepdims=True)
+            indices, sel = _top_k(logits, self.k, self.reweight)
             # kept weights return to their field positions, zeros elsewhere
-            weights = _scatter_weights(sel, indices, s.data.shape)
-        return self.predictor(scale_embeddings(e, weights)), s, indices
+            weights = _scatter_weights(sel, indices, logits.shape)
+        return self.predictor(scale_embeddings(e, weights)), logits, indices
 
     def warmup_params(self):
         """A soft-mode phase before hard selection starts trains every
@@ -185,6 +212,16 @@ def _scatter_weights(sel: Tensor, indices: np.ndarray, full_shape) -> Tensor:
             sel.grad += g[rows, indices]
 
     return Tensor(out, parents=(sel,), backward=bw)
+
+
+def _top_k(logits: Tensor, k: int, reweight: bool) -> tuple[np.ndarray, Tensor]:
+    """The (B, k) top fields of each row and their weights: re-weighted,
+    a softmax over the k logits; otherwise their full-softmax scores."""
+    if reweight:
+        return topk_softmax(logits, k)
+    s = softmax(logits, axis=1)
+    indices = k_max_indices_batch(s.data, k)
+    return indices, gather_fields(s, indices, checked=True)  # argsort's: distinct, in range
 
 
 class DualModel:
@@ -222,8 +259,8 @@ class DualModel:
         """Returns (main prediction, selected indices, their weights) as
         `aefs_forward` computes them, without the auxiliary predictor, whose
         output only the training losses read."""
-        _, _, indices, weights = _select(self, x, training, self.reweight)
-        _, p_m = _main_branch(self, x, indices, weights)
+        _, _, indices, weights, rows = _select(self, x, training, self.reweight)
+        _, p_m = _main_branch(self, rows, indices, weights)
         return p_m, indices, weights.data
 
     def loss(self, x: np.ndarray, y: np.ndarray):
@@ -236,8 +273,7 @@ class DualModel:
         terms = {"bce_aux": bce_a.item(), "bce_main": bce_m.item()}
         if self.enable_eal:
             eal = embedding_alignment_loss(self.aux_embeddings.weight, self.main_embeddings.weight,
-                                           self.main_embeddings.flat_rows(x, trace.indices),
-                                           trace.weights, self.align_fc)
+                                           trace.rows, trace.weights, self.align_fc)
             loss = loss + eal
             terms["eal"] = eal.item()
         if self.enable_pal:
@@ -286,8 +322,9 @@ class DualModel:
 class ForwardTrace:
     """Everything one early-selection forward pass produced."""
 
-    scores: Tensor           # (B, N)
-    indices: np.ndarray      # (B, k) descending-score order
+    logits: Tensor           # (B, N) controller logits
+    indices: np.ndarray      # (B, k) descending-logit order
+    rows: np.ndarray         # (B, k) rows of the selected lookups, in either table
     weights: Tensor          # (B, k), the single W applied on both sides
     aux_embeds: Tensor       # (B, k, d2) selected + scaled
     main_embeds: Tensor      # (B, k, d1) selected + scaled
@@ -296,20 +333,20 @@ class ForwardTrace:
 
 
 def _select(pair: DualModel, x: np.ndarray, training: bool, reweight: bool):
-    """Auxiliary embeddings, controller scores, the top-k indices and their
-    weights: the part of a forward pass both predictors depend on."""
-    e_a = pair.aux_embeddings.embed(x)               # (B, N, d2)
-    s = pair.controller(e_a, training)               # (B, N)
-    indices = k_max_indices_batch(s.data, pair.k)    # (B, k)
-    # (B, k); argsort's top k are distinct and in range by construction,
-    # so neither this gather nor the main lookup checks them
-    sel = gather_fields(s, indices, checked=True)
-    weights = sel / sel.sum(axis=1, keepdims=True) if reweight else sel
-    return e_a, s, indices, weights
+    """Auxiliary embeddings, controller logits, the top-k indices, their
+    weights and their table rows: the part of a forward pass both
+    predictors depend on."""
+    rows = pair.aux_embeddings.rows(x)               # (B, N), every id checked
+    e_a = pair.aux_embeddings.lookup(rows)           # (B, N, d2)
+    logits = pair.controller.logits(e_a, training)   # (B, N)
+    indices, weights = _top_k(logits, pair.k, reweight)  # (B, k) each
+    # the two sets share their offsets, so these rows address the main
+    # table too; argsort's top k are distinct and in range by construction
+    return e_a, logits, indices, weights, rows[np.arange(rows.shape[0])[:, None], indices]
 
 
-def _main_branch(pair: DualModel, x: np.ndarray, indices: np.ndarray, weights: Tensor):
-    e_m = pair.main_embeddings.embed_selected(x, indices, checked=True)  # k lookups each
+def _main_branch(pair: DualModel, rows: np.ndarray, indices: np.ndarray, weights: Tensor):
+    e_m = pair.main_embeddings.lookup(rows, indices)  # k lookups each
     e_m_sel = scale_embeddings(e_m, weights)
     return e_m_sel, pair.main_predictor(e_m_sel)
 
@@ -321,11 +358,11 @@ def aefs_forward(pair: DualModel, x: np.ndarray, training: bool,
 
     Auxiliary lookups per instance: N. Main lookups per instance: k.
     """
-    e_a, s, indices, weights = _select(pair, x, training, reweight)
+    e_a, logits, indices, weights, rows = _select(pair, x, training, reweight)
     e_a_sel = scale_embeddings(gather_fields(e_a, indices, checked=True), weights)
     p_a = pair.aux_predictor(e_a_sel)
-    e_m_sel, p_m = _main_branch(pair, x, indices, weights)
-    return ForwardTrace(scores=s, indices=indices, weights=weights,
+    e_m_sel, p_m = _main_branch(pair, rows, indices, weights)
+    return ForwardTrace(logits=logits, indices=indices, rows=rows, weights=weights,
                         aux_embeds=e_a_sel, main_embeds=e_m_sel,
                         aux_pred=p_a, main_pred=p_m)
 

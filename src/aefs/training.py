@@ -362,17 +362,17 @@ def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
     dump_lines: list[str] | None = [] if selection_dump_path is not None else None
     main_set = fitted.main_embeddings
     before = main_set.lookup_counts.copy()
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        with no_tape():  # nothing here is differentiated
+    with no_tape():  # nothing here is differentiated
+        for start in range(0, n, batch_size):
+            stop = min(start + batch_size, n)
             probs, sel, weights, _ = fitted.forward_scores(dataset.x[start:stop], training=False)
-        scores[start:stop] = probs.data
-        if dump_lines is not None:
-            for j in range(stop - start):
-                entry = {"instance": start + j, "indices": [int(v) for v in sel[j]]}
-                if weights is not None:
-                    entry["weights"] = [float(w) for w in weights[j]]
-                dump_lines.append(json.dumps(entry, sort_keys=True))
+            scores[start:stop] = probs.data
+            if dump_lines is not None:
+                for j in range(stop - start):
+                    entry = {"instance": start + j, "indices": [int(v) for v in sel[j]]}
+                    if weights is not None:
+                        entry["weights"] = [float(w) for w in weights[j]]
+                    dump_lines.append(json.dumps(entry, sort_keys=True))
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise NumericAbort(f"non-finite score {scores[bad[0]]} for instance {bad[0]} "

@@ -17,13 +17,15 @@ scatters with ``np.add.at``, as scoring had them before it ran without the
 tape.
 
 The controller as the package had it before its batch norm was folded into
-its affine map (batch norm through ``np.mean``/``np.var``, affine and
+its affine map (batch norm through ``np.mean``/``np.var``, matmul, add and
 softmax as separate nodes) is a reference to rounding only: the fold
 computes the same values in another order. So is the field weighting as a
 reshape and a broadcast multiply: its weight gradient sums over d in
 another order than the one-node contraction. So is the embedding alignment
 loss composed from tape ops over every selected lookup: the package sums
-it over the distinct rows a batch selects.
+it over the distinct rows a batch selects. So are the top-k weights as the
+full softmax, a gather and a division by their sum: the package takes a
+softmax over the k selected logits alone.
 
 The rest are single-instance selection helpers, finite-difference gradient
 checks, per-field table views, and other small functions the tests call.
@@ -41,7 +43,7 @@ from aefs.data import MISSING_TOKEN, OOV_ID, Columns, DataError, Dataset, Vocabu
     _not_utf8, criteo_schema, discretize_numeric, schema_from_json, split_indices
 from aefs.embedding import EmbeddingSet
 from aefs.numerics import AdamState, DegenerateBatchError, DimensionError, RowGrad, Tensor, \
-    affine, softmax
+    softmax
 from aefs.predictors import PredictorConfig, bce, build_predictor
 from aefs.selection import aefs_forward, embedding_alignment_loss
 
@@ -121,14 +123,30 @@ def batchnorm_reference(ctrl, x, training):
     return Tensor(out, parents=(x, gamma, beta), backward=bw)
 
 
-def reference_controller(ctrl, e, training):
-    """``Controller.__call__`` as separate tape nodes: reshape, the textbook
-    batch normalization, affine (matmul and add), softmax."""
+def reference_controller_logits(ctrl, e, training):
+    """``Controller.logits`` as separate tape nodes: reshape, the textbook
+    batch normalization, matmul, add."""
     if e.ndim != 3 or e.shape[1:] != (ctrl.n_fields, ctrl.emb_dim):
         raise DimensionError(f"controller input {e.shape}")
     flat = e.reshape(e.shape[0], ctrl.n_fields * ctrl.emb_dim)
     h = batchnorm_reference(ctrl, flat, training)
-    return softmax(affine(h, ctrl.fc.weight, ctrl.fc.bias), axis=1)
+    return h @ ctrl.fc.weight + ctrl.fc.bias
+
+
+def reference_controller(ctrl, e, training):
+    """``Controller.__call__`` as separate tape nodes: the reference logits,
+    then softmax."""
+    return softmax(reference_controller_logits(ctrl, e, training), axis=1)
+
+
+def composed_topk_softmax(logits, k):
+    """``selection.topk_softmax`` as the package composed it: the full
+    softmax, its top k (through the module's `k_max_indices_batch`, so a
+    test can record them), gathered and divided by their sum."""
+    s = softmax(logits, axis=1)
+    indices = selection.k_max_indices_batch(s.data, k)
+    sel = numerics.gather_fields(s, indices)
+    return indices, sel / sel.sum(axis=1, keepdims=True)
 
 
 def use_reference_tape(monkeypatch):
@@ -162,7 +180,7 @@ def composed_embedding_alignment_loss(aux, main, rows, weights, fc):
     """``embedding_alignment_loss`` per lookup, from tape ops, as the package
     computed it over the weighted selected embeddings: both tables' rows
     gathered to (B, k, d) and weighted (reshape, multiply), the auxiliary
-    ones lifted by the affine map (reshape, matmul, add, reshape), then
+    ones lifted by the affine map (reshape, affine, reshape), then
     subtract, square, sum and scale."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape != weights.shape:
@@ -194,9 +212,7 @@ def embed_all(es: EmbeddingSet, x):
         raise DimensionError(f"id batch {x.shape}, expected (*, {es.n_fields})")
     if (x < 0).any() or (x >= np.asarray(es.vocab_sizes)[None, :]).any():
         raise IndexError("category id out of range for its field")
-    out = es._lookup(x + es.offsets[None, :])
-    es.lookup_counts += x.shape[0]
-    return out
+    return es.lookup(x + es.offsets[None, :])
 
 
 class PlainModel:

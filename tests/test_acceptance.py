@@ -14,7 +14,7 @@ from aefs.cli import main as cli_main
 from aefs.data import SyntheticSpec, generate_synthetic
 from aefs.embedding import activation_averages, delta_pae, full_param_count
 from aefs.metrics import auc_exact, welch_t_test
-from aefs.numerics import Tensor
+from aefs.numerics import Tensor, softmax
 from aefs.predictors import (
     DCNPredictor,
     DeepFMPredictor,
@@ -120,7 +120,7 @@ def test_criterion_4_full_joint_loss_grad_check():
     y = rng.integers(0, 2, size=4).astype(float)
 
     trace = aefs_forward(pair, x, training=True)
-    sorted_scores = -np.sort(-trace.scores.data, axis=1)
+    sorted_scores = -np.sort(-softmax(trace.logits.data, axis=1), axis=1)
     margin = (sorted_scores[:, 2] - sorted_scores[:, 3]).min()
     assert margin > 1e-3  # top-k boundary stable under +/- eps nudges
 

@@ -310,6 +310,27 @@ class TestInputFaults:
         assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
             ("failed", 3, err[0])
 
+    def test_quoted_nul_in_format_b(self, tmp_path, capsys):
+        # csv.reader rejects a NUL before Python 3.11 and reads it from 3.11 on
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [f"{i % 2},a{i % 3},{i}" for i in range(200)]
+        rows[5] = '1,"a\x00b",5'  # line 7 of the file
+        (data / "data.csv").write_bytes(("label,c0,n0\n" + "\n".join(rows) + "\n").encode())
+        (data / "schema.json").write_bytes(MIXED_SCHEMA)
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                   "--method", "none", "--d1", "4", "--max-epochs", "1",
+                   "--batch-size", "64", "--min-freq", "1"])
+        err = capsys.readouterr().err.splitlines()
+        if sys.version_info < (3, 11):
+            assert rc == 2
+            assert err == [f"data error: {data / 'data.csv'}:7: line contains NUL"], err
+        else:
+            assert (rc, err) == (0, [])
+            columns, _ = read_format_b(data / "data.csv", data / "schema.json")
+            assert "a\x00b" in columns.keys[0]
+
 
 def _flags(**values):
     """``--name=value`` arguments, so that negative values do not read as

@@ -140,12 +140,12 @@ class TestEmbedSelected:
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_default_still_checks_ids(self, bad):
-        # only a caller that has checked every id itself passes checked=True
+        # only a caller that has checked every id itself reads rows through
+        # `lookup`; `embed_selected` always checks them
         es = build_set([4, 4, 4], dim=2)
         x = np.array([[1, 2, 3], [0, bad, 1]])
-        for kwargs in ({}, {"checked": False}):
-            with pytest.raises(IndexError, match="category id out of range"):
-                es.embed_selected(x, np.array([[1, 2], [2, 1]]), **kwargs)
+        with pytest.raises(IndexError, match="category id out of range"):
+            es.embed_selected(x, np.array([[1, 2], [2, 1]]))
 
     def test_unselected_tables_get_no_gradient(self):
         es = build_set([4, 4, 4], dim=2, seed=2)

@@ -5,11 +5,12 @@ import pytest
 
 import aefs.embedding
 import aefs.numerics
+import aefs.selection
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aefs.embedding import SelectionIndexError
-from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, repeats_in_rows
+from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, repeats_in_rows, softmax
 from aefs.predictors import Controller, bce
 from aefs.selection import (
     DualModel,
@@ -21,10 +22,11 @@ from aefs.selection import (
     k_max_indices_batch,
     prediction_alignment_loss,
     scale_embeddings,
+    topk_softmax,
 )
 from oracles import DegenerateSelectionError, PlainModel, SelectionResult, \
-    composed_embedding_alignment_loss, composed_scale_embeddings, grad_check, k_max_indices, \
-    l1_normalize_selected, same_bits, tables, use_reference_tape
+    composed_embedding_alignment_loss, composed_scale_embeddings, composed_topk_softmax, \
+    grad_check, k_max_indices, l1_normalize_selected, same_bits, tables, use_reference_tape
 
 VOCAB6 = [5, 7, 4, 6, 5, 8]
 
@@ -88,7 +90,6 @@ class TestL1Normalize:
             l1_normalize_selected(np.array([0.0, 0.0]), [0, 1])
 
     def test_softmax_composition_is_safe(self):
-        from aefs.numerics import softmax
         s = softmax(np.random.default_rng(2).normal(size=8))
         w = l1_normalize_selected(s, k_max_indices(s, 4))
         assert abs(w.sum() - 1.0) <= 1e-9
@@ -212,6 +213,104 @@ class TestScaleNode:
                           leaves) < 1e-6
 
 
+def topk_value_and_grad(select, logits, k, upstream):
+    logits.grad = None
+    indices, w = select(logits, k)
+    (w * Tensor(upstream)).sum().backward()
+    return indices, w.data, logits.grad
+
+
+class TestTopkSoftmax:
+    """The top-k weights as one node, a softmax over the k selected logits,
+    against the full softmax, gather and division by their sum in
+    tests/oracles.py: the same indices, and weights and logit gradient
+    within 1e-12 of the largest magnitude."""
+
+    @pytest.mark.parametrize("b,n,k", [(1, 1, 1), (5, 6, 3), (64, 16, 8), (7, 5, 5)])
+    def test_matches_composed(self, b, n, k):
+        rng = np.random.default_rng(b * 100 + n * 10 + k)
+        logits = Tensor(rng.normal(scale=2.0, size=(b, n)), requires_grad=True)
+        upstream = rng.normal(size=(b, k))
+        node = topk_value_and_grad(topk_softmax, logits, k, upstream)
+        composed = topk_value_and_grad(composed_topk_softmax, logits, k, upstream)
+        assert same_bits(node[0], composed[0])
+        assert_close(node[1], composed[1], "weights")
+        assert_close(node[2], composed[2], "logit gradient")
+        np.testing.assert_allclose(node[1].sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    def test_unselected_logits_get_exactly_zero(self):
+        rng = np.random.default_rng(40)
+        logits = Tensor(rng.normal(size=(32, 9)), requires_grad=True)
+        indices, _, grad = topk_value_and_grad(topk_softmax, logits, 4, rng.normal(size=(32, 4)))
+        chosen = np.zeros((32, 9), dtype=bool)
+        np.put_along_axis(chosen, indices, True, axis=1)
+        assert not grad[~chosen].any()
+        assert grad[chosen].all()
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(41)
+        logits = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
+        c = Tensor(rng.normal(size=(6, 3)))
+
+        def loss():
+            _, w = topk_softmax(logits, 3)
+            return (w * c).sum() + (w * w).sum()
+
+        assert grad_check(loss, [logits]) < 1e-8
+
+    def test_one_field_has_weight_one_and_no_gradient(self):
+        rng = np.random.default_rng(42)
+        logits = Tensor(rng.normal(scale=5.0, size=(10, 6)), requires_grad=True)
+        indices, w, grad = topk_value_and_grad(topk_softmax, logits, 1, rng.normal(size=(10, 1)))
+        np.testing.assert_array_equal(indices[:, 0], logits.data.argmax(axis=1))
+        assert (w == 1.0).all()
+        assert not grad.any()
+
+    def test_every_field_is_the_full_softmax(self):
+        rng = np.random.default_rng(43)
+        logits = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+        indices, w = topk_softmax(logits, 5)
+        full = softmax(logits.data, axis=1)
+        np.testing.assert_array_equal(indices, np.argsort(-full, axis=1, kind="stable"))
+        assert_close(w.data, np.take_along_axis(full, indices, axis=1))
+
+    def test_ties_go_to_the_lower_field(self):
+        logits = Tensor(np.array([[0.5, 2.0, 2.0, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0, 1.0]]))
+        indices, w = topk_softmax(logits, 3)
+        np.testing.assert_array_equal(indices, [[1, 2, 4], [0, 1, 2]])
+        np.testing.assert_array_equal(w.data, np.full((2, 3), 1.0 / 3.0))
+        indices, _ = topk_softmax(logits, 4)
+        np.testing.assert_array_equal(indices, [[1, 2, 4, 0], [0, 1, 2, 3]])
+
+    def test_logits_spread_over_700_stay_finite(self):
+        rng = np.random.default_rng(44)
+        logits = Tensor(rng.uniform(-700.0, 700.0, size=(16, 8)), requires_grad=True)
+        logits.data[:, 0] = 700.0
+        logits.data[:, 1] = -700.0
+        for k in (1, 3, 8):
+            _, w, grad = topk_value_and_grad(topk_softmax, logits, k, rng.normal(size=(16, k)))
+            assert np.isfinite(w).all() and np.isfinite(grad).all()
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    def test_nan_anywhere_in_a_row_makes_its_weights_nan(self):
+        logits = Tensor(np.array([[3.0, 1.0, np.nan, 0.0], [3.0, 1.0, 2.0, 0.0]]))
+        _, w = topk_softmax(logits, 2)
+        assert np.isnan(w.data[0]).all() and np.isfinite(w.data[1]).all()
+
+    def test_indices_come_from_the_module_top_k(self, monkeypatch):
+        calls = []
+        top_k = k_max_indices_batch
+
+        def recording(scores, k):
+            calls.append(scores)
+            return top_k(scores, k)
+
+        monkeypatch.setattr(aefs.selection, "k_max_indices_batch", recording)
+        logits = Tensor(np.random.default_rng(45).normal(size=(4, 6)))
+        topk_softmax(logits, 2)
+        assert len(calls) == 1 and calls[0] is logits.data
+
+
 class TestSelectionResult:
     def test_valid(self):
         SelectionResult(indices=np.array([3, 1]), weights=np.array([0.6, 0.4]))
@@ -230,8 +329,8 @@ class TestLateSelection:
         model = LateSelectionModel(VOCAB6, 4, "mlp", (4,), 2, np.random.default_rng(6))
         model.controller.fc.weight.data[:] = 0.0
         x = np.random.default_rng(7).integers(0, 4, size=(4, 6))
-        _, scores, _ = model.forward(x, training=True)
-        np.testing.assert_allclose(scores.data, 1.0 / 6.0)
+        _, logits, _ = model.forward(x, training=True)
+        np.testing.assert_allclose(softmax(logits.data, axis=1), 1.0 / 6.0)
 
     def test_hard_with_full_k_equals_soft(self):
         rng = np.random.default_rng(8)
@@ -288,7 +387,8 @@ class TestEarlySelection:
         trace = aefs_forward(pair, x, training=True, reweight=False)
         rows = np.arange(6)[:, None]
         np.testing.assert_allclose(trace.weights.data,
-                                   trace.scores.data[rows, trace.indices], atol=1e-12)
+                                   softmax(trace.logits.data, axis=1)[rows, trace.indices],
+                                   atol=1e-12)
         assert (trace.weights.data.sum(axis=1) < 1.0).all()
 
     def test_identical_sides_predict_identically(self):
@@ -307,8 +407,8 @@ class TestEarlySelection:
         pair = make_pair(seed=6)
         x = np.random.default_rng(16).integers(0, 4, size=(7, 6))
         trace = aefs_forward(pair, x, training=True)
-        np.testing.assert_array_equal(trace.indices,
-                                      k_max_indices_batch(trace.scores.data, pair.k))
+        np.testing.assert_array_equal(
+            trace.indices, k_max_indices_batch(softmax(trace.logits.data, axis=1), pair.k))
 
     @pytest.mark.parametrize("call", ["score", "loss"])
     def test_top_k_indices_are_not_rechecked(self, monkeypatch, call):
@@ -385,7 +485,7 @@ class TestEarlySelection:
 
         # selection must be stable under +/- eps parameter nudges
         trace = aefs_forward(pair, x, training=True)
-        sorted_scores = -np.sort(-trace.scores.data, axis=1)
+        sorted_scores = -np.sort(-softmax(trace.logits.data, axis=1), axis=1)
         margin = (sorted_scores[:, pair.k - 1] - sorted_scores[:, pair.k]).min()
         assert margin > 1e-3, "pick a different seed: top-k boundary too tight"
 

@@ -7,7 +7,7 @@ import aefs.embedding as embedding_mod
 import aefs.selection as selection_mod
 import aefs.training as training_mod
 from aefs.data import DataError, Dataset, SyntheticSpec, generate_synthetic
-from aefs.numerics import Adam, RowGrad, Tensor
+from aefs.numerics import Adam, RowGrad, Tensor, softmax
 from aefs.predictors import Controller
 from aefs.selection import DualModel
 from aefs.training import (
@@ -26,9 +26,9 @@ from aefs.training import (
     train,
 )
 from oracles import ActivationLedger, PlainModel, composed_embedding_alignment_loss, \
-    composed_scale_embeddings, dense_scatter, embedding_discrepancy, prediction_discrepancy, \
-    record_batch_activation, reference_adam_step, reference_controller, same_bits, \
-    use_reference_tape
+    composed_scale_embeddings, composed_topk_softmax, dense_scatter, embedding_discrepancy, \
+    prediction_discrepancy, record_batch_activation, reference_adam_step, \
+    reference_controller_logits, same_bits, use_reference_tape
 
 METHODS = ("none", "randomhalf", "adafs", "aefs")
 
@@ -227,7 +227,7 @@ class TestPretrain:
         def score_entropy():
             from aefs.selection import aefs_forward
             trace = aefs_forward(pair, small_data.val.x[:200], training=False)
-            s = trace.scores.data
+            s = softmax(trace.logits.data, axis=1)
             return float(-(s * np.log(s + 1e-12)).sum(axis=1).mean())
 
         params_before = {name: t.data.copy() for name, t in fitted.named_params()}
@@ -753,8 +753,8 @@ def assert_trained_alike(run, picks, ref, ref_picks):
 
 class TestFoldedController:
     """Training with the folded controller ends where training with the
-    textbook one (`reference_controller`: batch norm, affine and softmax as
-    separate nodes) ends, to rounding: the two differ in the last bits of
+    textbook one (`reference_controller_logits`: batch norm, matmul and add
+    as separate nodes) ends, to rounding: the two differ in the last bits of
     each step, so they are held to a tolerance, not to bit identity. Every
     top-k selection, in training and in validation, is the same."""
 
@@ -765,8 +765,15 @@ class TestFoldedController:
         cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
                            pretrain_epochs=1)
         folded, folded_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
-        monkeypatch.setattr(Controller, "__call__", reference_controller)
+        calls = []
+
+        def textbook_logits(ctrl, e, training):
+            calls.append(training)
+            return reference_controller_logits(ctrl, e, training)
+
+        monkeypatch.setattr(Controller, "logits", textbook_logits)
         textbook, textbook_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        assert True in calls and False in calls
         assert bool(folded_picks) == (mode == "hard" or method == "aefs")
         assert_trained_alike(folded, folded_picks, textbook, textbook_picks)
 
@@ -788,6 +795,32 @@ class TestScaleNodeTraining:
         composed, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
         assert bool(node_picks) == (mode == "hard" or method == "aefs")
         assert_trained_alike(node, node_picks, composed, composed_picks)
+
+
+class TestTopkSoftmaxTraining:
+    """Training with the top-k softmax node ends where training with the
+    composed selection (`composed_topk_softmax`: full softmax, top k of the
+    scores, gather and division by their sum) ends, to rounding, with the
+    same top-k at every selection, in training and in validation."""
+
+    @pytest.mark.parametrize("method,mode,main", [("adafs", "hard", "mlp"),
+                                                  ("aefs", "soft", "mlp"),
+                                                  ("aefs", "soft", "dcn")])
+    def test_training_matches_composed_selection(self, many_row_data, method, mode, main,
+                                                 monkeypatch):
+        cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
+                           pretrain_epochs=1, backbone_main=main)
+        node, node_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        calls = []
+
+        def composed(logits, k):
+            calls.append(k)
+            return composed_topk_softmax(logits, k)
+
+        monkeypatch.setattr(selection_mod, "topk_softmax", composed)
+        composed_run, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        assert node_picks and len(calls) == len(composed_picks)
+        assert_trained_alike(node, node_picks, composed_run, composed_picks)
 
 
 class TestAlignmentNodeTraining:
