@@ -9,18 +9,24 @@ Two input formats are supported:
 
 Every reader, and the synthetic generator, yields `Columns`: one encoder
 numbers each field's distinct tokens chunk by chunk as they are read, so no
-per-record object is ever built. Two tokenizers feed it:
+per-record object is ever built. It takes a chunk as one UTF-8 buffer with
+each token's byte offset and length, packs each token into uint64 words
+plus its length, finds the chunk's distinct keys by sorting them, and looks
+those up in sorted tables of the field's known keys carried across chunks,
+one per key width; unseen keys take the next codes in order of first
+occurrence. Only the distinct tokens are decoded back to `str`. Two
+tokenizers feed it:
 
-* split: each chunk of `CHUNK_LINES` lines is cut by one split at the
-  separator, then into fields by stride slices. Every format-A file, and
-  every format-B file without a double quote, carriage return or NUL, is
-  read this way.
+* split: each chunk of `CHUNK_LINES` lines is encoded to UTF-8 once and cut
+  into tokens at the bytes that hold the separator or a newline. Every
+  format-A file, and every format-B file without a double quote, carriage
+  return or NUL, is read this way.
 * row by row: a format-B file with one of those characters needs the CSV
-  quoting rules and is read by ``csv.reader``. A file on which the split
-  tokenizer meets a row it does not take (another column count, a label
-  other than ``0`` or ``1``, a line that does not decode) is read again
-  row by row from its start, so every fault is reported by the row-by-row
-  reader, with its line number.
+  quoting rules and is read by ``csv.reader``, whose rows are joined into
+  one buffer per chunk. A file on which the split tokenizer meets a row it
+  does not take (another column count, a label other than ``0`` or ``1``,
+  a line that does not decode) is read again row by row from its start, so
+  every fault is reported by the row-by-row reader, with its line number.
 
 Numeric fields are bucketized with the standard log-square transform before
 vocabulary mapping, once per distinct raw token. Rare tokens fall into a
@@ -32,9 +38,8 @@ import csv
 import json
 import math
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -107,35 +112,194 @@ class Columns:
     keys: list[list[str]]
 
 
-def _numbering() -> defaultdict:
-    """A token-to-code map in which an unseen token takes the next code, so
-    codes number the distinct tokens from 0 in first-occurrence order."""
-    code_of = defaultdict()
-    code_of.default_factory = code_of.__len__
-    return code_of
+# Lines tokenized at one go: bounds the arrays alive at once.
+CHUNK_LINES = 8192
+
+_NEWLINE = ord("\n")
+
+# Masks that keep the first m bytes of a little-endian word, m = 0..8.
+_BYTE_MASKS = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
 
 
-def _codes(code_of: defaultdict, tokens: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(code_of.__getitem__, tokens), np.int64, len(tokens))
+def _token_words(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                 words: int) -> np.ndarray:
+    """(T, words) uint64: the bytes of the tokens at the given spans of
+    `buf`, packed little-endian, zero past each token's end. The last 8
+    bytes of `buf` lie past every span."""
+    unaligned = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each offset
+    offsets = np.arange(0, 8 * words, 8)
+    out = unaligned[np.minimum(starts[:, None] + offsets, len(buf) - 8)]
+    out &= _BYTE_MASKS[np.clip(lengths[:, None] - offsets, 0, 8)]
+    return out
+
+
+def _by_bytes(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each key, its words and then its length, as one void scalar,
+    ordered and compared by its bytes."""
+    rows = np.empty((len(lengths), words.shape[1] + 1), np.uint64)
+    rows[:, :-1] = words
+    rows[:, -1] = lengths
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+class _KeyTable:
+    """The known keys of one field and one key width, sorted for lookup,
+    with their codes.
+
+    A key is a token's words and its byte length. Keys one word wide are
+    ordered by that word alone, a plain uint64 sort, with the lengths kept
+    beside them, until two keys share a word (only tokens that differ in
+    trailing NUL bytes do). Wider keys, and those from then on, are void
+    scalars (`_by_bytes`)."""
+
+    def __init__(self, words: int):
+        self.lengths: np.ndarray | None = np.empty(0, np.int64) if words == 1 else None
+        self.keys = (np.empty(0, np.uint64) if words == 1
+                     else _by_bytes(np.empty((0, words), np.uint64), np.empty(0, np.int64)))
+        self.codes = np.empty(0, np.int64)
+
+    def group(self, words: np.ndarray, lengths: np.ndarray):
+        """The distinct keys among one chunk's tokens of this width: each
+        token's group, each group's first token and its code (-1 for a key
+        not known yet), and a function that enters the given groups' keys
+        with the given codes."""
+        grouped = self._group(words, lengths)
+        if grouped is None:
+            keys = _by_bytes(self.keys[:, None], self.lengths)
+            order = np.argsort(keys)
+            self.keys, self.lengths, self.codes = keys[order], None, self.codes[order]
+            grouped = self._group(words, lengths)
+        return grouped
+
+    def _group(self, words: np.ndarray, lengths: np.ndarray):
+        """As `group`; None if two keys share a word while ordered by words."""
+        plain = self.lengths is not None
+        keys = words[:, 0] if plain else _by_bytes(words, lengths)
+        order = np.argsort(keys)
+        ordered = keys[order]
+        starts_group = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+        if plain:
+            lengths = lengths[order]
+            if ((lengths[1:] != lengths[:-1]) & ~starts_group[1:]).any():
+                return None
+        group = np.flatnonzero(starts_group)
+        distinct = ordered[group]
+        at = np.searchsorted(self.keys, distinct)
+        code = np.full(len(group), -1)
+        if len(self.keys):
+            near = np.minimum(at, len(self.keys) - 1)
+            known = self.keys[near] == distinct
+            if plain and (known & (self.lengths[near] != lengths[group])).any():
+                return None
+            code[known] = self.codes[near[known]]
+        of_token = np.empty(len(order), np.int64)
+        of_token[order] = np.cumsum(starts_group) - 1
+
+        def enter(groups: np.ndarray, codes: np.ndarray) -> None:
+            self.keys = np.insert(self.keys, at[groups], distinct[groups])
+            self.codes = np.insert(self.codes, at[groups], codes)
+            if plain:
+                self.lengths = np.insert(self.lengths, at[groups], lengths[group[groups]])
+
+        return of_token, np.minimum.reduceat(order, group), code, enter
+
+
+class _FieldCodes:
+    """One field's tokens numbered from 0 in order of first occurrence,
+    across chunks. A token's key takes the fewest words, a power of two,
+    that hold its bytes, so keys of each width have their own `_KeyTable`
+    and a long token widens no other token's key."""
+
+    def __init__(self):
+        self.tables: dict[int, _KeyTable] = {}
+        self.count = 0
+
+    def number(self, buf: np.ndarray, starts: np.ndarray,
+               lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of one chunk's tokens at the given spans of `buf`, and
+        the tokens that first took each new code, in code order."""
+        if lengths.max(initial=0) <= 8:  # every key one word wide, the usual case
+            widths = [(0, slice(None))]
+        else:
+            log_words = np.frexp(np.maximum((lengths + 7) >> 3, 1) - 1)[1]  # ceil(log2(words))
+            widths = [(log, np.flatnonzero(log_words == log))
+                      for log in np.flatnonzero(np.bincount(log_words)).tolist()]
+        index = np.arange(len(starts))
+        classes, firsts = [], []
+        for log, tokens in widths:
+            if (table := self.tables.get(log)) is None:
+                table = self.tables[log] = _KeyTable(1 << log)
+            of_token, first, code, enter = table.group(
+                _token_words(buf, starts[tokens], lengths[tokens], 1 << log), lengths[tokens])
+            unseen = np.flatnonzero(code < 0)
+            classes.append((tokens, of_token, code, unseen, enter))
+            firsts.append(index[tokens][first[unseen]])
+        firsts = np.concatenate(firsts)
+        order = np.argsort(firsts)
+        new = np.empty(len(firsts), np.int64)
+        new[order] = np.arange(self.count, self.count + len(firsts))
+        self.count += len(firsts)
+        codes = np.empty(len(starts), np.int64)
+        done = 0
+        for tokens, of_token, code, unseen, enter in classes:
+            code[unseen] = new[done:done + len(unseen)]
+            done += len(unseen)
+            enter(unseen, code[unseen])
+            codes[tokens] = code[of_token]
+        return codes, firsts[order]
+
+
+def _decode(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The UTF-8 tokens at the given byte spans of `buf`, decoded at one go."""
+    if not len(starts):
+        return []
+    stops = np.cumsum(lengths)
+    data = buf[np.repeat(starts - stops + lengths, lengths) + np.arange(stops[-1])]
+    if not (data == _NEWLINE).any():  # one split does it
+        return np.insert(data, stops[:-1], _NEWLINE).tobytes().decode("utf-8").split("\n")
+    text = data.tobytes().decode("utf-8")
+    if len(text) != len(data):  # offsets in characters: count the bytes that start one
+        stops = np.concatenate([[0], np.cumsum((data & 0xC0) != 0x80)])[stops]
+    return list(map(text.__getitem__, map(slice, np.append(0, stops[:-1]).tolist(),
+                                          stops.tolist())))
 
 
 class _Encoder:
     """Columns built chunk by chunk, so no record is ever held whole: each
-    field's tokens are numbered as they arrive, by one map per field carried
-    across chunks, and numeric fields are bucketized at the end, once per
+    field's tokens are numbered as they arrive, against the keys seen so far
+    (`_FieldCodes`), and numeric fields are bucketized at the end, once per
     distinct raw token."""
 
     def __init__(self, schema: Sequence[FieldSchema]):
         self.schema = schema
-        self.code_of = [_numbering() for _ in schema]
+        self.fields = [_FieldCodes() for _ in schema]
         self.chunks: list[list[np.ndarray]] = [[] for _ in schema]
+        self.keys: list[list[str]] = [[] for _ in schema]
         self.labels: list[np.ndarray] = []
 
-    def add(self, labels: Sequence[float], fields: Sequence[Sequence[str]]) -> None:
-        """One chunk: its labels and, per schema field, its tokens in order."""
-        for chunks, code_of, tokens in zip(self.chunks, self.code_of, fields):
-            chunks.append(_codes(code_of, tokens))
+    def add(self, labels: np.ndarray, buf: np.ndarray, starts: np.ndarray,
+            lengths: np.ndarray) -> None:
+        """One chunk: its labels, and the UTF-8 tokens at byte offsets
+        `starts[n]` of length `lengths[n]` in `buf` for schema field n, in
+        record order. The last 8 bytes of `buf` lie past every token."""
+        for field, chunks, keys, field_starts, field_lengths in zip(
+                self.fields, self.chunks, self.keys, starts, lengths):
+            codes, unseen = field.number(buf, field_starts, field_lengths)
+            chunks.append(codes)
+            keys += _decode(buf, field_starts[unseen], field_lengths[unseen])
         self.labels.append(np.asarray(labels, dtype=np.float64))
+
+    def add_tokens(self, labels: Sequence[float], fields: Sequence[Sequence[str]]) -> None:
+        """One chunk: its labels and, per schema field, its tokens in order,
+        joined into one buffer for `add`."""
+        flat = list(chain.from_iterable(fields))
+        text = "".join(flat)
+        sizes = map(len, flat) if text.isascii() else map(len, map(str.encode, flat))
+        lengths = np.fromiter(sizes, np.int64, len(flat))
+        buf = np.frombuffer(text.encode() + bytes(8), np.uint8)
+        shape = (len(self.schema), len(labels))
+        self.add(labels, buf, (np.cumsum(lengths) - lengths).reshape(shape),
+                 lengths.reshape(shape))
 
     def finish(self) -> Columns:
         labels = np.concatenate([np.empty(0), *self.labels])
@@ -143,12 +307,12 @@ class _Encoder:
         keys = []
         for n, fs in enumerate(self.schema):
             np.concatenate([np.empty(0, np.int64), *self.chunks[n]], out=codes[n])
-            field_keys = list(self.code_of[n])
+            field_keys = self.keys[n]
             if fs.kind == "numerical":
-                bucket_of = _numbering()
-                bucket_codes = _codes(bucket_of, [
-                    MISSING_TOKEN if raw in ("", MISSING_TOKEN) else str(discretize_numeric(raw))
-                    for raw in field_keys])
+                bucket_of: dict[str, int] = {}
+                bucket_codes = np.array([bucket_of.setdefault(
+                    MISSING_TOKEN if raw in ("", MISSING_TOKEN) else str(discretize_numeric(raw)),
+                    len(bucket_of)) for raw in field_keys], dtype=np.int64)
                 codes[n] = bucket_codes[codes[n]]
                 field_keys = list(bucket_of)
             keys.append(field_keys)
@@ -268,7 +432,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     schema = [FieldSchema(name=f"f{n:02d}", kind="categorical", index=n)
               for n in range(spec.n_fields)]
     enc = _Encoder(schema)
-    enc.add(labels, [list(map(str, column)) for column in x.T.tolist()])
+    for lo in range(0, spec.n_records, CHUNK_LINES):
+        enc.add_tokens(labels[lo:lo + CHUNK_LINES],
+                       [list(map(str, column)) for column in x[lo:lo + CHUNK_LINES].T.tolist()])
     return SyntheticData(columns=enc.finish(), schema=schema,
                          informative_fields=informative, teacher_logits=logits)
 
@@ -310,12 +476,6 @@ def _not_utf8(path: Path) -> DataError:
     return DataError(f"{path}: not UTF-8 text")
 
 
-# Lines tokenized by one split: bounds the token lists alive at once.
-CHUNK_LINES = 8192
-
-_LABEL_VALUES = {"0": 0.0, "1": 1.0}
-
-
 class _Unsplittable(Exception):
     """A chunk the split tokenizer might read otherwise than the row-by-row
     reader does, or on which that reader alone can name the fault."""
@@ -324,27 +484,40 @@ class _Unsplittable(Exception):
 def _split_chunks(enc: _Encoder, lines: Iterator[str], sep: str, special: str,
                   longest: int) -> None:
     """Feed `enc` the records on `lines`, CHUNK_LINES at a time, each chunk
-    tokenized by one split at `sep` and cut into fields by stride slices.
+    encoded to UTF-8 once and cut into tokens where its bytes hold `sep` or
+    a newline.
 
     Raises _Unsplittable on a chunk with a line of another separator count,
-    a line longer than `longest`, a character in `special`, or a label
-    other than "0" and "1"."""
-    n_fields = len(enc.schema)
-    width = n_fields + 1
+    a line longer than `longest` characters, a character in `special`, or a
+    label other than "0" and "1"."""
+    width = len(enc.schema) + 1
+    sep, special = ord(sep), special.encode()
     while chunk := list(islice(lines, CHUNK_LINES)):
-        if any(map(n_fields.__ne__, map(str.count, chunk, repeat(sep)))) \
-                or max(map(len, chunk)) > longest:
-            raise _Unsplittable
-        text = sep.join(chunk)
+        text = "".join(chunk).encode()
         if any(c in text for c in special):
             raise _Unsplittable
-        tokens = text.replace("\n", "").split(sep)  # each line ends at its one newline
-        try:
-            labels = np.fromiter(map(_LABEL_VALUES.__getitem__, tokens[::width]), np.float64,
-                                 len(chunk))
-        except KeyError:
-            raise _Unsplittable from None
-        enc.add(labels, [tokens[n::width] for n in range(1, width)])
+        buf = np.frombuffer(text + bytes(8), np.uint8)  # 8 zero bytes past the end for packing
+        body = buf[:len(text)]
+        newline = body == _NEWLINE
+        line_ends = np.flatnonzero(newline)  # each line ends at its one newline, or the text's end
+        ends = np.flatnonzero(newline | (body == sep))
+        if not text.endswith(b"\n"):
+            line_ends, ends = np.append(line_ends, len(text)), np.append(ends, len(text))
+        if len(ends) != len(chunk) * width or not np.array_equal(ends[width - 1::width],
+                                                                line_ends):
+            raise _Unsplittable
+        line_stops = np.minimum(line_ends + 1, len(text))
+        if longest < len(text) and np.diff(line_stops, prepend=0).max() > longest:
+            chars = np.concatenate([[0], np.cumsum((body & 0xC0) != 0x80)])[line_stops]
+            if np.diff(chars, prepend=0).max() > longest:
+                raise _Unsplittable
+        starts = np.concatenate([[0], ends[:-1] + 1]).reshape(len(chunk), width)
+        lengths = ends.reshape(len(chunk), width) - starts
+        label = body[starts[:, 0]]
+        if (lengths[:, 0] != 1).any() or ((label != ord("0")) & (label != ord("1"))).any():
+            raise _Unsplittable
+        enc.add(label == ord("1"), buf, np.ascontiguousarray(starts[:, 1:].T),
+                np.ascontiguousarray(lengths[:, 1:].T))
 
 
 def _read_rows(enc: _Encoder, rows: Iterable[tuple[int, list[str]]], path: Path,
@@ -365,10 +538,10 @@ def _read_rows(enc: _Encoder, rows: Iterable[tuple[int, list[str]]], path: Path,
         labels.append(label)
         chunk.append(row)
         if len(chunk) == CHUNK_LINES:
-            enc.add(labels, list(zip(*chunk))[1:])
+            enc.add_tokens(labels, list(zip(*chunk))[1:])
             labels, chunk = [], []
     if chunk:
-        enc.add(labels, list(zip(*chunk))[1:])
+        enc.add_tokens(labels, list(zip(*chunk))[1:])
 
 
 def _read_columns(path: Path, schema: Sequence[FieldSchema],

@@ -405,7 +405,11 @@ class TestInputFaults:
 
 # Reader property: every table reads to the Columns of the per-record
 # reference path, or to its error, whichever tokenizer the reader takes.
-PLAIN_TOKENS = ["", "a", "b", "7", "07", "a b", " a", "é", "日本", MISSING_TOKEN]
+PLAIN_TOKENS = ["", "a", "b", "7", "07", "a b", " a", "é", "日本", MISSING_TOKEN,
+                # keys of one word and of more: 8, 9 and 17 bytes, two 9-byte
+                # tokens alike in their first 8, and a 2-byte character
+                # across bytes 8 and 9
+                "abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefghijklmnopq", "abcdefgé"]
 NEEDS_QUOTING = ["a,b", 'q"t', '"', "l\nb", "cr\r", "x\r\ny", ","]
 GOOD_NUMERIC = ["", MISSING_TOKEN, "0", "1", "2.5", "100", "-3", " 8", "1e6"]
 BAD_NUMERIC = ["x", "1e400"]
@@ -479,6 +483,28 @@ class TestReadersMatchReference:
                 *reference_read_format_b(data_path, schema_path)))
         assert got == want
 
+    @pytest.mark.parametrize("text", [
+        "label,f0\n01,a\n1,b\n",      # int("01") is a label the row reader takes
+        "label,f0\n0,a\n10,b\n",
+        # a column too few, then one too many, or the reverse: the tokens
+        # would line up as rows with labels 0 and 1
+        "label,f0,f1\n0,a\n1,0,c,d\n",
+        "label,f0\n0,a,1\n\n1,c\n",
+        "label,f0\n0,a\n1,b",
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, None])
+    def test_lines_the_split_path_leaves_to_the_row_reader(self, tmp_path, text, chunk):
+        n_fields = text.split("\n")[0].count(",")
+        (tmp_path / "schema.json").write_text(schema_to_json(
+            [FieldSchema(f"f{n}", "categorical", n) for n in range(n_fields)]))
+        (tmp_path / "data.csv").write_text(text)
+        with mock.patch.object(aefs.data, "CHUNK_LINES", chunk or aefs.data.CHUNK_LINES):
+            got = read_outcome(lambda: read_format_b(tmp_path / "data.csv",
+                                                     tmp_path / "schema.json")[0])
+        want = read_outcome(lambda: encode_columns(*reference_read_format_b(
+            tmp_path / "data.csv", tmp_path / "schema.json")))
+        assert got == want
+
     @pytest.mark.parametrize("length", [9, 10, 11])
     def test_field_over_the_csv_limit_fails_as_in_csv_reader(self, tmp_path, length):
         """A field csv.reader refuses is a DataError naming its file and
@@ -523,3 +549,138 @@ class TestReadersMatchReference:
                 got = read_outcome(lambda: read_format_a(path)[0])
             want = read_outcome(lambda: encode_columns(*reference_read_format_a(path)))
         assert got == want
+
+
+def first_occurrence_columns(fields):
+    """One categorical field per token list, numbered by a dict."""
+    codes, keys = [], []
+    for tokens in fields:
+        code_of = {}
+        codes.append([code_of.setdefault(t, len(code_of)) for t in tokens])
+        keys.append(list(code_of))
+    return codes, keys
+
+
+class TestNumbering:
+    @pytest.mark.parametrize("tokens", [
+        ["a", "a\0", "a", "a\0\0", "a\0"],
+        ["a\0", "a"],
+        ["abcdefg", "abcdefg\0", "abcdefgh", "abcdefgh\0", "abcdefgh\0\0"],
+        ["", "\0", "\0\0", "", "\0"],
+        ["x" * 9, "x" * 9 + "\0", "x" * 8 + "\0", "x" * 8],
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, 100])
+    def test_tokens_that_differ_in_trailing_nul_bytes(self, tokens, chunk):
+        """Tokens alike but for trailing NULs share their packed words and
+        differ in length alone, in one chunk or across chunks; the
+        row-by-row reader takes a quoted NUL on Python 3.11+."""
+        schema = [FieldSchema("f0", "categorical", 0), FieldSchema("f1", "categorical", 1)]
+        fields = [tokens, tokens[::-1]]
+        enc = aefs.data._Encoder(schema)
+        for lo in range(0, len(tokens), chunk):
+            enc.add_tokens([0] * len(tokens[lo:lo + chunk]),
+                           [field[lo:lo + chunk] for field in fields])
+        columns = enc.finish()
+        codes, keys = first_occurrence_columns(fields)
+        assert columns.codes.tolist() == codes and columns.keys == keys
+
+    def test_a_long_token_widens_no_other_key(self):
+        """Keys are as wide as their own token, to the next power of two
+        words, so one 100 kB token adds about 128 kB of keys, not that much
+        per distinct token."""
+        tokens = [f"t{i}" for i in range(1000)] + ["x" * 100_000] + ["t1", "x" * 100_000]
+        enc = aefs.data._Encoder([FieldSchema("f0", "categorical", 0)])
+        enc.add_tokens([0] * len(tokens), [tokens])
+        codes, keys = first_occurrence_columns([tokens])
+        assert enc.finish().codes.tolist() == codes and enc.finish().keys == keys
+        tables = enc.fields[0].tables.values()
+        assert sum(table.keys.nbytes for table in tables) < 140_000
+
+    @pytest.mark.parametrize("chunk", [1, 2, 100])
+    def test_newlines_beside_multibyte_characters(self, chunk):
+        """Quoted format-B tokens can hold a newline; the unseen tokens of
+        a chunk are then cut from the decoded text at character offsets."""
+        tokens = ["é", "l\nb", "日本", "x", "l\nb", "", "\n", "abcdefgé\n", "é"]
+        enc = aefs.data._Encoder([FieldSchema("f0", "categorical", 0)])
+        for lo in range(0, len(tokens), chunk):
+            enc.add_tokens([1] * len(tokens[lo:lo + chunk]), [tokens[lo:lo + chunk]])
+        codes, keys = first_occurrence_columns([tokens])
+        assert enc.finish().codes.tolist() == codes and enc.finish().keys == keys
+
+    def test_format_a_with_nul_bytes(self, tmp_path):
+        """Format A takes a NUL on its split path."""
+        cats = ["a", "a\0", "", "\0", "abcdefgh", "abcdefgh\0", "abcdefgh\0\0\0"]
+        lines = ["\t".join([str(i % 2)] + ["4"] * 13 + [cats[(i + n) % len(cats)]
+                                                       for n in range(26)])
+                 for i in range(20)]
+        path = tmp_path / "clicks.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with mock.patch.object(aefs.data, "_read_rows", side_effect=AssertionError):
+            for chunk in (1, 3, 8192):
+                with mock.patch.object(aefs.data, "CHUNK_LINES", chunk):
+                    got = read_format_a(path)[0]
+                assert column_bytes(got) == column_bytes(encode_columns(
+                    *reference_read_format_a(path)))
+
+
+def generated_table(n_lines, n_fields, seed):
+    """(labels, one token list per field): many distinct tokens of 0 to 20
+    bytes, ASCII and not, so each field's table grows across chunks."""
+    rng = np.random.default_rng(seed)
+    alphabet = list("abcdefghij0123") + ["é", "日", "ß"]
+    pool = ["".join(rng.choice(alphabet, size=size)) for size in rng.integers(0, 21, 3000)]
+    labels = rng.integers(0, 2, n_lines).astype(str).tolist()
+    columns = [[pool[i] for i in rng.zipf(1.3, n_lines) % len(pool)] for _ in range(n_fields)]
+    return labels, columns
+
+
+class TestDefaultChunks:
+    """Files longer than CHUNK_LINES at its own size, read on the split
+    path alone and held to the per-record reference byte for byte."""
+
+    def test_format_b(self, tmp_path):
+        assert aefs.data.CHUNK_LINES < 20_000
+        labels, columns = generated_table(20_000, 3, seed=1)
+        columns.append([str(v) for v in np.random.default_rng(2).integers(-5, 10**6, 20_000)])
+        schema = [FieldSchema(f"f{n}", "categorical", n) for n in range(3)]
+        schema.append(FieldSchema("f3", "numerical", 3))
+        rows = [",".join(row) for row in zip(labels, *columns)]
+        data_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.json"
+        data_path.write_text("\n".join(["label,f0,f1,f2,f3"] + rows) + "\n", encoding="utf-8")
+        schema_path.write_text(schema_to_json(schema))
+        with mock.patch.object(aefs.data, "_read_rows", side_effect=AssertionError):
+            got = read_format_b(data_path, schema_path)[0]
+        want = encode_columns(*reference_read_format_b(data_path, schema_path))
+        assert column_bytes(got) == column_bytes(want)
+        assert max(map(len, got.keys[0])) == 20
+
+    def test_format_a(self, tmp_path):
+        labels, categorical = generated_table(20_000, 26, seed=3)
+        numeric = np.random.default_rng(4).integers(0, 500, (13, 20_000)).astype(str).tolist()
+        path = tmp_path / "clicks.tsv"
+        path.write_text("".join("\t".join(row) + "\n"
+                                for row in zip(labels, *numeric, *categorical)),
+                        encoding="utf-8")
+        with mock.patch.object(aefs.data, "_read_rows", side_effect=AssertionError):
+            got = read_format_a(path)[0]
+        assert column_bytes(got) == column_bytes(encode_columns(*reference_read_format_a(path)))
+
+
+class TestSplitPathGuard:
+    """A plain file of either format never reaches the row-by-row reader,
+    which the benchmark's inputs would otherwise take unnoticed."""
+
+    def test_format_b(self, tmp_path):
+        sd = generate_synthetic(SyntheticSpec(n_fields=3, n_informative=1, n_records=50))
+        write_format_b(sd.columns, sd.schema, tmp_path / "data.csv", tmp_path / "schema.json")
+        with mock.patch.object(aefs.data, "_read_rows", side_effect=AssertionError):
+            columns, _ = read_format_b(tmp_path / "data.csv", tmp_path / "schema.json")
+        assert column_bytes(columns) == column_bytes(sd.columns)
+
+    def test_format_a(self, tmp_path):
+        line = "\t".join(["1"] + ["4"] * 13 + ["0a1b2c3d"] * 26)
+        blank = "\t".join(["0"] + [""] * 39)
+        (tmp_path / "clicks.tsv").write_text(f"{line}\n{blank}\n{line}")
+        with mock.patch.object(aefs.data, "_read_rows", side_effect=AssertionError):
+            columns, _ = read_format_a(tmp_path / "clicks.tsv")
+        assert columns.codes.shape == (39, 3)
