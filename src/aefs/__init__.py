@@ -26,7 +26,6 @@ from .numerics import Adam, AdamState, Linear, RowGrad, Tensor, sigmoid, softmax
 from .predictors import Controller, PredictorConfig, bce, build_predictor
 from .selection import (
     DualModel,
-    ForwardTrace,
     aefs_forward,
     embedding_alignment_loss,
     prediction_alignment_loss,

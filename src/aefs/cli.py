@@ -84,6 +84,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@contextmanager
+def _path_errors(error: type[Exception]):
+    """Raise a file-system error on a user-named path (a directory where a
+    file belongs, a file where a directory belongs) as `error`, one line
+    naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from exc
+
+
 def _out_root(flag_value: str | None) -> Path:
     if flag_value:
         return Path(flag_value)
@@ -119,7 +130,8 @@ def _manifest(run_dir: Path, command: str, config_hash: str, seed: int, inputs: 
 
     write()
     try:
-        yield
+        with _path_errors(ConfigError):  # an output the run cannot write
+            yield
     except tuple(_HANDLED) as exc:
         code, message = _handled(exc)
         write(status="failed", finished_at=_now(), exit_code=code, error=message)
@@ -134,7 +146,8 @@ def _make_run_dir(root: Path, name: str, force: bool) -> Path:
     if run_dir.exists() and not force and _status(run_dir) != "failed":
         raise ConfigError(
             f"run directory {run_dir} already exists; rerun with --force or a new seed")
-    run_dir.mkdir(parents=True, exist_ok=True)
+    with _path_errors(ConfigError):
+        run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
 
 
@@ -162,7 +175,8 @@ def cmd_synth(args) -> int:
         teacher_seed=args.seed,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _path_errors(ConfigError):
+        out_dir.mkdir(parents=True, exist_ok=True)
     with _manifest(out_dir, "synth", f"synth-{spec.teacher_seed}", spec.teacher_seed, []):
         sd = generate_synthetic(spec)
         write_format_b(sd.columns, sd.schema, out_dir / "data.csv", out_dir / "schema.json")
@@ -193,7 +207,9 @@ def _load_config(args) -> TrainConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file {path} not found")
-        config = parse_config_text(path.read_text())
+        with _path_errors(ConfigError):
+            text = path.read_text()
+        config = parse_config_text(text)
     overrides = {
         "method": args.method,
         "mode": args.mode,
@@ -221,13 +237,14 @@ def _load_config(args) -> TrainConfig:
 def _load_dataset(data_dir: Path):
     data_path = data_dir / "data.csv"
     schema_path = data_dir / "schema.json"
-    if data_path.exists() and schema_path.exists():
-        columns, schema = read_format_b(data_path, schema_path)
-    else:
-        tsv = sorted(data_dir.glob("*.tsv")) + sorted(data_dir.glob("*.txt"))
-        if not tsv:
-            raise DataError(f"no data.csv+schema.json or .tsv file under {data_dir}")
-        columns, schema = read_format_a(tsv[0])
+    with _path_errors(DataError):
+        if data_path.exists() and schema_path.exists():
+            columns, schema = read_format_b(data_path, schema_path)
+        else:
+            tsv = sorted(data_dir.glob("*.tsv")) + sorted(data_dir.glob("*.txt"))
+            if not tsv:
+                raise DataError(f"no data.csv+schema.json or .tsv file under {data_dir}")
+            columns, schema = read_format_a(tsv[0])
     informative = None
     meta_path = data_dir / "meta.json"
     if meta_path.exists():
@@ -243,10 +260,11 @@ def _load_dataset(data_dir: Path):
 
 def _json_object(path: Path) -> dict:
     """The JSON object in the file at `path`; anything else is a DataError."""
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    with _path_errors(DataError):
+        try:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object")
     return obj

@@ -7,7 +7,7 @@ Two input formats are supported:
 * format B: comma-separated with a header row naming the fields, plus a JSON
   schema file declaring each field ``categorical`` or ``numerical``.
 
-Every reader, and the synthetic generator, yields `Columns`: one encoder
+Every reader yields `Columns`: one encoder
 numbers each field's distinct tokens chunk by chunk as they are read, so no
 per-record object is ever built. It takes a chunk as one UTF-8 buffer with
 each token's byte offset and length, packs each token into uint64 words
@@ -31,6 +31,9 @@ tokenizers feed it:
 Numeric fields are bucketized with the standard log-square transform before
 vocabulary mapping, once per distinct raw token. Rare tokens fall into a
 per-field out-of-vocabulary ID.
+
+The synthetic generator yields `Columns` too. It numbers its integer
+categories directly, in the same first-occurrence order.
 """
 from __future__ import annotations
 
@@ -431,12 +434,19 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
 
     schema = [FieldSchema(name=f"f{n:02d}", kind="categorical", index=n)
               for n in range(spec.n_fields)]
-    enc = _Encoder(schema)
-    for lo in range(0, spec.n_records, CHUNK_LINES):
-        enc.add_tokens(labels[lo:lo + CHUNK_LINES],
-                       [list(map(str, column)) for column in x[lo:lo + CHUNK_LINES].T.tolist()])
-    return SyntheticData(columns=enc.finish(), schema=schema,
-                         informative_fields=informative, teacher_logits=logits)
+    # each field's categories numbered in order of first occurrence, as a
+    # reader numbers their tokens
+    codes = np.empty((spec.n_fields, spec.n_records), dtype=np.int64)
+    keys = []
+    for column, field_codes in zip(x.T, codes):
+        values, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        field_codes[:] = rank[inverse]
+        keys.append([str(v) for v in values[order].tolist()])
+    return SyntheticData(columns=Columns(codes=codes, labels=labels.astype(np.float64), keys=keys),
+                         schema=schema, informative_fields=informative, teacher_logits=logits)
 
 
 # ---------------------------------------------------------------------------

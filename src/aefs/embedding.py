@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor, out_of_range, repeats_in_rows, scatter_rows, \
-    xavier_init
+from .numerics import DimensionError, Tensor, out_of_range, scatter_rows, xavier_init
 
 
 class SelectionIndexError(ValueError):
@@ -82,33 +81,6 @@ class EmbeddingSet:
         ids = x[:, fields]
         self._check_ids(ids, fields)
         return ids + self.offsets[fields]
-
-    def embed_selected(self, x: np.ndarray, indices: np.ndarray) -> Tensor:
-        """Embed only the fields in `indices`, in their given order.
-
-        x is (B, N) ids, indices is (B, k) distinct field positions per row;
-        the result is (B, k, d). Exactly k lookups per instance are counted
-        and unselected tables are untouched by both forward and backward.
-        """
-        x = np.asarray(x)
-        indices = np.asarray(indices)
-        b, _ = indices.shape
-        if x.shape[0] != b or x.ndim != 2:
-            raise DimensionError(f"ids {x.shape} vs indices {indices.shape}")
-        if indices.size == 0:
-            return Tensor(np.zeros((b, 0, self._dim)))
-        if out_of_range(indices, self.n_fields):
-            raise SelectionIndexError("field index out of range")
-        if repeats_in_rows(indices, self.n_fields):
-            raise SelectionIndexError("duplicate field index in a selection")
-        flat = self.flat_rows(x, indices)
-        self._check_ids(flat - self.offsets[indices], indices)
-        return self.lookup(flat, indices)
-
-    def flat_rows(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Rows of the shared matrix that `embed_selected(x, indices)` reads:
-        (B, k), row i holding those of the fields `indices[i]` of `x[i]`."""
-        return x[np.arange(x.shape[0])[:, None], indices] + self.offsets[indices]
 
     def lookup(self, rows: np.ndarray, fields=slice(None)) -> Tensor:
         """Rows `rows` of the shared matrix, (B, n) -> (B, n, d), which the

@@ -508,32 +508,17 @@ def out_of_range(idx: Array, limit) -> bool:
     return bool((idx >= limit).any())
 
 
-def repeats_in_rows(idx: Array, n: int) -> bool:
-    """Whether some row of the (B, k) index array, entries in ``[0, n)``,
-    holds a value twice: one count per (row, value) pair."""
-    if idx.shape[1] < 2 or idx.size == 0:
-        return False
-    keys = idx + np.arange(0, idx.shape[0] * n, n)[:, None]
-    return bool(np.bincount(keys.reshape(-1)).max() > 1)
-
-
-def gather_fields(x: Tensor, idx: Array, checked: bool = False) -> Tensor:
+def gather_fields(x: Tensor, idx: Array) -> Tensor:
     """Per-row gather along axis 1 of a (B, N) or (B, N, D) tensor.
 
-    idx has shape (B, k) and holds distinct positions per row; output row i
-    holds x[i, idx[i, j]] in idx order. Backward adds each upstream entry
-    to the one position it was read from. `checked` says that the caller
-    has already verified those positions against the same N.
+    idx has shape (B, k) and holds distinct positions in ``[0, N)`` per row,
+    as a row's top k do; output row i holds x[i, idx[i, j]] in idx order.
+    Backward adds each upstream entry to the one position it was read from.
     """
     idx = np.asarray(idx)
-    b, n = x.shape[0], x.shape[1]
+    b = x.shape[0]
     if idx.ndim != 2 or idx.shape[0] != b:
         raise DimensionError(f"index shape {idx.shape} incompatible with {x.shape}")
-    if not checked:
-        if out_of_range(idx, n):
-            raise IndexError("field index out of range [0, %d)" % n)
-        if repeats_in_rows(idx, n):
-            raise IndexError("repeated field index in a row")
     rows = np.arange(b)[:, None]
     out = x.data[rows, idx]
 

@@ -21,7 +21,6 @@ from .numerics import (
     normalized_affine,
     relu,
     sigmoid,
-    softmax,
     xavier_init,
 )
 
@@ -173,9 +172,9 @@ def build_predictor(config: PredictorConfig, rng: np.random.Generator):
 
 class Controller:
     """Importance scorer: batch norm over the flattened field embeddings,
-    one affine map down to N logits, softmax. Scores are positive and sum
-    to 1 per instance. Top-k selection with re-weighting reads the logits
-    alone (`selection.topk_softmax`).
+    then one affine map down to N logits. Their softmax is the field
+    scores; top-k selection with re-weighting reads the logits alone
+    (`selection.topk_softmax`).
 
     The batch norm and the affine map run as one `normalized_affine` node.
     Training mode normalizes by the batch's statistics (biased variance)
@@ -196,10 +195,6 @@ class Controller:
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
         self.fc = Linear(width, n_fields, rng)
-
-    def __call__(self, e: Tensor, training: bool) -> Tensor:
-        """The (B, N) scores: the softmax of the logits."""
-        return softmax(self.logits(e, training), axis=1)
 
     def logits(self, e: Tensor, training: bool) -> Tensor:
         """The (B, N) logits of the (B, N, d) embeddings `e`."""

@@ -8,8 +8,6 @@ joint training.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .embedding import EmbeddingSet, SelectionIndexError
@@ -221,7 +219,7 @@ def _top_k(logits: Tensor, k: int, reweight: bool) -> tuple[np.ndarray, Tensor]:
         return topk_softmax(logits, k)
     s = softmax(logits, axis=1)
     indices = k_max_indices_batch(s.data, k)
-    return indices, gather_fields(s, indices, checked=True)  # argsort's: distinct, in range
+    return indices, gather_fields(s, indices)
 
 
 class DualModel:
@@ -256,31 +254,32 @@ class DualModel:
         self._pretrain_head: Linear | None = None
 
     def score(self, x: np.ndarray, training: bool):
-        """Returns (main prediction, selected indices, their weights) as
-        `aefs_forward` computes them, without the auxiliary predictor, whose
-        output only the training losses read."""
-        _, _, indices, weights, rows = _select(self, x, training, self.reweight)
-        _, p_m = _main_branch(self, rows, indices, weights)
+        """Returns (main prediction, selected indices, their weights) of
+        `aefs_forward`."""
+        p_m, indices, weights, _, _ = aefs_forward(self, x, training)
         return p_m, indices, weights.data
 
     def loss(self, x: np.ndarray, y: np.ndarray):
         """Returns (loss, per-term floats, selected indices) of one batch:
-        BCE of both predictors plus the enabled alignment terms."""
-        trace = aefs_forward(self, x, training=True, reweight=self.reweight)
-        bce_a = bce(trace.aux_pred, y)
-        bce_m = bce(trace.main_pred, y)
+        BCE of both predictors plus the enabled alignment terms. The
+        auxiliary predictor reads the auxiliary embeddings of the selected
+        fields, scaled by the same weights as the main ones."""
+        p_m, indices, weights, rows, e_a = aefs_forward(self, x, training=True)
+        p_a = self.aux_predictor(scale_embeddings(gather_fields(e_a, indices), weights))
+        bce_a = bce(p_a, y)
+        bce_m = bce(p_m, y)
         loss = bce_a + bce_m
         terms = {"bce_aux": bce_a.item(), "bce_main": bce_m.item()}
         if self.enable_eal:
             eal = embedding_alignment_loss(self.aux_embeddings.weight, self.main_embeddings.weight,
-                                           trace.rows, trace.weights, self.align_fc)
+                                           rows, weights, self.align_fc)
             loss = loss + eal
             terms["eal"] = eal.item()
         if self.enable_pal:
-            pal = prediction_alignment_loss(trace.aux_pred, trace.main_pred)
+            pal = prediction_alignment_loss(p_a, p_m)
             loss = loss + pal
             terms["pal"] = pal.item()
-        return loss, terms, trace.indices
+        return loss, terms, indices
 
     def warmup_params(self):
         """The auxiliary side alone (embeddings, controller and a throwaway
@@ -293,7 +292,7 @@ class DualModel:
     def warmup_forward(self, x: np.ndarray) -> Tensor:
         b = x.shape[0]
         e_a = self.aux_embeddings.embed(x)
-        s = self.controller(e_a, training=True)
+        s = softmax(self.controller.logits(e_a, training=True), axis=1)
         flat = scale_embeddings(e_a, s).reshape(b, self.n_fields * self.d2)
         return sigmoid(self.pretrain_head()(flat)).reshape(b)
 
@@ -318,53 +317,24 @@ class DualModel:
         return self._pretrain_head
 
 
-@dataclass
-class ForwardTrace:
-    """Everything one early-selection forward pass produced."""
+def aefs_forward(pair: DualModel, x: np.ndarray, training: bool):
+    """Score every field with the auxiliary model, keep the top k, and run
+    the main model on them with their weights: the early-selection pass
+    that scoring returns and training adds the auxiliary predictor to.
 
-    logits: Tensor           # (B, N) controller logits
-    indices: np.ndarray      # (B, k) descending-logit order
-    rows: np.ndarray         # (B, k) rows of the selected lookups, in either table
-    weights: Tensor          # (B, k), the single W applied on both sides
-    aux_embeds: Tensor       # (B, k, d2) selected + scaled
-    main_embeds: Tensor      # (B, k, d1) selected + scaled
-    aux_pred: Tensor         # (B,)
-    main_pred: Tensor        # (B,)
-
-
-def _select(pair: DualModel, x: np.ndarray, training: bool, reweight: bool):
-    """Auxiliary embeddings, controller logits, the top-k indices, their
-    weights and their table rows: the part of a forward pass both
-    predictors depend on."""
+    Returns the (B,) main prediction, the (B, k) selected fields in
+    descending-logit order, their (B, k) weights, the (B, k) table rows of
+    their lookups, which address either set, and the (B, N, d2) auxiliary
+    embeddings. Auxiliary lookups per instance: N. Main lookups: k.
+    """
     rows = pair.aux_embeddings.rows(x)               # (B, N), every id checked
     e_a = pair.aux_embeddings.lookup(rows)           # (B, N, d2)
-    logits = pair.controller.logits(e_a, training)   # (B, N)
-    indices, weights = _top_k(logits, pair.k, reweight)  # (B, k) each
+    indices, weights = _top_k(pair.controller.logits(e_a, training), pair.k, pair.reweight)
     # the two sets share their offsets, so these rows address the main
     # table too; argsort's top k are distinct and in range by construction
-    return e_a, logits, indices, weights, rows[np.arange(rows.shape[0])[:, None], indices]
-
-
-def _main_branch(pair: DualModel, rows: np.ndarray, indices: np.ndarray, weights: Tensor):
-    e_m = pair.main_embeddings.lookup(rows, indices)  # k lookups each
-    e_m_sel = scale_embeddings(e_m, weights)
-    return e_m_sel, pair.main_predictor(e_m_sel)
-
-
-def aefs_forward(pair: DualModel, x: np.ndarray, training: bool,
-                 reweight: bool = True) -> ForwardTrace:
-    """Score with the auxiliary model, keep the top k fields, and run both
-    predictors on the same selection and the same weights.
-
-    Auxiliary lookups per instance: N. Main lookups per instance: k.
-    """
-    e_a, logits, indices, weights, rows = _select(pair, x, training, reweight)
-    e_a_sel = scale_embeddings(gather_fields(e_a, indices, checked=True), weights)
-    p_a = pair.aux_predictor(e_a_sel)
-    e_m_sel, p_m = _main_branch(pair, rows, indices, weights)
-    return ForwardTrace(logits=logits, indices=indices, rows=rows, weights=weights,
-                        aux_embeds=e_a_sel, main_embeds=e_m_sel,
-                        aux_pred=p_a, main_pred=p_m)
+    rows = rows[np.arange(rows.shape[0])[:, None], indices]
+    e_m = scale_embeddings(pair.main_embeddings.lookup(rows, indices), weights)
+    return pair.main_predictor(e_m), indices, weights, rows, e_a
 
 
 def embedding_alignment_loss(aux: Tensor, main: Tensor, rows: np.ndarray, weights: Tensor,

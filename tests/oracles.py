@@ -11,7 +11,8 @@ the activation ledger that counted every selected index per batch. So is
 the per-record data path that `prepare` replaced with per-field encoding: a
 vocabulary counted token by token, and one `Instance` per record. So are the
 readers that built one `RawRecord` per row, before every reader fed the
-columnar encoder, and the transposition of those records into `Columns`. So are the
+columnar encoder, and the transposition of those records into `Columns`. So
+is the synthetic generator that fed its tokens through that encoder. So are the
 logistic function through boolean masks and a field gather whose backward
 scatters with ``np.add.at``, as scoring had them before it ran without the
 tape.
@@ -39,8 +40,9 @@ from fractions import Fraction
 import numpy as np
 
 from aefs import numerics, selection
-from aefs.data import MISSING_TOKEN, OOV_ID, Columns, DataError, Dataset, Vocabulary, \
-    _not_utf8, criteo_schema, discretize_numeric, schema_from_json, split_indices
+from aefs.data import CHUNK_LINES, MISSING_TOKEN, OOV_ID, Columns, DataError, Dataset, \
+    FieldSchema, Vocabulary, _Encoder, _not_utf8, criteo_schema, discretize_numeric, \
+    schema_from_json, split_indices
 from aefs.embedding import EmbeddingSet
 from aefs.numerics import AdamState, DegenerateBatchError, DimensionError, RowGrad, Tensor, \
     softmax
@@ -133,9 +135,15 @@ def reference_controller_logits(ctrl, e, training):
     return h @ ctrl.fc.weight + ctrl.fc.bias
 
 
+def controller_scores(ctrl, e, training):
+    """The controller's (B, N) scores, the softmax of its logits, as the
+    `aefs` warm-up and soft `adafs` take them."""
+    return softmax(ctrl.logits(e, training), axis=1)
+
+
 def reference_controller(ctrl, e, training):
-    """``Controller.__call__`` as separate tape nodes: the reference logits,
-    then softmax."""
+    """The controller's scores, the softmax of ``Controller.logits``, as
+    separate tape nodes: the reference logits, then softmax."""
     return softmax(reference_controller_logits(ctrl, e, training), axis=1)
 
 
@@ -401,8 +409,7 @@ def prediction_discrepancy(fitted, dataset, batch_size: int = 2048) -> float:
     total = 0.0
     n = len(dataset)
     for start in range(0, n, batch_size):
-        x = dataset.x[start:start + batch_size]
-        trace = aefs_forward(fitted.model, x, training=False, reweight=fitted.model.reweight)
+        trace = aefs_trace(fitted.model, dataset.x[start:start + batch_size], training=False)
         total += float(((trace.aux_pred.data - trace.main_pred.data) ** 2).sum())
     return total / n
 
@@ -416,12 +423,59 @@ def embedding_discrepancy(fitted, dataset, batch_size: int = 2048) -> float:
     for start in range(0, n, batch_size):
         x = dataset.x[start:start + batch_size]
         pair = fitted.model
-        trace = aefs_forward(pair, x, training=False, reweight=pair.reweight)
+        _, _, weights, rows, _ = aefs_forward(pair, x, training=False)
         loss = embedding_alignment_loss(pair.aux_embeddings.weight, pair.main_embeddings.weight,
-                                        pair.main_embeddings.flat_rows(x, trace.indices),
-                                        trace.weights, pair.align_fc)
+                                        rows, weights, pair.align_fc)
         total += loss.item() * x.shape[0]
     return total / n
+
+
+@dataclass
+class AefsTrace:
+    """One early-selection pass with the auxiliary branch of training."""
+
+    logits: Tensor           # (B, N) controller logits
+    indices: np.ndarray      # (B, k) descending-logit order
+    rows: np.ndarray         # (B, k) rows of the selected lookups, in either table
+    weights: Tensor          # (B, k), the single W applied on both sides
+    aux_embeds: Tensor       # (B, k, d2) selected + scaled
+    main_embeds: Tensor      # (B, k, d1) selected + scaled
+    aux_pred: Tensor         # (B,)
+    main_pred: Tensor        # (B,)
+
+
+def aefs_trace(pair, x, training: bool) -> AefsTrace:
+    """`aefs_forward` with the controller logits and the scaled main
+    embeddings it passes on recorded, then the auxiliary branch as
+    `DualModel.loss` builds it."""
+    seen = {}
+    logits, main_predictor = pair.controller.logits, pair.main_predictor
+
+    def record_logits(e, training):
+        seen["logits"] = logits(e, training)
+        return seen["logits"]
+
+    def record_main(e):
+        seen["main_embeds"] = e
+        return main_predictor(e)
+
+    pair.controller.logits, pair.main_predictor = record_logits, record_main
+    try:
+        main_pred, indices, weights, rows, e_a = aefs_forward(pair, x, training)
+    finally:
+        del pair.controller.logits
+        pair.main_predictor = main_predictor
+    aux_embeds = selection.scale_embeddings(numerics.gather_fields(e_a, indices), weights)
+    return AefsTrace(seen["logits"], indices, rows, weights, aux_embeds, seen["main_embeds"],
+                     pair.aux_predictor(aux_embeds), main_pred)
+
+
+def embed_per_row(es: EmbeddingSet, x, indices) -> Tensor:
+    """The (B, k, d) embeddings of the fields `indices[i]` of each row
+    `x[i]`, read as `aefs_forward` reads the main set's: the rows of every
+    field, those of the selected fields picked per row, then one lookup."""
+    rows = es.rows(x)
+    return es.lookup(rows[np.arange(rows.shape[0])[:, None], indices], np.asarray(indices))
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +619,31 @@ def reference_read_format_a(data_path):
     if not records:
         raise DataError(f"{data_path}: no records")
     return records, schema
+
+
+def encoded_synthetic(spec) -> Columns:
+    """The columns of ``generate_synthetic(spec)`` as the generator built
+    them before it numbered its categories directly: the same draws, each
+    category as its decimal token, fed through the readers' encoder one
+    chunk of `CHUNK_LINES` records at a time."""
+    rng = np.random.default_rng(spec.teacher_seed)
+    informative = sorted(rng.choice(spec.n_fields, size=spec.n_informative, replace=False).tolist())
+    effects = {}
+    for n in informative:
+        magnitude = rng.uniform(0.5 * spec.logit_scale, 1.5 * spec.logit_scale,
+                                size=spec.vocab_size)
+        effects[n] = rng.choice([-1.0, 1.0], size=spec.vocab_size) * magnitude
+    x = rng.integers(0, spec.vocab_size, size=(spec.n_records, spec.n_fields))
+    logits = np.zeros(spec.n_records)
+    for n in informative:
+        logits += effects[n][x[:, n]]
+    labels = (rng.random(spec.n_records) < 1.0 / (1.0 + np.exp(-logits))).astype(int)
+    enc = _Encoder([FieldSchema(name=f"f{n:02d}", kind="categorical", index=n)
+                    for n in range(spec.n_fields)])
+    for lo in range(0, spec.n_records, CHUNK_LINES):
+        enc.add_tokens(labels[lo:lo + CHUNK_LINES],
+                       [list(map(str, column)) for column in x[lo:lo + CHUNK_LINES].T.tolist()])
+    return enc.finish()
 
 
 def encode_columns(records, schema) -> Columns:

@@ -23,9 +23,9 @@ from aefs.predictors import (
     bce,
     fm_pairwise_interaction,
 )
-from aefs.selection import aefs_forward, embedding_alignment_loss, prediction_alignment_loss
+from aefs.selection import aefs_forward
 from aefs.training import prepare
-from oracles import compose_activated_params, grad_check
+from oracles import aefs_trace, compose_activated_params, embed_per_row, grad_check
 
 
 def ok(criterion: str, detail: str):
@@ -68,7 +68,7 @@ def test_criterion_2_accounting_identity():
     batches = 17
     for _ in range(batches):
         sel = np.stack([rng.choice(6, size=3, replace=False) for _ in range(9)])
-        main.embed_selected(np.zeros((9, 6), dtype=int), sel)
+        embed_per_row(main, np.zeros((9, 6), dtype=int), sel)
         sizes = np.asarray(vocab) * 8
         expected_sum += Fraction(int(sizes[sel].sum()), 9) + aux.param_count()
     activated, _ = activation_averages(main.lookup_counts, 9 * batches, main, aux)
@@ -119,18 +119,13 @@ def test_criterion_4_full_joint_loss_grad_check():
     x = rng.integers(0, 4, size=(4, 6))
     y = rng.integers(0, 2, size=4).astype(float)
 
-    trace = aefs_forward(pair, x, training=True)
+    trace = aefs_trace(pair, x, training=True)
     sorted_scores = -np.sort(-softmax(trace.logits.data, axis=1), axis=1)
     margin = (sorted_scores[:, 2] - sorted_scores[:, 3]).min()
     assert margin > 1e-3  # top-k boundary stable under +/- eps nudges
 
     def loss():
-        t = aefs_forward(pair, x, training=True)
-        return (bce(t.aux_pred, y) + bce(t.main_pred, y)
-                + embedding_alignment_loss(pair.aux_embeddings.weight, pair.main_embeddings.weight,
-                                           pair.main_embeddings.flat_rows(x, t.indices),
-                                           t.weights, pair.align_fc)
-                + prediction_alignment_loss(t.aux_pred, t.main_pred))
+        return pair.loss(x, y)[0]
 
     params = [t for _, t in pair.named_params()]
     err = grad_check(loss, params, eps=1e-5)

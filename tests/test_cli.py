@@ -534,6 +534,88 @@ class TestParams:
         assert len(err) == 1 and err[0].startswith("data error: ") and message in err[0], err
 
 
+class TestWrongPathKinds:
+    """A directory where the CLI reads or writes a file, or a regular file
+    where it makes a directory, ends with one stderr line naming the path:
+    exit 2 for data and vocab files, exit 1 for the config file and the
+    outputs. A run that had started is marked failed."""
+
+    @pytest.mark.parametrize("as_dir", ["data.csv", "schema.json", "meta.json", "clicks.tsv"])
+    def test_directory_as_data_file_exits_2(self, tmp_path, capsys, as_dir):
+        data = tmp_path / "data"
+        data.mkdir()
+        if as_dir != "clicks.tsv":
+            files = {"data.csv": mixed_rows("1"), "schema.json": MIXED_SCHEMA, "meta.json": b"{}"}
+            for name, content in files.items():
+                (data / name).write_bytes(content)
+            (data / as_dir).unlink()
+        (data / as_dir).mkdir()
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                   "--method", "none", "--d1", "4", "--max-epochs", "1", "--min-freq", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"data error: {data / as_dir}: Is a directory"]
+        manifest = json.loads((next((tmp_path / "r").iterdir()) / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", 2, err[0])
+
+    @pytest.mark.parametrize("cmd", ["train", "compare", "synth"])
+    @pytest.mark.parametrize("below", [True, False], ids=["below-a-file", "a-file"])
+    def test_output_directory_at_a_file_exits_1(self, synth_dir, tmp_path, capsys, cmd, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        out = blocker / "runs" if below else blocker
+        args = {"train": ["train", "--data", str(synth_dir), "--method", "none"],
+                "compare": ["compare", "--data", str(synth_dir), "--methods", "none,aefs",
+                            "--seeds", "0,1"],
+                "synth": ["synth", "--records", "100"]}[cmd]
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {blocker}"), err
+        assert err[0].endswith(": Not a directory" if below or cmd != "synth"
+                               else ": File exists"), err
+        assert blocker.read_text() == "a regular file\n"
+
+    @pytest.mark.parametrize("cmd,output", [("train", "config.txt"), ("synth", "data.csv")])
+    def test_directory_as_output_file_fails_the_run(self, synth_dir, tmp_path, capsys, cmd,
+                                                    output):
+        if cmd == "train":
+            args = train_args(synth_dir, tmp_path / "r")
+            assert main(args) == 0
+            run = next((tmp_path / "r").iterdir())
+            (run / output).unlink()
+            args.append("--force")
+        else:
+            run = tmp_path / "s"
+            args = ["synth", "--out", str(run), "--records", "100"]
+        (run / output).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {run / output}: Is a directory"]
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", 1, err[0])
+
+    @pytest.mark.parametrize("cmd", ["train", "compare"])
+    def test_directory_as_config_exits_1(self, synth_dir, tmp_path, capsys, cmd):
+        cfg = tmp_path / "run.cfg"
+        cfg.mkdir()
+        extra = ["--methods", "none,aefs", "--seeds", "0,1"] if cmd == "compare" else []
+        out = tmp_path / "r"
+        rc = main([cmd, "--data", str(synth_dir), "--out", str(out), "--config", str(cfg)]
+                  + extra)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {cfg}: Is a directory"]
+        assert not out.exists()
+
+    def test_directory_as_vocab_file_exits_2(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab_sizes.json"
+        vocab.mkdir()
+        assert main(["params", "--vocab-file", str(vocab)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"data error: {vocab}: Is a directory"]
+
+
 class TestEnvOutputRoot:
     def test_env_var_sets_default_root(self, synth_dir, tmp_path, monkeypatch):
         root = tmp_path / "env-root"

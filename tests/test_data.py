@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import aefs.data
 from aefs.data import (
+    CHUNK_LINES,
     MISSING_TOKEN,
     OOV_ID,
     DataError,
@@ -30,8 +31,8 @@ from aefs.data import (
 )
 from aefs.metrics import auc, welch_t_test
 from aefs.training import prepare
-from oracles import RawRecord, encode_columns, reference_prepare, reference_read_format_a, \
-    reference_read_format_b, vocab_from_json, vocab_to_json
+from oracles import RawRecord, encode_columns, encoded_synthetic, reference_prepare, \
+    reference_read_format_a, reference_read_format_b, vocab_from_json, vocab_to_json
 
 
 class TestDiscretize:
@@ -213,6 +214,16 @@ class TestSynthetic:
         b = generate_synthetic(SyntheticSpec(n_records=500))
         assert column_bytes(a.columns) == column_bytes(b.columns)
         assert a.informative_fields == b.informative_fields
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n_fields=5, n_informative=2, vocab_size=3000, n_records=2 * CHUNK_LINES + 37,
+                      teacher_seed=4),
+        SyntheticSpec(n_fields=3, n_informative=1, vocab_size=2, n_records=11, teacher_seed=9),
+    ], ids=["categories-first-seen-in-later-chunks", "one-short-chunk"])
+    def test_columns_equal_the_tokens_through_the_encoder(self, spec):
+        assert spec.n_records % CHUNK_LINES
+        assert column_bytes(generate_synthetic(spec).columns) == \
+            column_bytes(encoded_synthetic(spec))
 
     def test_teacher_auc_on_default_spec(self, default_synth):
         assert auc(default_synth.teacher_logits, default_synth.columns.labels) > 0.75

@@ -5,13 +5,13 @@ import pytest
 
 from aefs.embedding import (
     EmbeddingSet,
-    SelectionIndexError,
     activation_averages,
     delta_el,
     delta_pae,
     full_param_count,
 )
-from oracles import ActivationLedger, compose_activated_params, record_batch_activation, tables
+from oracles import ActivationLedger, compose_activated_params, embed_per_row, \
+    record_batch_activation, tables
 
 def build_set(vocab_sizes, dim, seed=0):
     return EmbeddingSet(vocab_sizes, dim, np.random.default_rng(seed))
@@ -74,7 +74,7 @@ class TestEmbed:
         x = np.array([[1, 2, 3, 0], [6, 4, 8, 3], [1, 0, 0, 2]])
         upstream = np.random.default_rng(5).normal(size=(3, 2, 3))
         a = fast.embed(x, np.array([1, 3]))
-        b = per_row.embed_selected(x, np.tile([1, 3], (3, 1)))
+        b = embed_per_row(per_row, x, np.tile([1, 3], (3, 1)))
         (a * upstream).sum().backward()
         (b * upstream).sum().backward()
         np.testing.assert_array_equal(a.data, b.data)
@@ -86,17 +86,20 @@ class TestEmbed:
 
 
 class TestEmbedSelected:
+    """The selected fields of each row, read through `rows` and a `lookup`
+    with per-row fields, as `aefs_forward` reads the main set."""
+
     def test_all_fields_equals_embed(self):
         es = build_set([7, 5, 9], dim=3, seed=4)
         x = np.array([[1, 2, 3], [0, 4, 8]])
         full = es.embed(x)
         idx = np.tile(np.arange(3), (2, 1))
-        sel = es.embed_selected(x, idx)
+        sel = embed_per_row(es, x, idx)
         np.testing.assert_array_equal(sel.data, full.data)
 
     def test_empty_selection(self):
         es = build_set([4, 4], dim=2)
-        out = es.embed_selected(np.array([[1, 2]]), np.zeros((1, 0), dtype=int))
+        out = embed_per_row(es, np.array([[1, 2]]), np.zeros((1, 0), dtype=int))
         assert out.data.shape == (1, 0, 2)
         assert es.lookup_counts.sum() == 0
 
@@ -105,52 +108,35 @@ class TestEmbedSelected:
         b = 5
         x = np.zeros((b, 22), dtype=int)
         idx = np.tile(np.arange(11), (b, 1))  # k = 22 * 0.5
-        es.embed_selected(x, idx)
+        embed_per_row(es, x, idx)
         assert es.lookup_counts.sum() == b * 11
 
     def test_order_follows_indices(self):
         es = build_set([3, 3], dim=2, seed=1)
         x = np.array([[2, 1]])
-        out = es.embed_selected(x, np.array([[1, 0]]))
+        out = embed_per_row(es, x, np.array([[1, 0]]))
         np.testing.assert_array_equal(out.data[0, 0], tables(es)[1].data[1])
         np.testing.assert_array_equal(out.data[0, 1], tables(es)[0].data[2])
-
-    def test_duplicate_index_rejected(self):
-        es = build_set([4, 4], dim=2)
-        with pytest.raises(SelectionIndexError):
-            es.embed_selected(np.array([[1, 2]]), np.array([[0, 0]]))
-
-    def test_out_of_range_index_rejected(self):
-        es = build_set([4, 4], dim=2)
-        with pytest.raises(SelectionIndexError):
-            es.embed_selected(np.array([[1, 2]]), np.array([[0, 2]]))
-
-    @pytest.mark.parametrize("indices", [[[0, 2]], [[-1, 0]], [[1, -2]]])
-    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
-    def test_negative_or_too_large_index_rejected(self, indices, dtype):
-        es = build_set([4, 4], dim=2)
-        with pytest.raises(SelectionIndexError, match="out of range"):
-            es.embed_selected(np.array([[1, 2]]), np.array(indices, dtype=dtype))
 
     @pytest.mark.parametrize("ids", [[[-1, 2]], [[1, 4]], [[1, -3]]])
     def test_out_of_range_id_of_a_selected_field_rejected(self, ids):
         es = build_set([4, 4], dim=2)
         with pytest.raises(IndexError, match="category id out of range"):
-            es.embed_selected(np.array(ids), np.array([[1, 0]]))
+            embed_per_row(es, np.array(ids), np.array([[1, 0]]))
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_default_still_checks_ids(self, bad):
-        # only a caller that has checked every id itself reads rows through
-        # `lookup`; `embed_selected` always checks them
+        # `rows` checks every id before any lookup is counted
         es = build_set([4, 4, 4], dim=2)
         x = np.array([[1, 2, 3], [0, bad, 1]])
         with pytest.raises(IndexError, match="category id out of range"):
-            es.embed_selected(x, np.array([[1, 2], [2, 1]]))
+            embed_per_row(es, x, np.array([[1, 2], [2, 1]]))
+        assert es.lookup_counts.sum() == 0
 
     def test_unselected_tables_get_no_gradient(self):
         es = build_set([4, 4, 4], dim=2, seed=2)
         x = np.array([[1, 2, 3]])
-        out = es.embed_selected(x, np.array([[0, 2]]))
+        out = embed_per_row(es, x, np.array([[0, 2]]))
         out.sum().backward()
         assert tables(es)[1].grad is None or not tables(es)[1].grad.any()
         assert tables(es)[0].grad is not None and tables(es)[0].grad.any()
@@ -222,7 +208,7 @@ class TestLedger:
         ledger = ActivationLedger()
         for b in (9, 4, 13):
             sel = np.stack([rng.choice(5, size=2, replace=False) for _ in range(b)])
-            main.embed_selected(np.zeros((b, 5), dtype=int), sel)
+            embed_per_row(main, np.zeros((b, 5), dtype=int), sel)
             record_batch_activation(ledger, sel, main, aux)
         activated, lookups = activation_averages(main.lookup_counts, 26, main, aux)
         assert activated == ledger.activated_params_avg()

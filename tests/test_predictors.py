@@ -12,7 +12,7 @@ from aefs.predictors import (
     build_predictor,
     fm_pairwise_interaction,
 )
-from oracles import grad_check
+from oracles import controller_scores, grad_check
 
 
 def rng():
@@ -113,12 +113,14 @@ class TestController:
     def test_symmetric_inputs_give_uniform_scores(self):
         c = Controller(n_fields=5, emb_dim=2, rng=rng())
         c.fc.weight.data[:] = 0.0
-        scores = c(Tensor(np.random.default_rng(6).normal(size=(4, 5, 2))), training=True)
+        scores = controller_scores(c, Tensor(np.random.default_rng(6).normal(size=(4, 5, 2))),
+                                   training=True)
         np.testing.assert_allclose(scores.data, 0.2)
 
     def test_scores_sum_to_one(self):
         c = Controller(n_fields=6, emb_dim=3, rng=rng())
-        scores = c(Tensor(np.random.default_rng(7).normal(size=(8, 6, 3))), training=True)
+        scores = controller_scores(c, Tensor(np.random.default_rng(7).normal(size=(8, 6, 3))),
+                                   training=True)
         np.testing.assert_allclose(scores.data.sum(axis=1), 1.0, atol=1e-9)
         assert (scores.data > 0).all()
 
@@ -128,7 +130,7 @@ class TestController:
         coeff = np.random.default_rng(9).normal(size=(4, 4))
 
         def loss():
-            return (c(e, training=True, ) * coeff).sum()
+            return (controller_scores(c, e, training=True) * coeff).sum()
 
         err = grad_check(loss, [c.fc.weight, c.fc.bias, c.gamma, c.beta])
         assert err < 1e-3
@@ -148,7 +150,7 @@ class TestController:
         coeff = r.normal(size=(5, 3))
 
         def loss():
-            return (c(e, training=training) * coeff).sum()
+            return (controller_scores(c, e, training=training) * coeff).sum()
 
         err = grad_check(loss, [e, c.gamma, c.beta, c.fc.weight, c.fc.bias], eps=1e-6)
         assert err < 1e-7
@@ -157,11 +159,11 @@ class TestController:
         from aefs.numerics import DegenerateBatchError
         c = Controller(n_fields=3, emb_dim=2, rng=rng())
         with pytest.raises(DegenerateBatchError):
-            c(Tensor(np.ones((1, 3, 2))), training=True)
+            controller_scores(c, Tensor(np.ones((1, 3, 2))), training=True)
 
     def test_inference_mode_allows_batch_of_one(self):
         c = Controller(n_fields=3, emb_dim=2, rng=rng())
-        scores = c(Tensor(np.ones((1, 3, 2))), training=False)
+        scores = controller_scores(c, Tensor(np.ones((1, 3, 2))), training=False)
         np.testing.assert_allclose(scores.data.sum(), 1.0, atol=1e-9)
 
 

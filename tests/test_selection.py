@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import aefs.embedding
-import aefs.numerics
 import aefs.selection
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aefs.embedding import SelectionIndexError
-from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, repeats_in_rows, softmax
+from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, softmax
 from aefs.predictors import Controller, bce
 from aefs.selection import (
     DualModel,
@@ -24,9 +24,10 @@ from aefs.selection import (
     scale_embeddings,
     topk_softmax,
 )
-from oracles import DegenerateSelectionError, PlainModel, SelectionResult, \
+from oracles import DegenerateSelectionError, PlainModel, SelectionResult, aefs_trace, \
     composed_embedding_alignment_loss, composed_scale_embeddings, composed_topk_softmax, \
-    grad_check, k_max_indices, l1_normalize_selected, same_bits, tables, use_reference_tape
+    controller_scores, grad_check, k_max_indices, l1_normalize_selected, same_bits, tables, \
+    use_reference_tape
 
 VOCAB6 = [5, 7, 4, 6, 5, 8]
 
@@ -68,6 +69,23 @@ class TestKMax:
         s = np.round(np.asarray(raw), 5)
         k = min(k, len(s))
         np.testing.assert_array_equal(k_max_indices(s, k), k_max_indices(s * 3.0 + 2.0, k))
+
+    @given(st.data(), arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 9)),
+                             elements=st.floats(allow_nan=True, allow_infinity=True)
+                             | st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_is_k_distinct_fields_in_range_ties_to_lower(self, data, s):
+        # what `gather_fields` and the per-row main lookup rely on without
+        # checking: k distinct positions in [0, N) per row, NaN ranked last
+        b, n = s.shape
+        k = data.draw(st.integers(1, n))
+        got = k_max_indices_batch(s, k)
+        assert got.shape == (b, k)
+        for row, picked in zip(s, got.tolist()):
+            assert len(set(picked)) == k and all(0 <= j < n for j in picked)
+            order = sorted(range(n), key=lambda j: (bool(np.isnan(row[j])),
+                                                    0.0 if np.isnan(row[j]) else -row[j]))
+            assert picked == order[:k]
 
     def test_batch_matches_single(self):
         s = np.random.default_rng(1).random((16, 9))
@@ -176,7 +194,7 @@ class TestScaleNode:
         # as in adafs: e feeds the controller and, weighted by its scores,
         # two consumers of the weighted output
         b, n, d = e.shape
-        out = scale(e, ctrl(e, training=True))
+        out = scale(e, controller_scores(ctrl, e, training=True))
         h = out.reshape(b, n * d) @ Tensor(k2)
         return (out * Tensor(k1)).sum() + (h * h).sum()
 
@@ -375,16 +393,57 @@ class TestEarlySelection:
         assert pair.aux_embeddings.lookup_counts.sum() == 10 * 6
         assert pair.main_embeddings.lookup_counts.sum() == 10 * 3
 
+    def test_score_returns_the_first_three_of_the_pass(self):
+        pair = make_pair(seed=4)
+        x = np.random.default_rng(20).integers(0, 4, size=(9, 6))
+        p_m, indices, weights, rows, e_a = aefs_forward(pair, x, training=False)
+        p, i, w = pair.score(x, training=False)
+        assert same_bits(p.data, p_m.data) and same_bits(i, indices)
+        assert same_bits(w, weights.data)
+        offsets = pair.main_embeddings.offsets
+        np.testing.assert_array_equal(rows, x[np.arange(9)[:, None], indices] + offsets[indices])
+        assert e_a.shape == (9, 6, 2)
+
+    @pytest.mark.parametrize("eal,pal", [(True, True), (True, False), (False, True),
+                                         (False, False)])
+    def test_loss_is_the_documented_sum(self, eal, pal):
+        # BCE(aux) + BCE(main) [+ EAL] [+ PAL], value and every gradient bit
+        # for bit, with the auxiliary branch built after the main one
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 4, size=(12, 6))
+        y = rng.integers(0, 2, size=12).astype(float)
+        runs = []
+        for via_trace in (False, True):
+            pair = make_pair(seed=10)
+            pair.enable_eal, pair.enable_pal = eal, pal
+            if via_trace:
+                t = aefs_trace(pair, x, training=True)
+                loss = bce(t.aux_pred, y) + bce(t.main_pred, y)
+                if eal:
+                    loss = loss + embedding_alignment_loss(
+                        pair.aux_embeddings.weight, pair.main_embeddings.weight, t.rows,
+                        t.weights, pair.align_fc)
+                if pal:
+                    loss = loss + prediction_alignment_loss(t.aux_pred, t.main_pred)
+            else:
+                loss, terms, _ = pair.loss(x, y)
+                assert list(terms) == ["bce_aux", "bce_main"] + ["eal"] * eal + ["pal"] * pal
+            loss.backward()
+            runs.append([loss.data] + [dense(t.grad) for _, t in pair.named_params()])
+        for a, b in zip(*runs):
+            assert same_bits(a, b)
+
     def test_weights_sum_to_one(self):
         pair = make_pair(seed=2)
         x = np.random.default_rng(13).integers(0, 4, size=(6, 6))
-        trace = aefs_forward(pair, x, training=True)
-        np.testing.assert_allclose(trace.weights.data.sum(axis=1), 1.0, atol=1e-9)
+        _, _, weights, _, _ = aefs_forward(pair, x, training=True)
+        np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_no_reweight_keeps_raw_scores(self):
         pair = make_pair(seed=3)
         x = np.random.default_rng(14).integers(0, 4, size=(6, 6))
-        trace = aefs_forward(pair, x, training=True, reweight=False)
+        pair.reweight = False
+        trace = aefs_trace(pair, x, training=True)
         rows = np.arange(6)[:, None]
         np.testing.assert_allclose(trace.weights.data,
                                    softmax(trace.logits.data, axis=1)[rows, trace.indices],
@@ -400,37 +459,15 @@ class TestEarlySelection:
                                     pair.main_predictor.named_params()):
             pa.data[:] = pm.data
         x = np.random.default_rng(15).integers(0, 4, size=(5, 6))
-        trace = aefs_forward(pair, x, training=True)
+        trace = aefs_trace(pair, x, training=True)
         np.testing.assert_allclose(trace.aux_pred.data, trace.main_pred.data, atol=1e-12)
 
     def test_same_scores_select_same_fields_as_late_hard(self):
         pair = make_pair(seed=6)
         x = np.random.default_rng(16).integers(0, 4, size=(7, 6))
-        trace = aefs_forward(pair, x, training=True)
+        trace = aefs_trace(pair, x, training=True)
         np.testing.assert_array_equal(
             trace.indices, k_max_indices_batch(softmax(trace.logits.data, axis=1), pair.k))
-
-    @pytest.mark.parametrize("call", ["score", "loss"])
-    def test_top_k_indices_are_not_rechecked(self, monkeypatch, call):
-        # argsort's top k are distinct and in range by construction, so
-        # neither the selected scores, nor the auxiliary embeddings, nor the
-        # main tables check them for repeats
-        calls = []
-
-        def counted(idx, n):
-            calls.append(idx)
-            return repeats_in_rows(idx, n)
-
-        monkeypatch.setattr(aefs.numerics, "repeats_in_rows", counted)
-        monkeypatch.setattr(aefs.embedding, "repeats_in_rows", counted)
-        pair = make_pair(seed=8)
-        rng = np.random.default_rng(18)
-        x = rng.integers(0, 4, size=(8, 6))
-        if call == "score":
-            pair.score(x, training=False)
-        else:
-            pair.loss(x, rng.integers(0, 2, size=8).astype(float))[0].backward()
-        assert calls == []
 
     @pytest.mark.parametrize("call", ["score", "loss"])
     def test_one_id_check_per_batch(self, monkeypatch, call):
@@ -475,16 +512,10 @@ class TestEarlySelection:
         y = rng.integers(0, 2, size=4).astype(float)
 
         def loss():
-            trace = aefs_forward(pair, x, training=True)
-            return (bce(trace.aux_pred, y) + bce(trace.main_pred, y)
-                    + embedding_alignment_loss(pair.aux_embeddings.weight,
-                                               pair.main_embeddings.weight,
-                                               pair.main_embeddings.flat_rows(x, trace.indices),
-                                               trace.weights, pair.align_fc)
-                    + prediction_alignment_loss(trace.aux_pred, trace.main_pred))
+            return pair.loss(x, y)[0]
 
         # selection must be stable under +/- eps parameter nudges
-        trace = aefs_forward(pair, x, training=True)
+        trace = aefs_trace(pair, x, training=True)
         sorted_scores = -np.sort(-softmax(trace.logits.data, axis=1), axis=1)
         margin = (sorted_scores[:, pair.k - 1] - sorted_scores[:, pair.k]).min()
         assert margin > 1e-3, "pick a different seed: top-k boundary too tight"
@@ -751,11 +782,10 @@ class TestFusedAlignmentLoss:
         def grads(eal):
             for t in params:
                 t.grad = None
-            trace = aefs_forward(pair, x, training=True)
+            trace = aefs_trace(pair, x, training=True)
             loss = (bce(trace.aux_pred, y) + bce(trace.main_pred, y)
                     + eal(pair.aux_embeddings.weight, pair.main_embeddings.weight,
-                          pair.main_embeddings.flat_rows(x, trace.indices), trace.weights,
-                          pair.align_fc))
+                          trace.rows, trace.weights, pair.align_fc))
             if with_pal:
                 loss = loss + prediction_alignment_loss(trace.aux_pred, trace.main_pred)
             loss.backward()
@@ -785,7 +815,7 @@ class TestFusedAlignmentLoss:
         loss, terms, indices = pair.loss(x, rng.integers(0, 2, size=16).astype(float))
         loss.backward()
         assert terms["eal"] > 0 and priors == [None, None]
-        selected = np.unique(pair.main_embeddings.flat_rows(x, indices))
+        selected = np.unique(pair.main_embeddings.rows(x)[np.arange(16)[:, None], indices])
         np.testing.assert_array_equal(pair.main_embeddings.weight.grad.rows, selected)
 
     def test_forms_no_array_of_the_lookups_size(self):

@@ -25,9 +25,9 @@ from aefs.training import (
     save_checkpoint,
     train,
 )
-from oracles import ActivationLedger, PlainModel, composed_embedding_alignment_loss, \
-    composed_scale_embeddings, composed_topk_softmax, dense_scatter, embedding_discrepancy, \
-    prediction_discrepancy, record_batch_activation, reference_adam_step, \
+from oracles import ActivationLedger, PlainModel, aefs_trace, composed_embedding_alignment_loss, \
+    composed_scale_embeddings, composed_topk_softmax, dense_scatter, embed_per_row, \
+    embedding_discrepancy, prediction_discrepancy, record_batch_activation, reference_adam_step, \
     reference_controller_logits, same_bits, use_reference_tape
 
 METHODS = ("none", "randomhalf", "adafs", "aefs")
@@ -200,10 +200,9 @@ class TestFrozenUniformControllerReduction:
         pair.controller.fc.bias.data[:] = 0.0
         from aefs.selection import aefs_forward
         x = small_data.train.x[:64]
-        trace = aefs_forward(pair, x, training=True)
-        np.testing.assert_array_equal(trace.indices,
-                                      np.tile(np.arange(3), (64, 1)))
-        np.testing.assert_allclose(trace.weights.data, 1.0 / 3.0, atol=1e-12)
+        _, indices, weights, _, _ = aefs_forward(pair, x, training=True)
+        np.testing.assert_array_equal(indices, np.tile(np.arange(3), (64, 1)))
+        np.testing.assert_allclose(weights.data, 1.0 / 3.0, atol=1e-12)
         # fields k..N-1 of the main model are never embedded
         assert pair.main_embeddings.lookup_counts[3:].sum() == 0
 
@@ -225,8 +224,7 @@ class TestPretrain:
         pair = fitted.model
 
         def score_entropy():
-            from aefs.selection import aefs_forward
-            trace = aefs_forward(pair, small_data.val.x[:200], training=False)
+            trace = aefs_trace(pair, small_data.val.x[:200], training=False)
             s = softmax(trace.logits.data, axis=1)
             return float(-(s * np.log(s + 1e-12)).sum(axis=1).mean())
 
@@ -503,17 +501,16 @@ class TestAlignmentInvariants:
 
 class TestSameWeightsBothSides:
     def test_main_embeddings_scaled_by_trace_weights(self, small_data):
-        from aefs.selection import aefs_forward
         cfg = small_config()
         fitted = build_model(small_data.vocab.vocab_sizes, cfg,
                              np.random.default_rng(31), np.random.default_rng(32))
         pair = fitted.model
         x = small_data.train.x[:32]
-        trace = aefs_forward(pair, x, training=True)
-        raw = pair.main_embeddings.embed_selected(x, trace.indices)
+        trace = aefs_trace(pair, x, training=True)
+        raw = embed_per_row(pair.main_embeddings, x, trace.indices)
         np.testing.assert_allclose(
             trace.main_embeds.data, raw.data * trace.weights.data[:, :, None], atol=1e-12)
-        lifted = pair.aux_embeddings.embed_selected(x, trace.indices)
+        lifted = embed_per_row(pair.aux_embeddings, x, trace.indices)
         np.testing.assert_allclose(
             trace.aux_embeds.data, lifted.data * trace.weights.data[:, :, None], atol=1e-12)
 
@@ -521,7 +518,6 @@ class TestSameWeightsBothSides:
 class TestScoringSkipsAuxPredictor:
     @pytest.mark.parametrize("reweight", [True, False])
     def test_scores_equal_full_forward(self, small_data, monkeypatch, reweight):
-        from aefs.selection import aefs_forward
         fitted = train(small_data, small_config(max_epochs=1,
                                                 enable_topk_reweight=reweight)).fitted
         pair = fitted.model
@@ -532,7 +528,7 @@ class TestScoringSkipsAuxPredictor:
                     pair.main_embeddings.lookup_counts.copy())
 
         start = lookups()
-        trace = aefs_forward(pair, x, training=False, reweight=reweight)
+        trace = aefs_trace(pair, x, training=False)
         mid = lookups()
 
         def no_aux_predictor(*args):
