@@ -324,7 +324,12 @@ def cmd_train(args) -> int:
 
 def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = []
+    for s in filter(str.strip, args.seeds.split(",")):
+        try:
+            seeds.append(int(s))
+        except ValueError:
+            raise ConfigError(f"compare got a seed that is not an integer: {s.strip()!r}") from None
     if len(methods) < 2:
         raise ConfigError("compare needs at least 2 methods")
     if len(seeds) < 2:
@@ -337,6 +342,9 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"compare got a repeated {kind}: {repeated[0]}")
 
     base = _load_config(args)
+    # every cell's config, so that a bad method or seed fails before any run
+    cells = {(method, seed): apply_overrides(base, {"method": method, "seed": seed})
+             for method in methods for seed in seeds}
     data_dir = Path(args.data)
     root = _out_root(args.out)
     tag = base.config_hash()
@@ -348,7 +356,7 @@ def cmd_compare(args) -> int:
         for method in methods:
             per_method[method] = []
             for seed in seeds:
-                config = apply_overrides(base, {"method": method, "seed": seed})
+                config = cells[method, seed]
                 if seed not in prepared_by_seed:
                     prepared_by_seed[seed] = prepare(columns, schema, seed=seed,
                                                      min_freq=config.min_freq,
@@ -394,6 +402,7 @@ def cmd_compare(args) -> int:
 # params
 
 def cmd_params(args) -> int:
+    TrainConfig(r=args.r, d1=args.d1, d2=args.d2)  # training's rules for these flags
     vocab_path = Path(args.vocab_file)
     if not vocab_path.exists():
         raise DataError(f"vocab file {vocab_path} not found")
@@ -412,7 +421,8 @@ def cmd_params(args) -> int:
     else:
         raise DataError("vocab file needs a 'vocab_sizes' list or a 'total_ids' count")
 
-    r = Fraction(args.r).limit_denominator(10**6)
+    # a keep rate below 5e-7 would round to 0: keep such a rate exact
+    r = Fraction(args.r).limit_denominator(10**6) or Fraction(args.r)
     main_full = full_param_count([total_ids], args.d1)
     aux_full = full_param_count([total_ids], args.d2)
     dpae = delta_pae(args.d1, args.d2, r)

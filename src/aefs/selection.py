@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import numerics
 from .embedding import EmbeddingSet, SelectionIndexError
 from .numerics import DimensionError, Linear, Tensor, _accum, add_rows, distinct_rows, \
     gather_fields, out_of_range, sigmoid, softmax
@@ -30,6 +31,13 @@ def k_max_indices_batch(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-s, axis=1, kind="stable")[:, :k]
 
 
+def _flat_positions(indices: np.ndarray, n: int) -> np.ndarray:
+    """Positions in a flattened (B, n) array of each row's (B, k)
+    `indices`: one ``np.take`` or ``np.put`` through them reads or writes
+    what ``a[rows, indices]`` does, without the two-index broadcast."""
+    return indices + n * np.arange(indices.shape[0])[:, None]
+
+
 def topk_softmax(logits: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
     """The k largest of each row of the (B, N) logits, descending, ties to
     the lower field, and their weights: a softmax over those k logits.
@@ -43,8 +51,8 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
     composition gives only up to rounding. Returns (indices, weights).
     """
     indices = k_max_indices_batch(logits.data, k)
-    rows = np.arange(indices.shape[0])[:, None]
-    w = logits.data[rows, indices]
+    flat = _flat_positions(indices, logits.shape[1])
+    w = np.take(logits.data, flat)
     w -= logits.data.max(axis=1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
@@ -53,7 +61,7 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
         dz = g - (g * w).sum(axis=1, keepdims=True)
         dz *= w
         full = np.zeros_like(logits.data)
-        full[rows, indices] = dz
+        np.put(full, flat, dz)
         _accum(logits, full, owned=True)
 
     return indices, Tensor(w, parents=(logits,), backward=bw)
@@ -71,9 +79,16 @@ def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
     theirs. The embedding gradient is bit-identical to a broadcast
     multiply's; the weight gradient sums its d terms in another order, so
     it equals the multiply's to rounding.
+
+    Inside `numerics.no_tape` the product is written into ``e_sel.data``,
+    which is returned: the same values, without a second (B, n, d) array.
+    A caller that scores there must pass embeddings it does not read
+    afterwards, such as a lookup's fresh result.
     """
     if e_sel.shape[:2] != weights.shape:
         raise DimensionError(f"embeddings {e_sel.shape} vs weights {weights.shape}")
+    if not numerics._taping:
+        return Tensor(np.multiply(e_sel.data, weights.data[:, :, None], out=e_sel.data))
 
     def bw(g):
         if weights.requires_grad:
@@ -124,7 +139,7 @@ class FixedSubsetModel(_OnePredictor):
     def score(self, x: np.ndarray, training: bool):
         """Returns (prediction, selected indices, None): no weights."""
         p = self.predictor(self.main_embeddings.embed(x, self._columns))
-        return p, np.tile(self.fields, (x.shape[0], 1)), None
+        return p, np.broadcast_to(self.fields, (x.shape[0], self.fields.size)), None
 
     def warmup_params(self):
         """Nothing to warm up."""
@@ -161,7 +176,7 @@ class LateSelectionModel(_OnePredictor):
     def score(self, x: np.ndarray, training: bool):
         """Returns (prediction, every field per row, None)."""
         p, _, _ = self.forward(x, training)
-        return p, np.tile(np.arange(self.n_fields), (x.shape[0], 1)), None
+        return p, np.broadcast_to(np.arange(self.n_fields), (x.shape[0], self.n_fields)), None
 
     def forward(self, x: np.ndarray, training: bool, soft: bool = False):
         """Returns (prediction, controller logits, hard-selection indices or
@@ -199,15 +214,15 @@ class LateSelectionModel(_OnePredictor):
 def _scatter_weights(sel: Tensor, indices: np.ndarray, full_shape) -> Tensor:
     """Place (B, k) selected weights at their field positions in a (B, N)
     tensor of zeros."""
-    rows = np.arange(indices.shape[0])[:, None]
+    flat = _flat_positions(indices, full_shape[1])
     out = np.zeros(full_shape)
-    out[rows, indices] = sel.data
+    np.put(out, flat, sel.data)
 
     def bw(g):
         if sel.requires_grad:
             if sel.grad is None:
                 sel.grad = np.zeros_like(sel.data)
-            sel.grad += g[rows, indices]
+            sel.grad += np.take(g, flat)
 
     return Tensor(out, parents=(sel,), backward=bw)
 
@@ -332,7 +347,7 @@ def aefs_forward(pair: DualModel, x: np.ndarray, training: bool):
     indices, weights = _top_k(pair.controller.logits(e_a, training), pair.k, pair.reweight)
     # the two sets share their offsets, so these rows address the main
     # table too; argsort's top k are distinct and in range by construction
-    rows = rows[np.arange(rows.shape[0])[:, None], indices]
+    rows = np.take(rows, _flat_positions(indices, pair.n_fields))
     e_m = scale_embeddings(pair.main_embeddings.lookup(rows, indices), weights)
     return pair.main_predictor(e_m), indices, weights, rows, e_a
 

@@ -72,6 +72,8 @@ class TrainConfig:
             raise ConfigError(f"need 1 <= d2 <= d1, got d2={self.d2}, d1={self.d1}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.backbone_main not in VARIANTS or self.backbone_aux not in VARIANTS:
             raise ConfigError(f"backbones must be one of {VARIANTS}")
         if self.max_epochs < 1:

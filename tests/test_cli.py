@@ -339,16 +339,22 @@ def _flags(**values):
 
 
 _NAN_OR_NON_POSITIVE = st.one_of(st.floats(max_value=0.0), st.just(math.nan))
-INVALID_TRAIN_FLAGS = st.one_of(
+# a keep rate outside (0, 1] or dimensions outside 1 <= d2 <= d1, which
+# `train`, `compare` and `params` all take
+INVALID_KEEP_OR_DIMS = st.one_of(
     st.one_of(_NAN_OR_NON_POSITIVE, st.floats(min_value=1.0, exclude_min=True))
     .map(lambda r: _flags(r=r)),
     st.integers(1, 64).flatmap(lambda d1: st.integers(d1 + 1, d1 + 64).map(
         lambda d2: _flags(d1=d1, d2=d2))),
     st.integers(max_value=0).map(lambda d1: _flags(d1=d1)),
     st.integers(max_value=0).map(lambda d2: _flags(d2=d2)),
+)
+INVALID_TRAIN_FLAGS = st.one_of(
+    INVALID_KEEP_OR_DIMS,
     st.integers(max_value=1).map(lambda b: _flags(batch_size=b)),
     st.integers(max_value=0).map(lambda e: _flags(max_epochs=e)),
     st.integers(max_value=-1).map(lambda e: _flags(pretrain_epochs=e)),
+    st.integers(max_value=-1).map(lambda seed: _flags(seed=seed)),
     st.one_of(_NAN_OR_NON_POSITIVE, st.just(math.inf)).map(lambda lr: _flags(lr=lr)),
 )
 
@@ -493,6 +499,23 @@ class TestCompare:
         assert capsys.readouterr().err.strip() == f"config error: compare got a repeated {repeated}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods,seeds,message", [
+        ("none,aefs", "0,x", "compare got a seed that is not an integer: 'x'"),
+        ("none,aefs", "1, 2.5", "compare got a seed that is not an integer: '2.5'"),
+        ("none,aefs", "0,,1e3", "compare got a seed that is not an integer: '1e3'"),
+        ("none,aefs", "0,-1", "seed must be nonnegative, got -1"),
+        ("none,nope", "0,1", "method must be one of"),
+    ], ids=["letter", "float", "exponent", "negative", "unknown-method"])
+    def test_bad_cell_rejected_before_any_run(self, synth_dir, tmp_path, capsys, methods, seeds,
+                                              message):
+        out = tmp_path / "c"
+        rc = main(["compare", "--data", str(synth_dir), "--out", str(out),
+                   "--methods", methods, "--seeds", seeds, "--min-freq", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}"), err
+        assert not out.exists()
+
 
 class TestParams:
     def test_reference_accounting(self, tmp_path, capsys):
@@ -517,6 +540,27 @@ class TestParams:
     def test_missing_vocab(self, tmp_path):
         rc = main(["params", "--vocab-file", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(flags=INVALID_KEEP_OR_DIMS)
+    def test_invalid_flags_exit_1_with_one_config_error_line(self, tmp_path_factory, flags):
+        vocab = tmp_path_factory.getbasetemp() / "params-vocab.json"
+        vocab.write_text(json.dumps({"total_ids": 1000}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["params", "--vocab-file", str(vocab), *flags])
+        lines = err.getvalue().splitlines()
+        assert rc == 1, (flags, lines)
+        assert len(lines) == 1 and lines[0].startswith("config error: "), (flags, lines)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("r", ["1e-9", "5e-324"])
+    def test_keep_rate_too_small_to_round(self, tmp_path, capsys, r):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"total_ids": 1000}))
+        rc = main(["params", "--vocab-file", str(vocab), "--r", r])
+        assert rc == 0
+        assert "delta_el: 100%" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content,message", [
         ("{", "vocab.json: invalid JSON"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aefs.embedding import SelectionIndexError
-from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, softmax
+from aefs.numerics import DimensionError, Linear, RowGrad, Tensor, no_tape, softmax
 from aefs.predictors import Controller, bce
 from aefs.selection import (
     DualModel,
@@ -188,6 +188,31 @@ class TestScaleNode:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionError):
             scale_embeddings(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4))))
+        with no_tape(), pytest.raises(DimensionError):
+            scale_embeddings(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4))))
+
+    @pytest.mark.parametrize("requires_grad", [True, False])
+    def test_taped_leaves_its_input_unchanged(self, requires_grad):
+        rng = np.random.default_rng(32)
+        e = Tensor(rng.normal(size=(6, 3, 5)), requires_grad=requires_grad)
+        w = Tensor(rng.random((6, 3)), requires_grad=True)
+        before = e.data.copy()
+        out = scale_embeddings(e, w)
+        assert not np.shares_memory(out.data, e.data)
+        (out * out).sum().backward()
+        assert same_bits(e.data, before)
+
+    @pytest.mark.parametrize("b,n,d", [(5, 1, 4), (5, 3, 1), (64, 8, 32)])
+    def test_without_tape_weights_the_embeddings_in_place(self, b, n, d):
+        rng = np.random.default_rng(b * 1000 + n * 10 + d + 1)
+        e = rng.normal(size=(b, n, d))
+        w = rng.random((b, n))
+        taped = scale_embeddings(Tensor(e.copy(), requires_grad=True), Tensor(w, requires_grad=True))
+        buffer = e.copy()
+        with no_tape():
+            out = scale_embeddings(Tensor(buffer), Tensor(w))
+        assert out.data is buffer and not out.requires_grad
+        assert same_bits(out.data, taped.data)
 
     @staticmethod
     def _shared_graph(scale, e, ctrl, k1, k2):

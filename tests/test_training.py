@@ -290,37 +290,75 @@ class TestEvaluate:
         assert not dump.exists()
 
 
+# every scoring path, and each path that weights embeddings: hard adafs
+# with and without re-weighting, aefs without it and through other backbones
+SCORING_PATHS = {
+    "none-soft": dict(method="none"),
+    "randomhalf-soft": dict(method="randomhalf"),
+    "adafs-soft": dict(method="adafs"),
+    "adafs-hard": dict(method="adafs", mode="hard"),
+    "aefs-soft": dict(method="aefs"),
+    "adafs-hard-no-reweight": dict(method="adafs", mode="hard", enable_topk_reweight=False),
+    "aefs-no-reweight": dict(method="aefs", enable_topk_reweight=False),
+    "aefs-dcn-deepfm": dict(method="aefs", backbone_main="dcn", backbone_aux="deepfm"),
+}
+
+
 class TestScoringWithoutTape:
-    @pytest.mark.parametrize("method,mode", [("none", "soft"), ("randomhalf", "soft"),
-                                             ("adafs", "soft"), ("adafs", "hard"),
-                                             ("aefs", "soft")])
-    def test_equals_scoring_with_tape(self, small_data, tmp_path, monkeypatch, method, mode):
-        fitted = train(small_data, small_config(method=method, mode=mode, max_epochs=1,
-                                                pretrain_epochs=1)).fitted
-        taped = []
+    @pytest.fixture(scope="class", params=list(SCORING_PATHS), ids=list(SCORING_PATHS))
+    def fitted(self, request, small_data):
+        return train(small_data, small_config(max_epochs=1, pretrain_epochs=1,
+                                              **SCORING_PATHS[request.param])).fitted
+
+    @staticmethod
+    def score(fitted, data, dump, monkeypatch):
+        """Metrics, per-batch scores and whether each batch was taped, of
+        one evaluate pass."""
         forward = fitted.forward_scores
+        scores, taped = [], []
 
         def recording(x, training):
             out = forward(x, training)
+            scores.append(out[0].data.copy())
             taped.append(out[0].requires_grad)
             return out
 
-        monkeypatch.setattr(fitted, "forward_scores", recording)
+        with monkeypatch.context() as m:
+            m.setattr(fitted, "forward_scores", recording)
+            metrics = evaluate(fitted, data.test, 256, selection_dump_path=dump,
+                               informative_fields=data.informative_fields)
+        return metrics, np.concatenate(scores), taped
 
-        def score(dump):
-            taped.clear()
-            return evaluate(fitted, small_data.test, 256, selection_dump_path=tmp_path / dump,
-                            informative_fields=small_data.informative_fields)
-
-        without = score("without.jsonl")
+    def test_equals_scoring_with_tape(self, small_data, tmp_path, monkeypatch, fitted):
+        without, scores, taped = self.score(fitted, small_data, tmp_path / "without.jsonl",
+                                            monkeypatch)
         assert taped and not any(taped)
         monkeypatch.setattr(training_mod, "no_tape", contextlib.nullcontext)
-        with_tape = score("with.jsonl")
+        with_tape, taped_scores, taped = self.score(fitted, small_data, tmp_path / "with.jsonl",
+                                                    monkeypatch)
         assert taped and all(taped)
+        assert same_bits(scores, taped_scores)
         assert without == with_tape
         assert without.selection_frequency == with_tape.selection_frequency
         assert without.selection_precision == with_tape.selection_precision
         assert (tmp_path / "without.jsonl").read_bytes() == (tmp_path / "with.jsonl").read_bytes()
+
+    def test_leaves_the_model_unchanged(self, small_data, tmp_path, monkeypatch, fitted):
+        # an in-place write that lands on a table or buffer shows here
+        def state():
+            return [(name, np.copy(getattr(t, "data", t)))
+                    for name, t in fitted.named_params() + fitted.named_buffers()]
+
+        before = state()
+        first, scores, _ = self.score(fitted, small_data, tmp_path / "first.jsonl", monkeypatch)
+        after = state()
+        assert [name for name, _ in after] == [name for name, _ in before]
+        for (name, a), (_, b) in zip(after, before):
+            assert same_bits(a, b), name
+        second, again, _ = self.score(fitted, small_data, tmp_path / "second.jsonl", monkeypatch)
+        assert same_bits(scores, again)
+        assert first == second
+        assert (tmp_path / "first.jsonl").read_bytes() == (tmp_path / "second.jsonl").read_bytes()
 
 
 class TestStats:
