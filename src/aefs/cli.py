@@ -420,6 +420,10 @@ def cmd_params(args) -> int:
                             f"got {total_ids!r}")
     else:
         raise DataError("vocab file needs a 'vocab_sizes' list or a 'total_ids' count")
+    # the figures below are printed through floats
+    if total_ids > sys.float_info.max:
+        raise DataError(f"{vocab_path}: {len(str(total_ids))}-digit id count is too large "
+                        f"for a float")
 
     # a keep rate below 5e-7 would round to 0: keep such a rate exact
     r = Fraction(args.r).limit_denominator(10**6) or Fraction(args.r)
@@ -428,12 +432,17 @@ def cmd_params(args) -> int:
     dpae = delta_pae(args.d1, args.d2, r)
     del_ = delta_el(r)
     expected_activated = main_full * r + aux_full
+    try:
+        activated = float(expected_activated)
+        main_m, aux_m, activated_m = main_full / 1e6, aux_full / 1e6, activated / 1e6
+    except OverflowError:
+        raise ConfigError("--d1 and --d2 make parameter counts too large for a float") from None
 
     print(f"total feature ids: {total_ids}")
-    print(f"main embedding parameters (d1={args.d1}): {main_full} ({main_full / 1e6:.2f}M)")
-    print(f"aux embedding parameters (d2={args.d2}): {aux_full} ({aux_full / 1e6:.2f}M)")
+    print(f"main embedding parameters (d1={args.d1}): {main_full} ({main_m:.2f}M)")
+    print(f"aux embedding parameters (d2={args.d2}): {aux_full} ({aux_m:.2f}M)")
     print(f"expected activated parameters at keep rate {float(r):g}: "
-          f"{float(expected_activated):.0f} ({float(expected_activated) / 1e6:.2f}M)")
+          f"{activated:.0f} ({activated_m:.2f}M)")
     print(f"delta_pae: {_percent(dpae)}")
     print(f"delta_el: {_percent(del_)}")
     return 0

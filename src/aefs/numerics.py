@@ -513,20 +513,24 @@ def gather_fields(x: Tensor, idx: Array) -> Tensor:
 
     idx has shape (B, k) and holds distinct positions in ``[0, N)`` per row,
     as a row's top k do; output row i holds x[i, idx[i, j]] in idx order.
-    Backward adds each upstream entry to the one position it was read from.
+    Both directions go through flat positions in the (B*N, ...) view of x:
+    backward adds each upstream entry to the one position it was read from.
     """
     idx = np.asarray(idx)
     b = x.shape[0]
     if idx.ndim != 2 or idx.shape[0] != b:
         raise DimensionError(f"index shape {idx.shape} incompatible with {x.shape}")
-    rows = np.arange(b)[:, None]
-    out = x.data[rows, idx]
+    flat_shape = (b * x.shape[1],) + x.shape[2:]
+    flat = idx + x.shape[1] * np.arange(b)[:, None]
+    out = np.take(x.data.reshape(flat_shape), flat, axis=0)
 
     def bw(g):
         if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        # distinct positions per row: one addend each, as np.add.at would add
-        x.grad[rows, idx] += g
+            x.grad = np.zeros(x.shape)
+        elif not x.grad.flags.c_contiguous:  # the flat view must share its memory
+            x.grad = np.ascontiguousarray(x.grad)
+        # distinct positions: one addend each, as np.add.at would add
+        x.grad.reshape(flat_shape)[flat] += g
 
     return Tensor(out, parents=(x,), backward=bw)
 

@@ -554,6 +554,18 @@ class TestParams:
         assert len(lines) == 1 and lines[0].startswith("config error: "), (flags, lines)
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("dims", [["--d1", str(10**400)],
+                                      ["--d1", str(10**400), "--d2", str(10**400)]],
+                             ids=["d1", "d1-and-d2"])
+    def test_dimension_too_large_for_a_float_exits_1_with_one_line(self, tmp_path, capsys,
+                                                                  dims):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"vocab_sizes": [50, 60, 70]}))
+        rc = main(["params", "--vocab-file", str(vocab), *dims])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "config error: --d1 and --d2 make parameter counts too large for a float\n"
+
     @pytest.mark.parametrize("r", ["1e-9", "5e-324"])
     def test_keep_rate_too_small_to_round(self, tmp_path, capsys, r):
         vocab = tmp_path / "vocab.json"
@@ -568,7 +580,9 @@ class TestParams:
         ('{"vocab_sizes": [3, -1]}', "vocab_sizes must be a list of nonnegative integers"),
         ('{"total_ids": "x"}', "total_ids must be a nonnegative integer, got 'x'"),
         ("[1, 2]", "vocab.json: expected a JSON object"),
-    ], ids=["invalid-json", "sizes-not-list", "negative-size", "total-not-int", "not-object"])
+        ('{"total_ids": 1%s}' % ("0" * 400), "401-digit id count is too large for a float"),
+    ], ids=["invalid-json", "sizes-not-list", "negative-size", "total-not-int", "not-object",
+            "total-too-large-for-a-float"])
     def test_malformed_vocab_exits_2_with_one_line(self, tmp_path, capsys, content, message):
         vocab = tmp_path / "vocab.json"
         vocab.write_text(content)

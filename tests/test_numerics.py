@@ -193,22 +193,28 @@ def distinct_indices(rng, b, n, k):
 
 class TestGatherFields:
     @pytest.mark.parametrize("shape,k", [((5, 6), 3), ((5, 6), 6), ((7, 6, 4), 2),
-                                         ((1, 3, 2), 1), ((4, 9), 0)])
+                                         ((1, 3, 2), 1), ((4, 9), 0), ((2048, 16, 4), 8)])
     def test_matches_add_at_reference(self, shape, k):
         """Forward and gradient bit for bit, with and without a gradient
-        already in `x` when the gather's backward runs."""
+        already in `x` when the gather's backward runs; a concat's gradient
+        is a strided view of its upstream gradient, which the gather's flat
+        positions cannot address in place."""
         rng = np.random.default_rng(k)
         idx = distinct_indices(rng, shape[0], shape[1], k)
         c = rng.normal(size=(shape[0], k) + shape[2:])
         d = rng.normal(size=shape)
-        for prior in (False, True):
+        e = rng.normal(size=(shape[0], 2 * shape[1]) + shape[2:])
+        for prior in (None, "product", "concat"):
             grads = []
             for gather in (gather_fields, add_at_gather_fields):
                 x = Tensor(np.random.default_rng(9).normal(size=shape), requires_grad=True)
                 out = gather(x, idx)
                 loss = (out * c).sum()
-                if prior:  # a second consumer of x, whose gradient lands first
+                # a second consumer of x, whose gradient lands first
+                if prior == "product":
                     loss = (x * d).sum() + loss
+                elif prior == "concat":
+                    loss = (concat([x, x], axis=1) * e).sum() + loss
                 loss.backward()
                 grads.append((out.data, x.grad))
             assert same_bits(grads[0][0], grads[1][0])

@@ -76,16 +76,48 @@ class TestKMax:
     @settings(max_examples=200, deadline=None)
     def test_batch_is_k_distinct_fields_in_range_ties_to_lower(self, data, s):
         # what `gather_fields` and the per-row main lookup rely on without
-        # checking: k distinct positions in [0, N) per row, NaN ranked last
+        # checking: k distinct positions in [0, N) per row, NaN ranked last;
+        # on both sides of the switch, the packed keys' side forced down to
+        # these small shapes
         b, n = s.shape
         k = data.draw(st.integers(1, n))
-        got = k_max_indices_batch(s, k)
-        assert got.shape == (b, k)
-        for row, picked in zip(s, got.tolist()):
-            assert len(set(picked)) == k and all(0 <= j < n for j in picked)
-            order = sorted(range(n), key=lambda j: (bool(np.isnan(row[j])),
-                                                    0.0 if np.isnan(row[j]) else -row[j]))
-            assert picked == order[:k]
+        for switch in (1, 2**62):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(aefs.selection, "PACKED_TOPK_MIN_SCORES", switch)
+                got = k_max_indices_batch(s, k)
+            assert got.shape == (b, k)
+            for row, picked in zip(s, got.tolist()):
+                assert len(set(picked)) == k and all(0 <= j < n for j in picked)
+                order = sorted(range(n), key=lambda j: (bool(np.isnan(row[j])),
+                                                        0.0 if np.isnan(row[j]) else -row[j]))
+                assert picked == order[:k]
+
+    def test_near_ties_above_the_switch_take_the_stable_sort(self, monkeypatch):
+        """Scores an ulp or a few apart agree above the packed keys' field
+        bits, as exact ties do: their rows alone go to the stable argsort,
+        and the result equals it, though field order alone would put the
+        lower field first."""
+        rng = np.random.default_rng(46)
+        s = rng.normal(size=(512, 16))
+        assert s.size >= aefs.selection.PACKED_TOPK_MIN_SCORES
+        s[3, 2], s[3, 5] = 10.0, np.nextafter(10.0, np.inf)
+        s[100, 0], s[100, 15] = 20.0, 20.0 + 2 * np.spacing(20.0)
+        s[200, 4] = s[200, 9] = 7.0
+        s[300] = -1.0  # ties at the k-th and (k+1)-th places too
+        s[300, 1], s[300, 6] = -1e-300, np.nextafter(-1e-300, np.inf)
+        expected = np.argsort(-s, axis=1, kind="stable")[:, :8]
+        assert expected[3, 0] == 5 and expected[100, 0] == 15
+        fallback_rows = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            fallback_rows.append(a.shape[0])
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        got = k_max_indices_batch(s, 8)
+        assert fallback_rows == [4]
+        assert same_bits(got, expected)
 
     def test_batch_matches_single(self):
         s = np.random.default_rng(1).random((16, 9))
@@ -339,6 +371,25 @@ class TestTopkSoftmax:
         logits = Tensor(np.array([[3.0, 1.0, np.nan, 0.0], [3.0, 1.0, 2.0, 0.0]]))
         _, w = topk_softmax(logits, 2)
         assert np.isnan(w.data[0]).all() and np.isfinite(w.data[1]).all()
+
+    def test_nan_above_the_switch_reaches_only_its_row(self):
+        """Without a NaN the weights are shifted by the first selected
+        logit, with one by each row's full max: a NaN in an unselected logit
+        makes its row's weights NaN, and every other row's weights and
+        indices are bit for bit those of the batch without it."""
+        rng = np.random.default_rng(47)
+        clean = rng.normal(scale=2.0, size=(512, 16))
+        assert clean.size >= aefs.selection.PACKED_TOPK_MIN_SCORES
+        clean[7, :] = 0.0
+        clean[7, ::3] = -0.0  # a row max that is +0.0 or -0.0
+        dirty = clean.copy()
+        dirty[5, np.argmin(dirty[5])] = np.nan
+        clean_indices, clean_w = topk_softmax(Tensor(clean), 8)
+        indices, w = topk_softmax(Tensor(dirty), 8)
+        assert np.isnan(w.data[5]).all() and not np.isnan(clean_w.data).any()
+        others = np.arange(512) != 5
+        assert same_bits(indices[others], clean_indices[others])
+        assert same_bits(w.data[others], clean_w.data[others])
 
     def test_indices_come_from_the_module_top_k(self, monkeypatch):
         calls = []
