@@ -108,7 +108,9 @@ def _now() -> str:
 @contextmanager
 def _manifest(run_dir: Path, command: str, config_hash: str, seed: int, inputs: list[str]):
     """Keep `manifest.json` at status running while the body runs, then mark
-    it done, or failed with the exit code and message of a handled error."""
+    it done, or failed: with the exit code and message of a handled error,
+    or, for any other exception, which goes on, with no exit code and the
+    exception's type and first line."""
     manifest = {
         "command": command,
         "config_hash": config_hash,
@@ -135,6 +137,11 @@ def _manifest(run_dir: Path, command: str, config_hash: str, seed: int, inputs: 
     except tuple(_HANDLED) as exc:
         code, message = _handled(exc)
         write(status="failed", finished_at=_now(), exit_code=code, error=message)
+        raise
+    except BaseException as exc:  # a bug or an interrupt: the traceback follows
+        line = str(exc).split("\n", 1)[0]
+        write(status="failed", finished_at=_now(),
+              error=f"{type(exc).__name__}: {line}" if line else type(exc).__name__)
         raise
     write(status="done", finished_at=_now(), exit_code=0)
 

@@ -56,7 +56,12 @@ def auc_exact(scores: Sequence[float], labels: Sequence[int]) -> Fraction:
         raise ValueError("labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("need at least one positive and one negative")
-    order = np.argsort(scores, kind="mergesort")
+    # tie groups are contiguous under any sort, so the default one serves;
+    # NaN compares unequal to itself, so each NaN is a group of its own and
+    # their order, which only a stable sort fixes, sets their ranks
+    order = np.argsort(scores)
+    if np.isnan(scores[order[-1]]):  # numpy sorts NaN last
+        order = np.argsort(scores, kind="mergesort")
     s = scores[order]
     pos_sorted = labels[order] == 1
     group_start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])

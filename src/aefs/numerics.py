@@ -536,9 +536,13 @@ def gather_fields(x: Tensor, idx: Array) -> Tensor:
 
 
 def xavier_init(rows: int, cols: int, seed) -> Array:
-    """Uniform init on +/- sqrt(6 / (rows + cols)); deterministic per seed."""
+    """Uniform init on +/- sqrt(6 / (rows + cols)); deterministic per seed.
+    A shape of more bytes than an address can count raises MemoryError
+    before anything is allocated."""
     if rows < 1 or cols < 1:
         raise ValueError("xavier_init needs positive dimensions")
+    if rows * cols > np.iinfo(np.intp).max // 8:  # numpy would refuse it with a ValueError
+        raise MemoryError(f"a {rows} x {cols} array of doubles cannot be allocated")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     bound = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
@@ -583,6 +587,15 @@ def batch_moments(x: Array) -> tuple[Array, Array]:
     return mean, dev.sum(axis=0) / n
 
 
+def fold_normalization(gamma: Array, beta: Array, w: Array, bias: Array, mean: Array,
+                       std: Array) -> tuple[Array, Array]:
+    """Batch normalization by `mean` and `std`, then the affine map, as one
+    map and offset ``(s * w, (beta - mean * s) @ w + bias)`` with
+    ``s = gamma / std``: x's output is ``x @ map + offset``."""
+    s = gamma / std
+    return s[:, None] * w, (beta - mean * s) @ w + bias
+
+
 def normalized_affine(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, bias: Tensor,
                       mean: Array, std: Array, batch_stats: bool) -> Tensor:
     """Batch normalization then an affine map, ``((x - mean) / std * gamma +
@@ -603,10 +616,9 @@ def normalized_affine(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, bias: T
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise DimensionError(f"normalized_affine input {x.shape}, map {w.shape}")
-    s = gamma.data / std
-    ws = s[:, None] * w.data
+    ws, offset = fold_normalization(gamma.data, beta.data, w.data, bias.data, mean, std)
     out = x.data @ ws
-    out += (beta.data - mean * s) @ w.data + bias.data
+    out += offset
 
     def bw(g):
         g_sum = g.sum(axis=0)
@@ -619,6 +631,7 @@ def normalized_affine(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, bias: T
             dx = g @ ws.T
             if batch_stats:
                 n = x.shape[0]
+                s = gamma.data / std
                 c1 = -s * d_gamma / (n * std)
                 c0 = -s * d_beta / n - mean * c1
                 for rows in _row_blocks(dx):  # a cache-sized temporary per block

@@ -6,6 +6,7 @@ feed all N) and returns a (B,) vector of click probabilities.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .numerics import (
     batch_moments,
     clip,
     concat,
+    fold_normalization,
     log,
     normalized_affine,
     relu,
@@ -180,11 +182,13 @@ class Controller:
     Training mode normalizes by the batch's statistics (biased variance)
     and moves the running statistics toward them; inference mode
     normalizes by the running statistics. Training needs a batch of at
-    least 2 rows.
+    least 2 rows. Within `folded`, inference mode reads the two folded
+    into one map once, on entry.
     """
 
     momentum = 0.1
     eps = 1e-5
+    _folded: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, n_fields: int, emb_dim: int, rng: np.random.Generator):
         self.n_fields = n_fields
@@ -208,10 +212,31 @@ class Controller:
             m = self.momentum
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
             self.running_var = (1.0 - m) * self.running_var + m * var
+        elif self._folded is not None:
+            w, offset = self._folded
+            out = flat.data @ w
+            out += offset
+            return Tensor(out)
         else:
             mean, var = self.running_mean, self.running_var
         return normalized_affine(flat, self.gamma, self.beta, self.fc.weight, self.fc.bias,
                                  mean, np.sqrt(var + self.eps), batch_stats=training)
+
+    @contextlib.contextmanager
+    def folded(self):
+        """A scope in which inference-mode logits read the batch norm and
+        the affine map folded into one map on entry, with the bits
+        `normalized_affine` gives, and no gradient. Nothing may write the
+        parameters or running statistics within it; the fold ends with it,
+        so what an optimizer step or a checkpoint load writes in place
+        between two scopes is read by the next."""
+        self._folded = fold_normalization(
+            self.gamma.data, self.beta.data, self.fc.weight.data, self.fc.bias.data,
+            self.running_mean, np.sqrt(self.running_var + self.eps))
+        try:
+            yield
+        finally:
+            self._folded = None
 
     def named_params(self, prefix: str = ""):
         bn = prefix + "controller.bn."

@@ -25,29 +25,39 @@ def k_for(n_fields: int, r_kept: float) -> int:
 
 
 # From this many scores on, one integer sort of packed keys beats a stable
-# argsort row by row: the measured crossover lies between 128 and 256 rows
-# of 16 fields (2-vCPU Xeon, numpy 2.4).
-PACKED_TOPK_MIN_SCORES = 4096
+# argsort row by row: on batches that vary from call to call, the crossover
+# lies between 64 and 128 rows of 16 fields, and near 32 rows of 39 (2-vCPU
+# Xeon, numpy 2.4).
+PACKED_TOPK_MIN_SCORES = 2048
+
+_SIGNLESS = 0x7FFF_FFFF_FFFF_FFFF
+# The packed keys of the scores +inf and -inf (the bits of -inf, sign kept
+# and the rest flipped, and those of +inf): every key of a score that is
+# not NaN lies between the two, and every key of a NaN outside them.
+_KEY_OF_INF = int(np.float64(-np.inf).view(np.int64)) ^ _SIGNLESS
+_KEY_OF_MINUS_INF = int(np.float64(np.inf).view(np.int64))
 
 
 def k_max_indices_batch(scores: np.ndarray, k: int) -> np.ndarray:
     """The k largest of each row of the (B, N) scores, descending, ties to
     the lower field and NaN last: ``np.argsort(-s, kind="stable")[:, :k]``.
 
-    At `PACKED_TOPK_MIN_SCORES` scores or more, and with no NaN, each score
-    becomes one int64 key that ascends as the score descends, with its low
+    At `PACKED_TOPK_MIN_SCORES` scores or more, each score becomes one int64
+    key that ascends as the score descends, with its low
     ``(N - 1).bit_length()`` bits replaced by the field index, and each row
     of keys is sorted once. Keys are distinct, so the sort needs no
     stability, and the indices are the low bits of each row's first k keys.
     A row whose first k + 1 sorted keys hold two that agree above the field
     bits (a tie, or scores apart only in the dropped bits) takes the stable
-    argsort, so the result equals it on every input.
+    argsort, so the result equals it on every input. So does a row holding
+    a NaN, found without a scan: its key sorts before the key of +inf or
+    after that of -inf, so a row with ±inf at an end takes it as well.
     """
     s = np.asarray(scores, dtype=np.float64)
     n = s.shape[1]
     if not (1 <= k <= n):
         raise ValueError(f"k={k} out of range for {n} scores")
-    if s.size < PACKED_TOPK_MIN_SCORES or np.isnan(s).any():
+    if s.size < PACKED_TOPK_MIN_SCORES:
         return np.argsort(-s, axis=1, kind="stable")[:, :k]
     bits = (n - 1).bit_length()
     field = (1 << bits) - 1
@@ -55,15 +65,17 @@ def k_max_indices_batch(scores: np.ndarray, k: int) -> np.ndarray:
     keys += 0.0  # -0.0 to +0.0: the two compare equal, so their keys must tie
     keys = keys.view(np.int64)
     # a negative double's bits order it backwards: flip all but the sign
-    keys ^= (keys >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+    keys ^= (keys >> 63) & _SIGNLESS
     keys &= ~field
     keys |= np.arange(n)
     keys.sort(axis=1)
     head = keys[:, :k + 1] >> bits
-    near = (head[:, 1:] == head[:, :-1]).any(axis=1)
+    redo = (head[:, 1:] == head[:, :-1]).any(axis=1)
+    redo |= head[:, 0] <= _KEY_OF_INF >> bits
+    redo |= keys[:, -1] >> bits >= _KEY_OF_MINUS_INF >> bits
     out = keys[:, :k] & field
-    if near.any():
-        out[near] = np.argsort(-s[near], axis=1, kind="stable")[:, :k]
+    if redo.any():
+        out[redo] = np.argsort(-s[redo], axis=1, kind="stable")[:, :k]
     return out
 
 
@@ -90,6 +102,7 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
     indices = k_max_indices_batch(logits.data, k)
     flat = _flat_positions(indices, logits.shape[1])
     w = np.take(logits.data, flat)
+    # the batch's one scan for NaN: the top k finds its NaN rows without one
     if np.isnan(logits.data).any():
         w -= logits.data.max(axis=1, keepdims=True)
     else:

@@ -10,6 +10,7 @@ shuffle, so a (config, seed) pair reproduces bit-identical runs.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -248,7 +249,12 @@ def build_model(vocab_sizes: Sequence[int], config: TrainConfig,
             *predictor, rng, reweight=config.enable_topk_reweight,
             enable_eal=config.enable_eal, enable_pal=config.enable_pal),
     }[config.method]
-    return FittedModel(model=build(), k=k)
+    try:
+        model = build()
+    except MemoryError as exc:  # a dimension far too large
+        raise ConfigError(f"d1 and d2 too large: the model's tables cannot be allocated "
+                          f"({exc})") from None
+    return FittedModel(model=model, k=k)
 
 
 def _batch_slices(n: int, batch_size: int, order: np.ndarray):
@@ -348,7 +354,8 @@ def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
              selection_dump_path: Path | None = None,
              informative_fields: Sequence[int] | None = None) -> Metrics:
     """Frozen-parameter evaluation with inference-mode batch norm, scored
-    without the tape. A non-finite score raises NumericAbort.
+    without the tape, and with a controller's batch norm folded into its
+    affine map once for the pass. A non-finite score raises NumericAbort.
 
     The main table's lookup counts over the pass give each field's
     selection count, and from those the activated parameters and lookups
@@ -364,7 +371,9 @@ def evaluate(fitted: FittedModel, dataset: Dataset, batch_size: int = 2048,
     dump_lines: list[str] | None = [] if selection_dump_path is not None else None
     main_set = fitted.main_embeddings
     before = main_set.lookup_counts.copy()
-    with no_tape():  # nothing here is differentiated
+    controller = getattr(fitted.model, "controller", None)
+    # nothing here is differentiated, and the parameters stay as they are
+    with no_tape(), controller.folded() if controller is not None else contextlib.nullcontext():
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
             probs, sel, weights, _ = fitted.forward_scores(dataset.x[start:stop], training=False)

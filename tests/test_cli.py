@@ -427,6 +427,35 @@ class TestFailedRunManifest:
         assert manifest["error"] == err == ("numeric abort: non-finite loss inf at epoch 1, "
                                             "batch 1 (first non-finite term: eal)")
 
+    @pytest.mark.parametrize("d1", [2**60, 10**400], ids=["beyond-address-space", "beyond-float"])
+    def test_unallocatable_dimension_exits_1_and_marks_run_failed(self, synth_dir, tmp_path,
+                                                                   capsys, d1):
+        out = tmp_path / "runs"
+        rc = main(["train", "--data", str(synth_dir), "--out", str(out), "--method", "none",
+                   "--d1", str(d1), "--max-epochs", "1", "--min-freq", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: d1 and d2 too large: the model's tables cannot "
+                              "be allocated (")
+        manifest = self.read_manifest(out)
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", 1, err.strip())
+
+    def test_unhandled_error_marks_run_failed_and_goes_on(self, synth_dir, tmp_path,
+                                                          monkeypatch):
+        def bug(data, config):
+            raise RuntimeError("not a user error\nsecond line")
+
+        monkeypatch.setattr(cli_mod, "train", bug)
+        out = tmp_path / "runs"
+        with pytest.raises(RuntimeError, match="not a user error"):
+            main(train_args(synth_dir, out))
+        manifest = self.read_manifest(out)
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", None, "RuntimeError: not a user error")
+        assert manifest["finished_at"] is not None
+
     @pytest.mark.parametrize("method", ["adafs", "aefs"])
     def test_overflow_prints_only_the_abort_line(self, tmp_path, method):
         # in a process of its own: pytest would capture numpy's warnings

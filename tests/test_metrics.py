@@ -52,6 +52,32 @@ class TestAuc:
             scores = np.round(rng.random(n), 2)
             assert auc_exact(scores, labels) == auc_pairwise_oracle(scores, labels)
 
+    @given(st.data(), st.integers(2, 300))
+    @settings(max_examples=80, deadline=None)
+    def test_heavy_ties_match_pairwise_oracle(self, data, n):
+        # two or three values, +0.0 and -0.0 among them: long tie groups,
+        # which the sort may leave in any order
+        pool = data.draw(st.sampled_from([(0.0, -0.0), (0.0, -0.0, 1.0), (-0.0, 0.5, -2.0),
+                                          (0.25, 0.75), (1e-300, 0.0, -1e300)]))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        labels[0], labels[-1] = 0, 1
+        scores = np.asarray(pool)[picks]
+        assert auc_exact(scores, labels) == auc_pairwise_oracle(scores, labels)
+
+    def test_nan_scores_rank_above_every_number_in_their_order(self):
+        """NaN equals nothing, so each NaN is a tie group of its own, and
+        their order sets their ranks: a stable sort's, each NaN above every
+        number and above the NaNs before it."""
+        rng = np.random.default_rng(18)
+        scores = np.round(rng.random(400), 1)
+        scores[rng.choice(400, size=60, replace=False)] = np.nan
+        labels = rng.integers(0, 2, size=400)
+        nan = np.isnan(scores)
+        ranked = scores.copy()
+        ranked[nan] = 2.0 + np.arange(nan.sum())
+        assert auc_exact(scores, labels) == auc_pairwise_oracle(ranked, labels)
+
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
             auc([0.1, 0.2], [1, 1])

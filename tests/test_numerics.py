@@ -693,6 +693,13 @@ class TestXavier:
         with pytest.raises(ValueError):
             xavier_init(0, 3, 1)
 
+    @pytest.mark.parametrize("rows, cols", [(2, 2**62), (2**31, 2**29), (3, 10**400)])
+    def test_shape_past_the_address_space_is_a_memory_error(self, rows, cols):
+        # numpy itself would refuse the first two with a ValueError, and the
+        # float bound of the third would overflow; nothing is allocated
+        with pytest.raises(MemoryError, match=f"a {rows} x {cols} array of doubles"):
+            xavier_init(rows, cols, 1)
+
 
 class TestGradCheck:
     def test_quadratic_is_tight(self):

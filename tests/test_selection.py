@@ -119,6 +119,56 @@ class TestKMax:
         assert fallback_rows == [4]
         assert same_bits(got, expected)
 
+    @given(st.data(), st.integers(1, 300), st.integers(1, 39))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_stable_argsort_on_tied_batches(self, data, b, n):
+        """Rows of a few repeated values, NaN among them, where the packed
+        keys' sort leaves equal scores in any order: both sides of the
+        switch equal the stable argsort, bit for bit."""
+        pool = data.draw(st.lists(st.sampled_from(
+            [0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, 1e300, -1e-300, np.nan]),
+            min_size=1, max_size=4))
+        picks = data.draw(arrays(np.int64, (b, n), elements=st.integers(0, len(pool) - 1)))
+        s = np.asarray(pool)[picks]
+        k = data.draw(st.integers(1, n))
+        expected = np.argsort(-s, axis=1, kind="stable")[:, :k]
+        for switch in (1, 2**62):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(aefs.selection, "PACKED_TOPK_MIN_SCORES", switch)
+                assert same_bits(k_max_indices_batch(s, k), expected)
+
+    def test_rows_the_packed_sort_could_misorder_take_the_stable_sort(self, monkeypatch):
+        """Equal scores at the k-th and (k+1)-th places, +0.0 and -0.0 at
+        the top, two +inf, a NaN and a NaN with its sign bit set each send
+        their row, and only theirs, to the stable argsort, with no scan for
+        NaN; the result equals it."""
+        s = np.array([
+            [9.0, 8.0, 7.0, 6.0, 5.0, 1.0, 2.0, 3.0],
+            [5.0, 0.0, 2.0, 4.0, 1.0, 3.0, 2.0, -1.0],       # 2.0 at places 4 and 5
+            [-1.0, -0.0, -2.0, 0.0, -3.0, -4.0, -5.0, -6.0],  # -0.0 ties +0.0
+            [1.0, np.inf, 2.0, -np.inf, np.inf, 3.0, 0.0, 4.0],
+            [1.0, 2.0, np.nan, 3.0, 4.0, 5.0, 6.0, 7.0],
+            [1.0, 2.0, -np.nan, 3.0, 4.0, 5.0, 6.0, 7.0],
+            [0.5, 0.25, 0.125, 1.0, 2.0, 4.0, 8.0, 16.0],
+        ])
+        assert np.signbit(s[5, 2])
+        expected = np.argsort(-s, axis=1, kind="stable")[:, :4]
+        assert expected[1].tolist() == [0, 3, 5, 2] and expected[2].tolist() == [1, 3, 0, 2]
+        stable = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("kind") == "stable":
+                stable.append(np.negative(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(aefs.selection, "PACKED_TOPK_MIN_SCORES", 1)
+        monkeypatch.setattr(np, "argsort", spy)
+        monkeypatch.setattr(np, "isnan", None)
+        got = k_max_indices_batch(s, 4)
+        assert len(stable) == 1 and same_bits(stable[0], s[1:6])
+        assert same_bits(got, expected)
+
     def test_batch_matches_single(self):
         s = np.random.default_rng(1).random((16, 9))
         batch = k_max_indices_batch(s, 4)
@@ -390,6 +440,25 @@ class TestTopkSoftmax:
         others = np.arange(512) != 5
         assert same_bits(indices[others], clean_indices[others])
         assert same_bits(w.data[others], clean_w.data[others])
+
+    def test_nan_below_the_switch_reaches_only_its_row(self):
+        """As above the switch: a NaN in an unselected logit makes its row's
+        weights NaN, and leaves every other row's weights and indices as
+        they are without it."""
+        rng = np.random.default_rng(48)
+        clean = rng.normal(scale=2.0, size=(64, 16))
+        assert clean.size < aefs.selection.PACKED_TOPK_MIN_SCORES
+        clean[7, :] = 0.0
+        clean[7, ::3] = -0.0
+        dirty = clean.copy()
+        dirty[5, np.argmin(dirty[5])] = np.nan
+        clean_indices, clean_w = topk_softmax(Tensor(clean), 8)
+        indices, w = topk_softmax(Tensor(dirty), 8)
+        assert np.isnan(w.data[5]).all() and not np.isnan(clean_w.data).any()
+        others = np.arange(64) != 5
+        assert same_bits(indices[others], clean_indices[others])
+        assert same_bits(w.data[others], clean_w.data[others])
+        assert same_bits(indices, np.argsort(-dirty, axis=1, kind="stable")[:, :8])
 
     def test_indices_come_from_the_module_top_k(self, monkeypatch):
         calls = []

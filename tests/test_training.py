@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import aefs.embedding as embedding_mod
+import aefs.predictors as predictors_mod
 import aefs.selection as selection_mod
 import aefs.training as training_mod
 from aefs.data import DataError, Dataset, SyntheticSpec, generate_synthetic
@@ -359,6 +360,57 @@ class TestScoringWithoutTape:
         assert same_bits(scores, again)
         assert first == second
         assert (tmp_path / "first.jsonl").read_bytes() == (tmp_path / "second.jsonl").read_bytes()
+
+
+class TestFoldedScoringPass:
+    """`evaluate` folds the controller's batch norm into its affine map once
+    per pass. Its scores equal, bit for bit, those of scoring batch by batch
+    without the fold: on the packed top-k (a batch of 2048 rows) and below
+    it (128), and again after an optimizer step and after a checkpoint load
+    between passes, which write the parameters in place."""
+
+    @pytest.mark.parametrize("path", ["adafs-soft", "adafs-hard", "aefs-soft"])
+    def test_every_pass_folds_the_current_parameters(self, small_data, tmp_path, monkeypatch,
+                                                     path):
+        fitted = train(small_data, small_config(max_epochs=1, **SCORING_PATHS[path])).fitted
+        data = small_data.train  # 2,400 rows of 6 fields
+        auc_metric, fold = training_mod.auc_metric, predictors_mod.fold_normalization
+        passed, folds = [], []
+
+        def recording_auc(scores, labels):
+            passed.append(np.copy(scores))
+            return auc_metric(scores, labels)
+
+        def counting_fold(*args):
+            folds.append(len(passed))
+            return fold(*args)
+
+        monkeypatch.setattr(training_mod, "auc_metric", recording_auc)
+        monkeypatch.setattr(predictors_mod, "fold_normalization", counting_fold)
+
+        def check() -> np.ndarray:
+            for batch in (128, 2048):
+                expected = np.concatenate([
+                    fitted.model.score(data.x[i:i + batch], training=False)[0].data
+                    for i in range(0, len(data), batch)])
+                assert not folds
+                evaluate(fitted, data, batch)
+                assert folds == [len(passed) - 1]  # one fold, in this pass
+                folds.clear()
+                assert same_bits(passed[-1], expected), batch
+            return expected
+
+        trained = check()
+        save_checkpoint(fitted, tmp_path / "trained.ckpt")
+        named = fitted.named_params()
+        opt = Adam([t for _, t in named], lr=0.05)
+        loss, _, _ = fitted.model.loss(data.x[:256], data.y[:256])
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        assert not same_bits(check(), trained)
+        load_checkpoint(fitted, tmp_path / "trained.ckpt")
+        assert same_bits(check(), trained)
 
 
 class TestStats:
