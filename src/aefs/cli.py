@@ -13,6 +13,7 @@ AEFS_OUT_ROOT environment variable or the --out flag.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -174,17 +175,17 @@ def _percent(frac: Fraction) -> str:
 # synth
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_fields=args.fields,
-        n_informative=args.informative,
-        vocab_size=args.vocab,
-        n_records=args.records,
-        teacher_seed=args.seed,
-    )
     out_dir = Path(args.out)
     with _path_errors(ConfigError):
         out_dir.mkdir(parents=True, exist_ok=True)
-    with _manifest(out_dir, "synth", f"synth-{spec.teacher_seed}", spec.teacher_seed, []):
+    with _manifest(out_dir, "synth", f"synth-{args.seed}", args.seed, []):
+        spec = SyntheticSpec(
+            n_fields=args.fields,
+            n_informative=args.informative,
+            vocab_size=args.vocab,
+            n_records=args.records,
+            teacher_seed=args.seed,
+        )
         sd = generate_synthetic(spec)
         write_format_b(sd.columns, sd.schema, out_dir / "data.csv", out_dir / "schema.json")
         labels = sd.columns.labels
@@ -217,28 +218,9 @@ def _load_config(args) -> TrainConfig:
         with _path_errors(ConfigError):
             text = path.read_text()
         config = parse_config_text(text)
-    overrides = {
-        "method": args.method,
-        "mode": args.mode,
-        "seed": args.seed,
-        "r": args.r,
-        "d1": args.d1,
-        "d2": args.d2,
-        "backbone_main": args.backbone_main,
-        "backbone_aux": args.backbone_aux,
-        "pretrain_epochs": args.pretrain_epochs,
-        "max_epochs": args.max_epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "min_freq": args.min_freq,
-    }
-    if args.no_eal:
-        overrides["enable_eal"] = False
-    if args.no_pal:
-        overrides["enable_pal"] = False
-    if args.no_topk_reweight:
-        overrides["enable_topk_reweight"] = False
-    return apply_overrides(config, overrides)
+    # each flag is stored under its config key's name, None when not given
+    return apply_overrides(config, {f.name: getattr(args, f.name, None)
+                                    for f in dataclasses.fields(TrainConfig)})
 
 
 def _load_dataset(data_dir: Path):
@@ -482,9 +464,10 @@ def build_parser() -> _Parser:
         p.add_argument("--d2", type=int)
         p.add_argument("--backbone-main", dest="backbone_main", choices=VARIANTS)
         p.add_argument("--backbone-aux", dest="backbone_aux", choices=VARIANTS)
-        p.add_argument("--no-eal", action="store_true")
-        p.add_argument("--no-pal", action="store_true")
-        p.add_argument("--no-topk-reweight", action="store_true")
+        p.add_argument("--no-eal", dest="enable_eal", action="store_false", default=None)
+        p.add_argument("--no-pal", dest="enable_pal", action="store_false", default=None)
+        p.add_argument("--no-topk-reweight", dest="enable_topk_reweight", action="store_false",
+                       default=None)
         p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
         p.add_argument("--max-epochs", dest="max_epochs", type=int)
         p.add_argument("--batch-size", dest="batch_size", type=int)

@@ -11,11 +11,13 @@ Every reader yields `Columns`: one encoder
 numbers each field's distinct tokens chunk by chunk as they are read, so no
 per-record object is ever built. It takes a chunk as one UTF-8 buffer with
 each token's byte offset and length, packs each token into uint64 words
-plus its length, finds the chunk's distinct keys by sorting them, and looks
-those up in sorted tables of the field's known keys carried across chunks,
-one per key width; unseen keys take the next codes in order of first
-occurrence. Only the distinct tokens are decoded back to `str`. Two
-tokenizers feed it:
+padded with 0xFF past its end, finds the chunk's distinct keys by sorting
+them, and looks those up in sorted tables of the field's known keys carried
+across chunks, one per key width; unseen keys take the next codes in order
+of first occurrence. No UTF-8 byte is 0xFF, so within one width the words
+alone tell any two tokens apart: both tokenizers must hand the encoder
+strictly encoded UTF-8. Only the distinct tokens are decoded back to `str`.
+Two tokenizers feed it:
 
 * split: each chunk of `CHUNK_LINES` lines is encoded to UTF-8 once and cut
   into tokens at the bytes that hold the separator or a newline. Every
@@ -120,71 +122,59 @@ CHUNK_LINES = 8192
 
 _NEWLINE = ord("\n")
 
-# Masks that keep the first m bytes of a little-endian word, m = 0..8.
-_BYTE_MASKS = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)
+# Pads that set every byte of a little-endian word from the m-th on to 0xFF,
+# m = 0..8.
+_BYTE_PADS = np.array([(1 << 64) - (1 << 8 * m) for m in range(9)], dtype=np.uint64)
 
 
 def _token_words(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                  words: int) -> np.ndarray:
     """(T, words) uint64: the bytes of the tokens at the given spans of
-    `buf`, packed little-endian, zero past each token's end. The last 8
-    bytes of `buf` lie past every span."""
+    `buf`, packed little-endian, 0xFF past each token's end. The last 8
+    bytes of `buf` lie past every span.
+
+    The tokens must be UTF-8, which never holds the byte 0xFF: then two
+    tokens of at most 8 * `words` bytes have equal words exactly when their
+    bytes are equal, for the shorter one's first pad byte meets a byte of
+    the longer one."""
     unaligned = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each offset
     offsets = np.arange(0, 8 * words, 8)
     out = unaligned[np.minimum(starts[:, None] + offsets, len(buf) - 8)]
-    out &= _BYTE_MASKS[np.clip(lengths[:, None] - offsets, 0, 8)]
+    out |= _BYTE_PADS[np.clip(lengths[:, None] - offsets, 0, 8)]
     return out
 
 
-def _by_bytes(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each key, its words and then its length, as one void scalar,
-    ordered and compared by its bytes."""
-    rows = np.empty((len(lengths), words.shape[1] + 1), np.uint64)
-    rows[:, :-1] = words
-    rows[:, -1] = lengths
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+def _sort_keys(words: np.ndarray) -> np.ndarray:
+    """Each row of `words` as one key: its word if it has one, a plain
+    uint64, else one void scalar, ordered and compared by its bytes."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.view(np.dtype((np.void, words.itemsize * words.shape[1])))[:, 0]
 
 
 class _KeyTable:
     """The known keys of one field and one key width, sorted for lookup,
     with their codes.
 
-    A key is a token's words and its byte length. Keys one word wide are
-    ordered by that word alone, a plain uint64 sort, with the lengths kept
-    beside them, until two keys share a word (only tokens that differ in
-    trailing NUL bytes do). Wider keys, and those from then on, are void
-    scalars (`_by_bytes`)."""
+    A key is a token's words (`_token_words`), as `_sort_keys` gives them.
+    Padded with 0xFF, they tell any two UTF-8 tokens of one width apart, and
+    no other input is safe: both producers, `_split_chunks` and
+    `_Encoder.add_tokens`, hand the encoder strictly encoded UTF-8, and any
+    new one must check that its bytes decode first."""
 
     def __init__(self, words: int):
-        self.lengths: np.ndarray | None = np.empty(0, np.int64) if words == 1 else None
-        self.keys = (np.empty(0, np.uint64) if words == 1
-                     else _by_bytes(np.empty((0, words), np.uint64), np.empty(0, np.int64)))
+        self.keys = _sort_keys(np.empty((0, words), np.uint64))
         self.codes = np.empty(0, np.int64)
 
-    def group(self, words: np.ndarray, lengths: np.ndarray):
+    def group(self, words: np.ndarray):
         """The distinct keys among one chunk's tokens of this width: each
         token's group, each group's first token and its code (-1 for a key
         not known yet), and a function that enters the given groups' keys
         with the given codes."""
-        grouped = self._group(words, lengths)
-        if grouped is None:
-            keys = _by_bytes(self.keys[:, None], self.lengths)
-            order = np.argsort(keys)
-            self.keys, self.lengths, self.codes = keys[order], None, self.codes[order]
-            grouped = self._group(words, lengths)
-        return grouped
-
-    def _group(self, words: np.ndarray, lengths: np.ndarray):
-        """As `group`; None if two keys share a word while ordered by words."""
-        plain = self.lengths is not None
-        keys = words[:, 0] if plain else _by_bytes(words, lengths)
+        keys = _sort_keys(words)
         order = np.argsort(keys)
         ordered = keys[order]
         starts_group = np.concatenate([[True], ordered[1:] != ordered[:-1]])
-        if plain:
-            lengths = lengths[order]
-            if ((lengths[1:] != lengths[:-1]) & ~starts_group[1:]).any():
-                return None
         group = np.flatnonzero(starts_group)
         distinct = ordered[group]
         at = np.searchsorted(self.keys, distinct)
@@ -192,8 +182,6 @@ class _KeyTable:
         if len(self.keys):
             near = np.minimum(at, len(self.keys) - 1)
             known = self.keys[near] == distinct
-            if plain and (known & (self.lengths[near] != lengths[group])).any():
-                return None
             code[known] = self.codes[near[known]]
         of_token = np.empty(len(order), np.int64)
         of_token[order] = np.cumsum(starts_group) - 1
@@ -201,8 +189,6 @@ class _KeyTable:
         def enter(groups: np.ndarray, codes: np.ndarray) -> None:
             self.keys = np.insert(self.keys, at[groups], distinct[groups])
             self.codes = np.insert(self.codes, at[groups], codes)
-            if plain:
-                self.lengths = np.insert(self.lengths, at[groups], lengths[group[groups]])
 
         return of_token, np.minimum.reduceat(order, group), code, enter
 
@@ -233,7 +219,7 @@ class _FieldCodes:
             if (table := self.tables.get(log)) is None:
                 table = self.tables[log] = _KeyTable(1 << log)
             of_token, first, code, enter = table.group(
-                _token_words(buf, starts[tokens], lengths[tokens], 1 << log), lengths[tokens])
+                _token_words(buf, starts[tokens], lengths[tokens], 1 << log))
             unseen = np.flatnonzero(code < 0)
             classes.append((tokens, of_token, code, unseen, enter))
             firsts.append(index[tokens][first[unseen]])
@@ -392,8 +378,14 @@ class SyntheticSpec:
     logit_scale: float = 1.0  # std-dev of each informative category effect
 
     def __post_init__(self):
-        if self.n_informative > self.n_fields:
-            raise DataError("n_informative exceeds n_fields")
+        if self.n_fields < 1:
+            raise DataError(f"n_fields must be at least 1, got {self.n_fields}")
+        if not 0 <= self.n_informative <= self.n_fields:
+            raise DataError(f"n_informative must be in [0, n_fields], got {self.n_informative}")
+        if self.n_records < 0:
+            raise DataError(f"n_records must be nonnegative, got {self.n_records}")
+        if self.teacher_seed < 0:
+            raise DataError(f"teacher_seed must be nonnegative, got {self.teacher_seed}")
         if self.vocab_size < 2:
             raise DataError("vocab_size must be at least 2")
 

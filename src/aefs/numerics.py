@@ -93,9 +93,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_scalar(self)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise DimensionError("backward() needs a scalar loss, got shape %s" % (self.shape,))

@@ -24,12 +24,6 @@ def k_for(n_fields: int, r_kept: float) -> int:
     return max(1, int(n_fields * r_kept))
 
 
-# From this many scores on, one integer sort of packed keys beats a stable
-# argsort row by row: on batches that vary from call to call, the crossover
-# lies between 64 and 128 rows of 16 fields, and near 32 rows of 39 (2-vCPU
-# Xeon, numpy 2.4).
-PACKED_TOPK_MIN_SCORES = 2048
-
 _SIGNLESS = 0x7FFF_FFFF_FFFF_FFFF
 # The packed keys of the scores +inf and -inf (the bits of -inf, sign kept
 # and the rest flipped, and those of +inf): every key of a score that is
@@ -42,11 +36,11 @@ def k_max_indices_batch(scores: np.ndarray, k: int) -> np.ndarray:
     """The k largest of each row of the (B, N) scores, descending, ties to
     the lower field and NaN last: ``np.argsort(-s, kind="stable")[:, :k]``.
 
-    At `PACKED_TOPK_MIN_SCORES` scores or more, each score becomes one int64
-    key that ascends as the score descends, with its low
-    ``(N - 1).bit_length()`` bits replaced by the field index, and each row
-    of keys is sorted once. Keys are distinct, so the sort needs no
-    stability, and the indices are the low bits of each row's first k keys.
+    Each score becomes one int64 key that ascends as the score descends,
+    with its low ``(N - 1).bit_length()`` bits replaced by the field index,
+    and each row of keys is sorted once, at every batch size. Keys are
+    distinct, so the sort needs no stability, and the indices are the low
+    bits of each row's first k keys.
     A row whose first k + 1 sorted keys hold two that agree above the field
     bits (a tie, or scores apart only in the dropped bits) takes the stable
     argsort, so the result equals it on every input. So does a row holding
@@ -57,8 +51,6 @@ def k_max_indices_batch(scores: np.ndarray, k: int) -> np.ndarray:
     n = s.shape[1]
     if not (1 <= k <= n):
         raise ValueError(f"k={k} out of range for {n} scores")
-    if s.size < PACKED_TOPK_MIN_SCORES:
-        return np.argsort(-s, axis=1, kind="stable")[:, :k]
     bits = (n - 1).bit_length()
     field = (1 << bits) - 1
     keys = np.negative(s)

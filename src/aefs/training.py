@@ -104,30 +104,24 @@ class TrainConfig:
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-_BOOL_KEYS = {"enable_eal", "enable_pal", "enable_topk_reweight"}
-_INT_KEYS = {"batch_size", "d1", "d2", "max_epochs", "seed", "pretrain_epochs",
-             "n_cross_layers", "min_freq"}
-_FLOAT_KEYS = {"r", "lr"}
-_STR_KEYS = {"method", "mode", "backbone_main", "backbone_aux"}
-
-
 def _parse_value(key: str, raw):
+    """`raw` as a value of config key `key`, of the type of the key's
+    `TrainConfig` default; a value that already has a type passes as it is."""
     if isinstance(raw, (int, float, bool, tuple)):
         return raw
     raw = str(raw).strip()
+    default = getattr(TrainConfig, key)
     try:
-        if key in _BOOL_KEYS:
+        if isinstance(default, bool):  # before int: a bool is an int
             low = raw.lower()
             if low in ("true", "1", "yes"):
                 return True
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "hidden_dims":
+        if isinstance(default, (int, float)):
+            return type(default)(raw)
+        if isinstance(default, tuple):
             return tuple(int(x) for x in raw.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -20,6 +22,7 @@ from aefs.data import read_format_b
 from aefs.numerics import Tensor
 from aefs.training import (
     NumericAbort,
+    TrainConfig,
     build_model,
     evaluate,
     load_checkpoint,
@@ -66,10 +69,20 @@ class TestSynth:
         meta = json.loads((out / "meta.json").read_text())
         assert abs(meta["teacher_auc"] - 0.5) < 0.02
 
-    def test_invalid_flags_nonzero_exit(self, tmp_path):
-        rc = main(["synth", "--out", str(tmp_path / "x"), "--informative", "9",
-                   "--fields", "4"])
-        assert rc != 0
+    def test_invalid_flags_nonzero_exit(self, tmp_path, capsys):
+        for n, flags in enumerate([["--informative", "9", "--fields", "4"],
+                                   ["--records", "-5"],
+                                   ["--informative", "-1"],
+                                   ["--fields", "0", "--informative", "0"],
+                                   ["--fields", "-2", "--informative", "0"],
+                                   ["--seed", "-1"]]):
+            out = tmp_path / str(n)
+            rc = main(["synth", "--out", str(out), *flags])
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 2, flags
+            assert len(err) == 1 and err[0].startswith("data error: "), (flags, err)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["status"], manifest["exit_code"]) == ("failed", 2), flags
 
 
 class TestTrain:
@@ -357,6 +370,37 @@ INVALID_TRAIN_FLAGS = st.one_of(
     st.integers(max_value=-1).map(lambda seed: _flags(seed=seed)),
     st.one_of(_NAN_OR_NON_POSITIVE, st.just(math.inf)).map(lambda lr: _flags(lr=lr)),
 )
+
+
+class TestTrainFlags:
+    def test_every_flag_reaches_its_config_field(self):
+        """Each `aefs train` flag stored under a `TrainConfig` field name,
+        set to a value other than that field's default, reaches the field;
+        every other flag is named here."""
+        parser = cli_mod.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = [a for a in sub.choices["train"]._actions if a.option_strings]
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert {a.dest for a in actions} - fields == {"help", "data", "config", "out", "force",
+                                                      "dump_selection"}
+        argv, expected = ["train", "--data", "d"], {}
+        for action in actions:
+            if action.dest not in fields:
+                continue
+            default = getattr(TrainConfig(), action.dest)
+            if isinstance(action, argparse._StoreFalseAction):
+                argv.append(action.option_strings[0])
+                expected[action.dest] = False
+                continue
+            if action.choices:
+                value = next(c for c in action.choices if c != default)
+            else:
+                value = default / 2 if isinstance(default, float) else default + 1
+            argv += [action.option_strings[0], str(value)]
+            expected[action.dest] = value
+        config = cli_mod._load_config(parser.parse_args(argv))
+        assert config == dataclasses.replace(TrainConfig(), **expected)
+        assert all(getattr(config, key) != getattr(TrainConfig(), key) for key in expected)
 
 
 class TestInvalidTrainFlags:

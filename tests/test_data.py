@@ -579,12 +579,18 @@ class TestNumbering:
         ["abcdefg", "abcdefg\0", "abcdefgh", "abcdefgh\0", "abcdefgh\0\0"],
         ["", "\0", "\0\0", "", "\0"],
         ["x" * 9, "x" * 9 + "\0", "x" * 8 + "\0", "x" * 8],
+        ["abcdefgh", "abcdefg", "abcdefgh", "abcdefg"],
+        ["p" * 16, "p" * 15, "p" * 15, "p" * 16, "p" * 9],
+        ["ÿ", "abcdefgÿ", "abcdefg", "ÿ", "abcdefgh", "abcdefgÿ", "Ã"],
+        ["", "ÿ", "\0", ""],
     ])
     @pytest.mark.parametrize("chunk", [1, 2, 100])
     def test_tokens_that_differ_in_trailing_nul_bytes(self, tokens, chunk):
-        """Tokens alike but for trailing NULs share their packed words and
-        differ in length alone, in one chunk or across chunks; the
-        row-by-row reader takes a quoted NUL on Python 3.11+."""
+        """Tokens alike but for trailing NULs, tokens that fill their key
+        exactly beside the same token one byte shorter, multi-byte
+        characters across a word's edge and the empty token are told apart
+        where the shorter one's 0xFF pad begins, in one chunk or across
+        chunks; the row-by-row reader takes a quoted NUL on Python 3.11+."""
         schema = [FieldSchema("f0", "categorical", 0), FieldSchema("f1", "categorical", 1)]
         fields = [tokens, tokens[::-1]]
         enc = aefs.data._Encoder(schema)

@@ -76,30 +76,24 @@ class TestKMax:
     @settings(max_examples=200, deadline=None)
     def test_batch_is_k_distinct_fields_in_range_ties_to_lower(self, data, s):
         # what `gather_fields` and the per-row main lookup rely on without
-        # checking: k distinct positions in [0, N) per row, NaN ranked last;
-        # on both sides of the switch, the packed keys' side forced down to
-        # these small shapes
+        # checking: k distinct positions in [0, N) per row, NaN ranked last
         b, n = s.shape
         k = data.draw(st.integers(1, n))
-        for switch in (1, 2**62):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(aefs.selection, "PACKED_TOPK_MIN_SCORES", switch)
-                got = k_max_indices_batch(s, k)
-            assert got.shape == (b, k)
-            for row, picked in zip(s, got.tolist()):
-                assert len(set(picked)) == k and all(0 <= j < n for j in picked)
-                order = sorted(range(n), key=lambda j: (bool(np.isnan(row[j])),
-                                                        0.0 if np.isnan(row[j]) else -row[j]))
-                assert picked == order[:k]
+        got = k_max_indices_batch(s, k)
+        assert got.shape == (b, k)
+        for row, picked in zip(s, got.tolist()):
+            assert len(set(picked)) == k and all(0 <= j < n for j in picked)
+            order = sorted(range(n), key=lambda j: (bool(np.isnan(row[j])),
+                                                    0.0 if np.isnan(row[j]) else -row[j]))
+            assert picked == order[:k]
 
-    def test_near_ties_above_the_switch_take_the_stable_sort(self, monkeypatch):
+    def test_near_ties_take_the_stable_sort(self, monkeypatch):
         """Scores an ulp or a few apart agree above the packed keys' field
         bits, as exact ties do: their rows alone go to the stable argsort,
         and the result equals it, though field order alone would put the
         lower field first."""
         rng = np.random.default_rng(46)
         s = rng.normal(size=(512, 16))
-        assert s.size >= aefs.selection.PACKED_TOPK_MIN_SCORES
         s[3, 2], s[3, 5] = 10.0, np.nextafter(10.0, np.inf)
         s[100, 0], s[100, 15] = 20.0, 20.0 + 2 * np.spacing(20.0)
         s[200, 4] = s[200, 9] = 7.0
@@ -123,8 +117,8 @@ class TestKMax:
     @settings(max_examples=60, deadline=None)
     def test_equals_the_stable_argsort_on_tied_batches(self, data, b, n):
         """Rows of a few repeated values, NaN among them, where the packed
-        keys' sort leaves equal scores in any order: both sides of the
-        switch equal the stable argsort, bit for bit."""
+        keys' sort leaves equal scores in any order: the top k equals the
+        stable argsort, bit for bit."""
         pool = data.draw(st.lists(st.sampled_from(
             [0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, 1e300, -1e-300, np.nan]),
             min_size=1, max_size=4))
@@ -132,10 +126,7 @@ class TestKMax:
         s = np.asarray(pool)[picks]
         k = data.draw(st.integers(1, n))
         expected = np.argsort(-s, axis=1, kind="stable")[:, :k]
-        for switch in (1, 2**62):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(aefs.selection, "PACKED_TOPK_MIN_SCORES", switch)
-                assert same_bits(k_max_indices_batch(s, k), expected)
+        assert same_bits(k_max_indices_batch(s, k), expected)
 
     def test_rows_the_packed_sort_could_misorder_take_the_stable_sort(self, monkeypatch):
         """Equal scores at the k-th and (k+1)-th places, +0.0 and -0.0 at
@@ -162,7 +153,6 @@ class TestKMax:
                 stable.append(np.negative(a))
             return argsort(a, *args, **kwargs)
 
-        monkeypatch.setattr(aefs.selection, "PACKED_TOPK_MIN_SCORES", 1)
         monkeypatch.setattr(np, "argsort", spy)
         monkeypatch.setattr(np, "isnan", None)
         got = k_max_indices_batch(s, 4)
@@ -422,14 +412,15 @@ class TestTopkSoftmax:
         _, w = topk_softmax(logits, 2)
         assert np.isnan(w.data[0]).all() and np.isfinite(w.data[1]).all()
 
-    def test_nan_above_the_switch_reaches_only_its_row(self):
+    @pytest.mark.parametrize("rows,seed", [(64, 48), (512, 47)])
+    def test_nan_reaches_only_its_row(self, rows, seed):
         """Without a NaN the weights are shifted by the first selected
         logit, with one by each row's full max: a NaN in an unselected logit
         makes its row's weights NaN, and every other row's weights and
-        indices are bit for bit those of the batch without it."""
-        rng = np.random.default_rng(47)
-        clean = rng.normal(scale=2.0, size=(512, 16))
-        assert clean.size >= aefs.selection.PACKED_TOPK_MIN_SCORES
+        indices are bit for bit those of the batch without it. The indices
+        equal the stable argsort's."""
+        rng = np.random.default_rng(seed)
+        clean = rng.normal(scale=2.0, size=(rows, 16))
         clean[7, :] = 0.0
         clean[7, ::3] = -0.0  # a row max that is +0.0 or -0.0
         dirty = clean.copy()
@@ -437,25 +428,7 @@ class TestTopkSoftmax:
         clean_indices, clean_w = topk_softmax(Tensor(clean), 8)
         indices, w = topk_softmax(Tensor(dirty), 8)
         assert np.isnan(w.data[5]).all() and not np.isnan(clean_w.data).any()
-        others = np.arange(512) != 5
-        assert same_bits(indices[others], clean_indices[others])
-        assert same_bits(w.data[others], clean_w.data[others])
-
-    def test_nan_below_the_switch_reaches_only_its_row(self):
-        """As above the switch: a NaN in an unselected logit makes its row's
-        weights NaN, and leaves every other row's weights and indices as
-        they are without it."""
-        rng = np.random.default_rng(48)
-        clean = rng.normal(scale=2.0, size=(64, 16))
-        assert clean.size < aefs.selection.PACKED_TOPK_MIN_SCORES
-        clean[7, :] = 0.0
-        clean[7, ::3] = -0.0
-        dirty = clean.copy()
-        dirty[5, np.argmin(dirty[5])] = np.nan
-        clean_indices, clean_w = topk_softmax(Tensor(clean), 8)
-        indices, w = topk_softmax(Tensor(dirty), 8)
-        assert np.isnan(w.data[5]).all() and not np.isnan(clean_w.data).any()
-        others = np.arange(64) != 5
+        others = np.arange(rows) != 5
         assert same_bits(indices[others], clean_indices[others])
         assert same_bits(w.data[others], clean_w.data[others])
         assert same_bits(indices, np.argsort(-dirty, axis=1, kind="stable")[:, :8])

@@ -909,39 +909,6 @@ class TestTopkSoftmaxTraining:
         assert_trained_alike(node, node_picks, composed_run, composed_picks)
 
 
-class TestPackedTopKTraining:
-    """Training and evaluation end with the same bits on either side of
-    `k_max_indices_batch`'s switch: forced down to the packed keys at these
-    small batches, and forced up to the stable argsort. Every top-k
-    selection, in training and in validation, is the same."""
-
-    @pytest.mark.parametrize("method,mode,main,aux", [("aefs", "soft", "mlp", "mlp"),
-                                                      ("aefs", "soft", "dcn", "deepfm"),
-                                                      ("adafs", "hard", "mlp", "mlp")])
-    def test_bit_identical_either_side_of_the_switch(self, many_row_data, method, mode, main,
-                                                     aux, monkeypatch):
-        cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
-                           pretrain_epochs=1, backbone_main=main, backbone_aux=aux)
-        runs = []
-        for switch in (1, 2**62):
-            monkeypatch.setattr(selection_mod, "PACKED_TOPK_MIN_SCORES", switch)
-            run, picks = train_recording_picks(many_row_data, cfg, monkeypatch)
-            runs.append((run, picks, evaluate(run.fitted, many_row_data.test, 64)))
-        (packed, packed_picks, packed_test), (stable, stable_picks, stable_test) = runs
-        assert packed_picks and len(packed_picks) == len(stable_picks)
-        assert all(same_bits(a, b) for a, b in zip(packed_picks, stable_picks))
-        for (name, a), (_, b) in zip(packed.fitted.named_params(), stable.fitted.named_params()):
-            assert same_bits(a.data, b.data), name
-        for (name, a), (_, b) in zip(packed.fitted.named_buffers(),
-                                     stable.fitted.named_buffers()):
-            assert same_bits(a, b), name
-        for a, b in zip(packed.report.rows, stable.report.rows):
-            da, db = dict(a.__dict__), dict(b.__dict__)
-            da.pop("seconds"), db.pop("seconds")
-            assert da == db
-        assert packed_test == stable_test
-
-
 class TestAlignmentNodeTraining:
     """`aefs` training with the embedding alignment loss over distinct rows
     ends where training with the per-lookup composition
