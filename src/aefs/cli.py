@@ -186,10 +186,18 @@ def cmd_synth(args) -> int:
             n_records=args.records,
             teacher_seed=args.seed,
         )
-        sd = generate_synthetic(spec)
-        write_format_b(sd.columns, sd.schema, out_dir / "data.csv", out_dir / "schema.json")
+        try:
+            sd = generate_synthetic(spec)
+        except MemoryError as exc:
+            raise DataError(f"--vocab {spec.vocab_size} or --records {spec.n_records} too "
+                            f"large: {exc}") from None
         labels = sd.columns.labels
+        positives = int(labels.sum())
+        if not 0 < positives < labels.size:  # checked before any file is written
+            raise DataError(f"--records {spec.n_records} drew {positives} positive labels of "
+                            f"{labels.size}: need at least one positive and one negative")
         teacher_auc = auc(sd.teacher_logits, labels) if spec.n_informative else 0.5
+        write_format_b(sd.columns, sd.schema, out_dir / "data.csv", out_dir / "schema.json")
         meta = {
             "n_fields": spec.n_fields,
             "n_informative": spec.n_informative,

@@ -386,8 +386,8 @@ class SyntheticSpec:
             raise DataError(f"n_records must be nonnegative, got {self.n_records}")
         if self.teacher_seed < 0:
             raise DataError(f"teacher_seed must be nonnegative, got {self.teacher_seed}")
-        if self.vocab_size < 2:
-            raise DataError("vocab_size must be at least 2")
+        if not 2 <= self.vocab_size <= np.iinfo(np.int64).max:
+            raise DataError(f"vocab_size must be in [2, 2**63 - 1], got {self.vocab_size}")
 
 
 @dataclass
@@ -409,6 +409,13 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     Noise fields are drawn independently of the label. Deterministic per
     teacher_seed. A record's token in a field is its category, in decimal.
     """
+    # numpy refuses an array of more bytes than an address can count with a
+    # ValueError; such a size raises MemoryError here, as one it cannot get
+    largest = np.iinfo(np.intp).max // 8
+    if spec.n_informative and spec.vocab_size > largest:
+        raise MemoryError(f"{spec.vocab_size} teacher effects per field cannot be allocated")
+    if spec.n_records * spec.n_fields > largest:
+        raise MemoryError(f"{spec.n_records} x {spec.n_fields} ids cannot be allocated")
     rng = np.random.default_rng(spec.teacher_seed)
     informative = sorted(rng.choice(spec.n_fields, size=spec.n_informative, replace=False).tolist())
     effects = {}

@@ -84,19 +84,27 @@ class EmbeddingSet:
 
     def lookup(self, rows: np.ndarray, fields=slice(None)) -> Tensor:
         """Rows `rows` of the shared matrix, (B, n) -> (B, n, d), which the
-        caller has checked; backward gives the matrix a row-sparse gradient
-        over the rows read. Each entry counts one lookup of its field:
+        caller has checked, read by `read` and counted by `count`."""
+        self.count(rows, fields)
+        return self.read(rows)
+
+    def count(self, rows: np.ndarray, fields=slice(None)) -> None:
+        """Count each entry of the (B, n) `rows` as one lookup of its field:
         `fields` is a slice or 1-D array of the columns' fields, as in
         `embed`, or the (B, n) field of each entry."""
+        if isinstance(fields, np.ndarray) and fields.ndim == 2:
+            self.lookup_counts += np.bincount(fields.reshape(-1), minlength=self.n_fields)
+        else:
+            self.lookup_counts[fields] += rows.shape[0]
+
+    def read(self, rows: np.ndarray) -> Tensor:
+        """Rows `rows` of the shared matrix, (B, n) -> (B, n, d), uncounted;
+        backward gives the matrix a row-sparse gradient over the rows read."""
         weight = self.weight
 
         def bw(g):
             scatter_rows(weight, rows.reshape(-1), g.reshape(-1, self._dim))
 
-        if isinstance(fields, np.ndarray) and fields.ndim == 2:
-            self.lookup_counts += np.bincount(fields.reshape(-1), minlength=self.n_fields)
-        else:
-            self.lookup_counts[fields] += rows.shape[0]
         return Tensor(np.take(weight.data, rows, axis=0), parents=(weight,), backward=bw)
 
     def named_params(self, prefix: str = ""):

@@ -466,10 +466,14 @@ def scatter_rows(table: Tensor, ids: Array, g: Array) -> None:
 def add_rows(table: Tensor, rows: Array, values: Array) -> None:
     """Add ``values[i]`` to row ``rows[i]`` of ``table.grad``; `rows` is
     ascending and distinct. Each row adds the new term after the gradient
-    already there. A RowGrad that holds every row of `rows` (as after a
-    lookup of those rows) takes the terms in place, and a dense gradient
-    too; any other gradient goes through `scatter_rows`."""
+    already there. No gradient becomes a RowGrad of `rows`; a RowGrad that
+    holds every row of `rows` (as after a lookup of those rows) takes the
+    terms in place, and a dense gradient too; any other gradient goes
+    through `scatter_rows`."""
     grad = table.grad
+    if grad is None:  # the bits of a scatter into no gradient: -0.0 becomes 0.0
+        table.grad = RowGrad(rows, values + 0.0, table.shape[0])
+        return
     if isinstance(grad, RowGrad) and np.array_equal(grad.rows, rows):
         grad.values += values
         return
@@ -530,6 +534,155 @@ def gather_fields(x: Tensor, idx: Array) -> Tensor:
         x.grad.reshape(flat_shape)[flat] += g
 
     return Tensor(out, parents=(x,), backward=bw)
+
+
+def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
+    """Multiply each field vector by its weight: (B, n, d) by (B, n).
+
+    One tape node. The forward is the product as one ``einsum``, bit for
+    bit the broadcast product and faster at a training batch's size. The
+    backward takes each weight's gradient, the inner product of the
+    upstream gradient with that field's embedding, as one contraction over
+    d, without a (B, n, d) product array; it then scales the released
+    upstream gradient in place by the weights, which gives the embeddings
+    theirs. The embedding gradient is bit-identical to a broadcast
+    multiply's; the weight gradient sums its d terms in another order, so
+    it equals the multiply's to rounding.
+
+    Inside `no_tape` the product is written into ``e_sel.data``, which is
+    returned: the same values, without a second (B, n, d) array. A caller
+    that scores there must pass embeddings it does not read afterwards,
+    such as a lookup's fresh result.
+    """
+    if e_sel.shape[:2] != weights.shape:
+        raise DimensionError(f"embeddings {e_sel.shape} vs weights {weights.shape}")
+    if not _taping:
+        return Tensor(np.multiply(e_sel.data, weights.data[:, :, None], out=e_sel.data))
+
+    def bw(g):
+        if weights.requires_grad:
+            _accum(weights, np.einsum("bnd,bnd->bn", g, e_sel.data), owned=True)
+        if e_sel.requires_grad:
+            g *= weights.data[:, :, None]
+            _accum(e_sel, g, owned=True)
+
+    return Tensor(np.einsum("bnd,bn->bnd", e_sel.data, weights.data), parents=(e_sel, weights),
+                  backward=bw)
+
+
+def lookup_affine(table: Tensor, rows: Array, weights: Tensor | None, linear: "Linear",
+                  flat: bool = False) -> Tensor:
+    """An affine map over weighted table rows:
+    ``(w[..., None] * table[rows]).reshape(B, n * d) @ W + b`` for the
+    (B, n) `rows` of the (T, d) `table`, their (B, n) `weights` w (None:
+    unweighted) and `linear`'s (n * d, h) map W and bias b. The table must
+    be a leaf: it takes its rows once every closure of the backward pass has
+    run, so after a lookup's scatter.
+
+    Column j meets rows ``j*d`` to ``(j+1)*d`` of W, its block W_j, so
+    instance i's output is ``sum_j w_ij * (table[rows_ij] @ W_j) + b``. On
+    the tape, unless `flat` is set or ``2 * d < h``, this is one node over
+    the batch's distinct (column, row) pairs. It finds the distinct rows,
+    then the pairs over their compact ids (so the pairs' scratch holds at
+    most B * n * n entries, whatever the table's size), projects each
+    pair's row once through its column's block, and sums each instance's
+    weighted projections. With G the upstream gradient and S_p the sum of
+    ``w_ij * G_i`` over the lookups (i, j) of pair p (one bincount per
+    output column, B * n * h entries in all), the backward gives W_j
+    ``E_j.T @ S_j`` (E_j the rows of column j's pairs), b ``sum(G)``, each
+    weight ``G_i . P_p`` (P_p the pair's projection) and each distinct row
+    the sum of ``S_p @ W_j.T`` over its pairs, column by column, through
+    `add_rows`. Neither direction forms an array of B * n * d entries.
+    Equal to the composition up to rounding.
+
+    Otherwise the forward is the gather, the weighting and the flat affine
+    map, bit for bit the composition of lookup, `scale_embeddings`, reshape
+    and `affine`: within `no_tape` with no node, the weighting in place, and
+    on the tape as those nodes, the lookup's rows joining the table's
+    gradient through `scatter_rows`. Below ``2 * d = h`` the pairs' B * n * h
+    terms cost more than the composition's B * n * d.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or table.ndim != 2:
+        raise DimensionError(f"rows {rows.shape} of table {table.shape}")
+    b, n = rows.shape
+    d = table.shape[1]
+    w_map, bias = linear.weight, linear.bias
+    h = w_map.shape[1]
+    if w_map.shape[0] != n * d:
+        raise DimensionError(f"map {w_map.shape} cannot take {n} rows of width {d}")
+    if weights is not None and weights.shape != rows.shape:
+        raise DimensionError(f"weights {weights.shape} vs rows {rows.shape}")
+    if not _taping:
+        e = np.take(table.data, rows, axis=0)
+        if weights is not None:
+            np.multiply(e, weights.data[:, :, None], out=e)
+        out = e.reshape(b, n * d) @ w_map.data
+        out += bias.data
+        return Tensor(out)
+    if table._backward is not None:
+        raise ValueError("lookup_affine adds to its table's gradient after the backward "
+                         "pass, so the table must be a leaf")
+    if out_of_range(rows, table.shape[0]):
+        raise IndexError(f"row out of range [0, {table.shape[0]})")
+    if flat or 2 * d < h:
+        def scatter(g):
+            return lambda: scatter_rows(table, rows.reshape(-1), g.reshape(-1, d))
+
+        e = Tensor(np.take(table.data, rows, axis=0), parents=(table,), backward=scatter)
+        if weights is not None:
+            e = scale_embeddings(e, weights)
+        return affine(e.reshape(b, n * d), w_map, bias)
+
+    uniq, slot = distinct_rows(rows.reshape(-1), table.shape[0])
+    r = uniq.size
+    # pair ids ascend by column, so each column's pairs are one run
+    pairs, pair_of = distinct_rows((slot.reshape(b, n) + r * np.arange(n)).reshape(-1), r * n)
+    column = pairs // r
+    pair_slot = pairs - column * r  # the pair's row among `uniq`
+    cuts = np.searchsorted(column, np.arange(n + 1)).tolist()
+    blocks = [(slice(cuts[j], cuts[j + 1]), slice(j * d, (j + 1) * d)) for j in range(n)]
+    e = np.take(table.data, uniq[pair_slot], axis=0)
+    proj = np.empty((pairs.size, h))
+    for at, block in blocks:
+        np.matmul(e[at], w_map.data[block], out=proj[at])
+    pair_of = pair_of.reshape(b, n)
+    per_lookup = np.take(proj, pair_of, axis=0)  # (B, n, h)
+    if weights is None:
+        out = np.einsum("bnh->bh", per_lookup)
+    else:
+        out = np.einsum("bnh,bn->bh", per_lookup, weights.data)
+    out += bias.data
+
+    def bw(g):
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=0), owned=True)
+        if weights is not None and weights.requires_grad:
+            _accum(weights, np.einsum("bh,bnh->bn", g, per_lookup), owned=True)
+        keys = pair_of.reshape(-1)
+        terms = np.empty((b, n))
+        s = np.empty((h, pairs.size))
+        for c, g_c in enumerate(g.T):
+            if weights is None:
+                terms[...] = g_c[:, None]
+            else:
+                np.multiply(weights.data, g_c[:, None], out=terms)
+            s[c] = np.bincount(keys, weights=terms.reshape(-1), minlength=pairs.size)
+        s = s.T
+        if w_map.requires_grad:
+            dw = np.zeros(w_map.shape)
+            for at, block in blocks:
+                np.matmul(e[at].T, s[at], out=dw[block])
+            _accum(w_map, dw, owned=True)
+        if table.requires_grad:
+            # a column's pairs have distinct rows, so each adds without a scatter
+            de = np.zeros((r, d))
+            for at, block in blocks:
+                de[pair_slot[at]] += s[at] @ w_map.data[block].T
+            return lambda: add_rows(table, uniq, de)
+
+    parents = (table, w_map, bias) + ((weights,) if weights is not None else ())
+    return Tensor(out, parents=parents, backward=bw)
 
 
 def xavier_init(rows: int, cols: int, seed) -> Array:

@@ -20,8 +20,10 @@ from .numerics import (
     concat,
     fold_normalization,
     log,
+    lookup_affine,
     normalized_affine,
     relu,
+    scale_embeddings,
     sigmoid,
     xavier_init,
 )
@@ -60,7 +62,12 @@ class _Tower:
         self.out_width = n_out if final_linear else width
 
     def __call__(self, x: Tensor) -> Tensor:
-        for lin in self.layers:
+        return self.past_first(self.layers[0](x))
+
+    def past_first(self, h: Tensor) -> Tensor:
+        """The tower's output from its first affine map's output `h`."""
+        x = relu(h)
+        for lin in self.layers[1:]:
             x = relu(lin(x))
         return self.final(x) if self.final is not None else x
 
@@ -79,7 +86,21 @@ def _check_field_input(e: Tensor, config: PredictorConfig):
             f"embeddings {e.shape}, expected (*, {config.input_fields}, {config.emb_dim})")
 
 
-class MLPPredictor:
+class _Backbone:
+    """What every backbone answers besides its call on embeddings."""
+
+    def from_rows(self, table: Tensor, rows: np.ndarray, weights: Tensor | None,
+                  training: bool, embedded) -> Tensor:
+        """The prediction for the (B, F) rows `rows` of the embedding table
+        `table`, each scaled by its entry of the (B, F) `weights` (None:
+        unscaled). `embedded()` returns those rows' (B, F, d) embeddings as
+        a tape node; the caller counts the lookups. This default reads
+        them, weights them with `scale_embeddings` and calls the backbone."""
+        e = embedded()
+        return self(e if weights is None else scale_embeddings(e, weights))
+
+
+class MLPPredictor(_Backbone):
     def __init__(self, config: PredictorConfig, rng: np.random.Generator):
         self.config = config
         self.tower = _Tower(config.input_fields * config.emb_dim,
@@ -90,6 +111,21 @@ class MLPPredictor:
         b = e.shape[0]
         flat = e.reshape(b, self.config.input_fields * self.config.emb_dim)
         return sigmoid(self.tower(flat)).reshape(b)
+
+    def from_rows(self, table: Tensor, rows: np.ndarray, weights: Tensor | None,
+                  training: bool, embedded) -> Tensor:
+        """As the default, with the rows, their weights and the first layer
+        through `lookup_affine`: in training over the batch's distinct
+        (column, row) pairs, without the (B, F * d) input, unless the rows
+        are too narrow for that to pay; otherwise with the bits of
+        `__call__` on the weighted embeddings."""
+        if rows.ndim != 2 or rows.shape[1] != self.config.input_fields \
+                or table.shape[1] != self.config.emb_dim:
+            raise DimensionError(f"rows {rows.shape} of a table of width {table.shape[1]}, "
+                                 f"expected (*, {self.config.input_fields}) of width "
+                                 f"{self.config.emb_dim}")
+        h = lookup_affine(table, rows, weights, self.tower.layers[0], flat=not training)
+        return sigmoid(self.tower.past_first(h)).reshape(rows.shape[0])
 
     def named_params(self, prefix: str = ""):
         return self.tower.named_params(prefix + "mlp.")
@@ -104,7 +140,7 @@ def fm_pairwise_interaction(e: Tensor) -> Tensor:
     return ((square_of_sum - sum_of_squares) * 0.5).sum(axis=1)  # (B,)
 
 
-class DeepFMPredictor:
+class DeepFMPredictor(_Backbone):
     """Linear term + FM pairwise term + deep tower, squashed by a sigmoid."""
 
     def __init__(self, config: PredictorConfig, rng: np.random.Generator):
@@ -140,7 +176,7 @@ class CrossLayer:
         return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
 
 
-class DCNPredictor:
+class DCNPredictor(_Backbone):
     def __init__(self, config: PredictorConfig, rng: np.random.Generator):
         self.config = config
         width = config.input_fields * config.emb_dim

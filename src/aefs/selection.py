@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import numerics
 from .embedding import EmbeddingSet, SelectionIndexError
 from .numerics import DimensionError, Linear, Tensor, _accum, add_rows, distinct_rows, \
-    gather_fields, out_of_range, sigmoid, softmax
+    gather_fields, out_of_range, scale_embeddings, sigmoid, softmax
 from .predictors import Controller, PredictorConfig, bce, build_predictor
 
 
@@ -112,40 +111,6 @@ def topk_softmax(logits: Tensor, k: int) -> tuple[np.ndarray, Tensor]:
     return indices, Tensor(w, parents=(logits,), backward=bw)
 
 
-def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
-    """Multiply each field vector by its weight: (B, n, d) by (B, n).
-
-    One tape node. The forward is the product as one ``einsum``, bit for
-    bit the broadcast product and faster at a training batch's size. The
-    backward takes each weight's gradient, the inner product of the
-    upstream gradient with that field's embedding, as one contraction over
-    d, without a (B, n, d) product array; it then scales the released
-    upstream gradient in place by the weights, which gives the embeddings
-    theirs. The embedding gradient is bit-identical to a broadcast
-    multiply's; the weight gradient sums its d terms in another order, so
-    it equals the multiply's to rounding.
-
-    Inside `numerics.no_tape` the product is written into ``e_sel.data``,
-    which is returned: the same values, without a second (B, n, d) array.
-    A caller that scores there must pass embeddings it does not read
-    afterwards, such as a lookup's fresh result.
-    """
-    if e_sel.shape[:2] != weights.shape:
-        raise DimensionError(f"embeddings {e_sel.shape} vs weights {weights.shape}")
-    if not numerics._taping:
-        return Tensor(np.multiply(e_sel.data, weights.data[:, :, None], out=e_sel.data))
-
-    def bw(g):
-        if weights.requires_grad:
-            _accum(weights, np.einsum("bnd,bnd->bn", g, e_sel.data), owned=True)
-        if e_sel.requires_grad:
-            g *= weights.data[:, :, None]
-            _accum(e_sel, g, owned=True)
-
-    return Tensor(np.einsum("bnd,bn->bnd", e_sel.data, weights.data), parents=(e_sel, weights),
-                  backward=bw)
-
-
 # ---------------------------------------------------------------------------
 # models
 
@@ -183,7 +148,10 @@ class FixedSubsetModel(_OnePredictor):
 
     def score(self, x: np.ndarray, training: bool):
         """Returns (prediction, selected indices, None): no weights."""
-        p = self.predictor(self.main_embeddings.embed(x, self._columns))
+        main = self.main_embeddings
+        rows = main.rows(x, self._columns)
+        main.count(rows, self._columns)
+        p = self.predictor.from_rows(main.weight, rows, None, training, lambda: main.read(rows))
         return p, np.broadcast_to(self.fields, (x.shape[0], self.fields.size)), None
 
     def warmup_params(self):
@@ -325,7 +293,8 @@ class DualModel:
         auxiliary predictor reads the auxiliary embeddings of the selected
         fields, scaled by the same weights as the main ones."""
         p_m, indices, weights, rows, e_a = aefs_forward(self, x, training=True)
-        p_a = self.aux_predictor(scale_embeddings(gather_fields(e_a, indices), weights))
+        p_a = self.aux_predictor.from_rows(self.aux_embeddings.weight, rows, weights, True,
+                                           lambda: gather_fields(e_a, indices))
         bce_a = bce(p_a, y)
         bce_m = bce(p_m, y)
         loss = bce_a + bce_m
@@ -393,8 +362,11 @@ def aefs_forward(pair: DualModel, x: np.ndarray, training: bool):
     # the two sets share their offsets, so these rows address the main
     # table too; argsort's top k are distinct and in range by construction
     rows = np.take(rows, _flat_positions(indices, pair.n_fields))
-    e_m = scale_embeddings(pair.main_embeddings.lookup(rows, indices), weights)
-    return pair.main_predictor(e_m), indices, weights, rows, e_a
+    main = pair.main_embeddings
+    main.count(rows, indices)
+    p_m = pair.main_predictor.from_rows(main.weight, rows, weights, training,
+                                        lambda: main.read(rows))
+    return p_m, indices, weights, rows, e_a
 
 
 def embedding_alignment_loss(aux: Tensor, main: Tensor, rows: np.ndarray, weights: Tensor,

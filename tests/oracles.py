@@ -26,7 +26,9 @@ another order than the one-node contraction. So is the embedding alignment
 loss composed from tape ops over every selected lookup: the package sums
 it over the distinct rows a batch selects. So are the top-k weights as the
 full softmax, a gather and a division by their sum: the package takes a
-softmax over the k selected logits alone.
+softmax over the k selected logits alone. So is an mlp's first layer over
+weighted table rows as a lookup, weighting, reshape and affine map: in
+training the package projects each distinct (column, row) pair once.
 
 The rest are single-instance selection helpers, finite-difference gradient
 checks, per-field table views, and other small functions the tests call.
@@ -182,6 +184,19 @@ def take_rows(table, rows):
         numerics.scatter_rows(table, rows.reshape(-1), g.reshape(-1, table.shape[1]))
 
     return Tensor(table.data[rows], parents=(table,), backward=bw)
+
+
+def composed_lookup_affine(table, rows, weights, linear, flat=False):
+    """``numerics.lookup_affine`` as the package composed it: the rows
+    gathered (`take_rows`), weighted by `scale_embeddings` unless `weights`
+    is None, reshaped to (B, n * d) and mapped by `linear`. Every forward is
+    flat, so `flat` changes nothing."""
+    rows = np.asarray(rows)
+    b, n = rows.shape
+    e = take_rows(table, rows)
+    if weights is not None:
+        e = selection.scale_embeddings(e, weights)
+    return linear(e.reshape(b, n * table.shape[1]))
 
 
 def composed_embedding_alignment_loss(aux, main, rows, weights, fc):
@@ -445,29 +460,30 @@ class AefsTrace:
 
 
 def aefs_trace(pair, x, training: bool) -> AefsTrace:
-    """`aefs_forward` with the controller logits and the scaled main
-    embeddings it passes on recorded, then the auxiliary branch as
-    `DualModel.loss` builds it."""
+    """`aefs_forward` with the controller logits it passes on recorded, then
+    the auxiliary branch as `DualModel.loss` builds it (its forward flat
+    outside training, as the main branch's is). The scaled embeddings of
+    both sides are recorded apart from the predictions' graph: the rows
+    read from each table, weighted by `scale_embeddings`."""
     seen = {}
-    logits, main_predictor = pair.controller.logits, pair.main_predictor
+    logits = pair.controller.logits
 
     def record_logits(e, training):
         seen["logits"] = logits(e, training)
         return seen["logits"]
 
-    def record_main(e):
-        seen["main_embeds"] = e
-        return main_predictor(e)
-
-    pair.controller.logits, pair.main_predictor = record_logits, record_main
+    pair.controller.logits = record_logits
     try:
         main_pred, indices, weights, rows, e_a = aefs_forward(pair, x, training)
     finally:
         del pair.controller.logits
-        pair.main_predictor = main_predictor
+    aux_pred = pair.aux_predictor.from_rows(pair.aux_embeddings.weight, rows, weights, training,
+                                            lambda: numerics.gather_fields(e_a, indices))
     aux_embeds = selection.scale_embeddings(numerics.gather_fields(e_a, indices), weights)
-    return AefsTrace(seen["logits"], indices, rows, weights, aux_embeds, seen["main_embeds"],
-                     pair.aux_predictor(aux_embeds), main_pred)
+    main_embeds = selection.scale_embeddings(take_rows(pair.main_embeddings.weight, rows),
+                                             weights)
+    return AefsTrace(seen["logits"], indices, rows, weights, aux_embeds, main_embeds,
+                     aux_pred, main_pred)
 
 
 def embed_per_row(es: EmbeddingSet, x, indices) -> Tensor:

@@ -85,6 +85,23 @@ class TestSynth:
             assert (manifest["status"], manifest["exit_code"]) == ("failed", 2), flags
 
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--records", "10", "--vocab", str(2**61)], "--vocab 2305843009213693952"),
+        (["--records", "0"], "--records 0"),
+        (["--records", "1", "--seed", "3"], "--records 1"),
+    ])
+    def test_unusable_sizes_fail_before_writing_data(self, tmp_path, capsys, flags, named):
+        # a vocabulary too large to allocate, and labels all of one class
+        out = tmp_path / "s"
+        rc = main(["synth", "--out", str(out), *flags])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("data error: ") and named in err[0], err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"]) == ("failed", 2)
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 class TestTrain:
     def test_full_run_artifacts(self, synth_dir, tmp_path, capsys):
         rc = main(train_args(synth_dir, tmp_path / "runs"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from aefs.numerics import (
     concat,
     distinct_rows,
     gather_fields,
+    lookup_affine,
     no_tape,
     normalized_affine,
     relu,
@@ -27,9 +30,9 @@ from aefs.numerics import (
     xavier_init,
 )
 from aefs.predictors import Controller
-from oracles import adam_step, add_at_gather_fields, boolean_mask_sigmoid, controller_scores, \
-    dense_scatter, embed_per_row, exp, grad_check, reference_controller, same_bits, \
-    use_reference_tape
+from oracles import adam_step, add_at_gather_fields, boolean_mask_sigmoid, \
+    composed_lookup_affine, controller_scores, dense_scatter, embed_per_row, exp, grad_check, \
+    reference_controller, same_bits, use_reference_tape
 
 
 def matmul_oracle(a, b):
@@ -673,6 +676,131 @@ class TestDeferredBackward:
         outer.backward()
         assert order == ["outer", "inner", "deferred"]
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def lookup_affine_inputs(rng, t, d, b, n, h, weighted=True):
+    """A (t, d) table, (b, n) rows of it, their weights (or None) and an
+    (n * d, h) affine map, every operand a leaf that takes a gradient."""
+    table = Tensor(rng.normal(size=(t, d)), requires_grad=True)
+    rows = rng.integers(0, t, size=(b, n))
+    weights = Tensor(rng.random((b, n)), requires_grad=True) if weighted else None
+    lin = Linear(n * d, h, rng)
+    lin.bias.data[:] = rng.normal(size=h)
+    return table, rows, weights, lin
+
+
+def lookup_affine_value_and_grads(node, table, rows, weights, lin, upstream, flat=False):
+    """The value of `node` and the gradients of its sum against `upstream`
+    for the table (dense), the map, the bias and the weights."""
+    params = [table, lin.weight, lin.bias] + ([weights] if weights is not None else [])
+    for p in params:
+        p.grad = None
+    out = node(table, rows, weights, lin, flat=flat)
+    (out * Tensor(upstream)).sum().backward()
+    return [out.data] + [p.grad.dense() if isinstance(p.grad, RowGrad) else p.grad
+                         for p in params]
+
+
+class TestLookupAffine:
+    """`lookup_affine` against the lookup, weighting, reshape and affine
+    map it replaces (`composed_lookup_affine`): to rounding in training,
+    bit for bit in its flat forward."""
+
+    # row 2 twice in column 0 and again in column 1; row 4 in every column
+    ROWS = np.array([[2, 4, 0], [2, 2, 4], [4, 0, 4], [1, 4, 3], [2, 2, 4]])
+
+    # d = 3 against h = 2 runs over pairs; d = 1 against h = 4 composes
+    @pytest.mark.parametrize("d,h", [(3, 2), (1, 4)])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_gradients_match_finite_differences(self, weighted, d, h):
+        rng = np.random.default_rng(5)
+        table, _, weights, lin = lookup_affine_inputs(rng, 5, d, 5, 3, h, weighted)
+        rows = self.ROWS
+        if weighted:
+            weights.data[:] = rng.normal(size=rows.shape)
+
+        def loss():
+            out = lookup_affine(table, rows, weights, lin)
+            return (out * out).sum()
+
+        params = [table, lin.weight, lin.bias] + ([weights] if weighted else [])
+        assert grad_check(loss, params) < 1e-8
+        loss().backward()
+        assert isinstance(table.grad, RowGrad)
+        np.testing.assert_array_equal(table.grad.rows, [0, 1, 2, 3, 4])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 4), st.integers(1, 12),
+           st.integers(1, 4), st.integers(1, 5), st.booleans())
+    def test_equals_composition(self, seed, t, d, b, n, h, weighted):
+        rng = np.random.default_rng(seed)
+        table, rows, weights, lin = lookup_affine_inputs(rng, t, d, b, n, h, weighted)
+        upstream = rng.normal(size=(b, h))
+        node = lookup_affine_value_and_grads(lookup_affine, table, rows, weights, lin,
+                                             upstream)
+        composed = lookup_affine_value_and_grads(composed_lookup_affine, table, rows, weights,
+                                                 lin, upstream)
+        for got, want in zip(node, composed):
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("d,h", [(8, 5), (2, 5)])
+    def test_flat_forward_is_the_composition(self, weighted, d, h):
+        rng = np.random.default_rng(9)
+        table, rows, weights, lin = lookup_affine_inputs(rng, 40, d, 64, 6, h, weighted)
+        with no_tape():
+            untaped = lookup_affine(table, rows, weights, lin)
+            composed = composed_lookup_affine(table, rows, weights, lin)
+        assert not untaped.requires_grad and same_bits(untaped.data, composed.data)
+        # on the tape, flat (and 2 * d < h) is the composition, in both directions
+        upstream = rng.normal(size=(64, h))
+        taped = lookup_affine_value_and_grads(composed_lookup_affine, table, rows, weights, lin,
+                                              upstream)
+        flat = lookup_affine_value_and_grads(lookup_affine, table, rows, weights, lin, upstream,
+                                             flat=True)
+        node = lookup_affine_value_and_grads(lookup_affine, table, rows, weights, lin, upstream)
+        for a, b in zip(flat, taped):
+            assert same_bits(a, b)
+        assert same_bits(node[0], taped[0]) == (2 * d < h)
+
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(13)
+        table, rows, weights, lin = lookup_affine_inputs(rng, 6, 2, 8, 3, 4)
+        table.requires_grad = weights.requires_grad = False
+        lookup_affine(table, rows, weights, lin).sum().backward()
+        assert table.grad is None and weights.grad is None
+        assert lin.weight.grad is not None and lin.bias.grad is not None
+
+    def test_rejects_bad_operands(self):
+        rng = np.random.default_rng(17)
+        table, rows, weights, lin = lookup_affine_inputs(rng, 6, 2, 8, 3, 4)
+        with pytest.raises(DimensionError):
+            lookup_affine(table, rows[:, :2], weights, lin)
+        with pytest.raises(DimensionError):
+            lookup_affine(table, rows, Tensor(np.ones((8, 2))), lin)
+        with pytest.raises(DimensionError):
+            lookup_affine(table, rows.reshape(-1), None, lin)
+        for bad in (-1, 6):
+            out_of_range = rows.copy()
+            out_of_range[3, 1] = bad
+            with pytest.raises(IndexError, match="row out of range"):
+                lookup_affine(table, out_of_range, weights, lin)
+        with pytest.raises(ValueError, match="must be a leaf"):
+            lookup_affine(table * 1.0, rows, weights, lin)
+
+    def test_forms_no_array_of_the_lookups_size(self):
+        # 32,768 lookups of 16 rows at d = 32: a (B, n * d) array takes 8 MiB
+        rng = np.random.default_rng(19)
+        table, rows, weights, lin = lookup_affine_inputs(rng, 16, 32, 4096, 8, 4)
+        tracemalloc.start()
+        try:
+            lookup_affine(table, rows, weights, lin).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.size * 32 * 8 // 2
+        assert isinstance(table.grad, RowGrad) and table.grad.shape == (16, 32)
 
 
 class TestXavier:

@@ -914,8 +914,14 @@ class TestFusedAlignmentLoss:
         for (name, _), a, c in zip(pair.named_params(), fused[1], composed[1]):
             assert_close(a, c, name)
 
+    # both predictors of a dcn pair read their embeddings, so both tables
+    # are looked up; mlp predictors read their rows through `lookup_affine`,
+    # whose rows, like the alignment loss's, join after the pass, so the
+    # auxiliary lookup is the one left
+    @pytest.mark.parametrize("backbone,lookups", [("dcn", 2), ("mlp", 1)])
     @pytest.mark.parametrize("with_pal", [True, False])
-    def test_rows_merge_after_the_lookups_scatters(self, monkeypatch, with_pal):
+    def test_rows_merge_after_the_lookups_scatters(self, monkeypatch, with_pal, backbone,
+                                                   lookups):
         # each lookup scatters into a table with no gradient yet, the fast
         # path; the alignment loss's rows then join the rows it touched
         priors = []
@@ -926,15 +932,17 @@ class TestFusedAlignmentLoss:
             scatter(table, ids, g)
 
         monkeypatch.setattr(aefs.embedding, "scatter_rows", spy)
-        pair = make_pair(seed=12)
+        pair = make_pair(seed=12, backbone=backbone)
         pair.enable_pal = with_pal
         rng = np.random.default_rng(33)
         x = rng.integers(0, 4, size=(16, 6))
         loss, terms, indices = pair.loss(x, rng.integers(0, 2, size=16).astype(float))
         loss.backward()
-        assert terms["eal"] > 0 and priors == [None, None]
-        selected = np.unique(pair.main_embeddings.rows(x)[np.arange(16)[:, None], indices])
+        assert terms["eal"] > 0 and priors == [None] * lookups
+        rows = pair.main_embeddings.rows(x)
+        selected = np.unique(rows[np.arange(16)[:, None], indices])
         np.testing.assert_array_equal(pair.main_embeddings.weight.grad.rows, selected)
+        np.testing.assert_array_equal(pair.aux_embeddings.weight.grad.rows, np.unique(rows))
 
     def test_forms_no_array_of_the_lookups_size(self):
         # 32,768 lookups of 16 rows: a (B, k, d1) array would take 8 MiB

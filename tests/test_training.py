@@ -27,9 +27,9 @@ from aefs.training import (
     train,
 )
 from oracles import ActivationLedger, PlainModel, aefs_trace, composed_embedding_alignment_loss, \
-    composed_scale_embeddings, composed_topk_softmax, dense_scatter, embed_per_row, \
-    embedding_discrepancy, prediction_discrepancy, record_batch_activation, reference_adam_step, \
-    reference_controller_logits, same_bits, use_reference_tape
+    composed_lookup_affine, composed_scale_embeddings, composed_topk_softmax, dense_scatter, \
+    embed_per_row, embedding_discrepancy, prediction_discrepancy, record_batch_activation, \
+    reference_adam_step, reference_controller_logits, same_bits, use_reference_tape
 
 METHODS = ("none", "randomhalf", "adafs", "aefs")
 
@@ -930,6 +930,31 @@ class TestAlignmentNodeTraining:
         assert_trained_alike(node, node_picks, composed, composed_picks)
 
 
+class TestLookupAffineTraining:
+    """Training whose mlp predictors read their rows through the
+    `lookup_affine` node ends where training through the composition it
+    replaces (`composed_lookup_affine`: lookup, weighting, reshape, affine
+    map) ends, to rounding: in training the node sums each instance's
+    projections over its distinct (column, row) pairs. Every top-k
+    selection, in training and in validation, is the same."""
+
+    @pytest.mark.parametrize("method", ["none", "randomhalf", "aefs"])
+    def test_training_matches_composed_first_layer(self, many_row_data, method, monkeypatch):
+        cfg = small_config(method=method, max_epochs=2, batch_size=64, pretrain_epochs=1)
+        node, node_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        calls = []
+
+        def composed(table, rows, weights, linear, flat=False):
+            calls.append(flat)
+            return composed_lookup_affine(table, rows, weights, linear)
+
+        monkeypatch.setattr(predictors_mod, "lookup_affine", composed)
+        composed_run, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        assert False in calls and True in calls  # training and validation
+        assert bool(node_picks) == (method == "aefs")
+        assert_trained_alike(node, node_picks, composed_run, composed_picks)
+
+
 class TestParameterNames:
     """Checkpoints name every tensor; these names and shapes are the ones
     checkpoints have always been written with."""
@@ -966,10 +991,13 @@ class TestParameterNames:
 class TestNoneIsEveryFieldSubset:
     """`none` is a FixedSubsetModel over every field, bit for bit the
     PlainModel reference in parameters, reports, checkpoint bytes and
-    lookup counts."""
+    lookup counts, with its first layer composed as the reference's is
+    (`composed_lookup_affine`); `TestLookupAffineTraining` holds the node
+    to that composition."""
 
     def test_matches_plain_model_reference(self, many_row_data, monkeypatch, tmp_path):
         cfg = small_config(method="none", max_epochs=2, batch_size=64)
+        monkeypatch.setattr(predictors_mod, "lookup_affine", composed_lookup_affine)
         subset = train(many_row_data, cfg)
 
         def build_plain(vocab_sizes, config, rng, subset_rng):
