@@ -570,37 +570,29 @@ def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
                   backward=bw)
 
 
-def lookup_affine(table: Tensor, rows: Array, weights: Tensor | None, linear: "Linear",
-                  flat: bool = False) -> Tensor:
+def lookup_affine(table: Tensor, rows: Array, weights: Tensor | None, linear: "Linear") -> Tensor:
     """An affine map over weighted table rows:
     ``(w[..., None] * table[rows]).reshape(B, n * d) @ W + b`` for the
     (B, n) `rows` of the (T, d) `table`, their (B, n) `weights` w (None:
-    unweighted) and `linear`'s (n * d, h) map W and bias b. The table must
-    be a leaf: it takes its rows once every closure of the backward pass has
-    run, so after a lookup's scatter.
+    unweighted) and `linear`'s (n * d, h) map W and bias b, as one tape
+    node. The table must be a leaf: it takes its rows once every closure of
+    the backward pass has run, so after a lookup's scatter.
 
     Column j meets rows ``j*d`` to ``(j+1)*d`` of W, its block W_j, so
-    instance i's output is ``sum_j w_ij * (table[rows_ij] @ W_j) + b``. On
-    the tape, unless `flat` is set or ``2 * d < h``, this is one node over
-    the batch's distinct (column, row) pairs. It finds the distinct rows,
-    then the pairs over their compact ids (so the pairs' scratch holds at
-    most B * n * n entries, whatever the table's size), projects each
-    pair's row once through its column's block, and sums each instance's
-    weighted projections. With G the upstream gradient and S_p the sum of
-    ``w_ij * G_i`` over the lookups (i, j) of pair p (one bincount per
-    output column, B * n * h entries in all), the backward gives W_j
-    ``E_j.T @ S_j`` (E_j the rows of column j's pairs), b ``sum(G)``, each
-    weight ``G_i . P_p`` (P_p the pair's projection) and each distinct row
-    the sum of ``S_p @ W_j.T`` over its pairs, column by column, through
-    `add_rows`. Neither direction forms an array of B * n * d entries.
-    Equal to the composition up to rounding.
-
-    Otherwise the forward is the gather, the weighting and the flat affine
-    map, bit for bit the composition of lookup, `scale_embeddings`, reshape
-    and `affine`: within `no_tape` with no node, the weighting in place, and
-    on the tape as those nodes, the lookup's rows joining the table's
-    gradient through `scatter_rows`. Below ``2 * d = h`` the pairs' B * n * h
-    terms cost more than the composition's B * n * d.
+    instance i's output is ``sum_j w_ij * (table[rows_ij] @ W_j) + b``. The
+    node runs over the batch's distinct (column, row) pairs. It finds the
+    distinct rows, then the pairs over their compact ids (so the pairs'
+    scratch holds at most B * n * n entries, whatever the table's size),
+    projects each pair's row once through its column's block, and sums each
+    instance's weighted projections. With G the upstream gradient and S_p
+    the sum of ``w_ij * G_i`` over the lookups (i, j) of pair p (one
+    bincount per output column, B * n * h entries in all), the backward
+    gives W_j ``E_j.T @ S_j`` (E_j the rows of column j's pairs), b
+    ``sum(G)``, each weight ``G_i . P_p`` (P_p the pair's projection) and
+    each distinct row the sum of ``S_p @ W_j.T`` over its pairs, column by
+    column, through `add_rows`. Neither direction forms an array of
+    B * n * d entries. Equal to the composition of lookup,
+    `scale_embeddings`, reshape and `affine` up to rounding.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or table.ndim != 2:
@@ -613,27 +605,11 @@ def lookup_affine(table: Tensor, rows: Array, weights: Tensor | None, linear: "L
         raise DimensionError(f"map {w_map.shape} cannot take {n} rows of width {d}")
     if weights is not None and weights.shape != rows.shape:
         raise DimensionError(f"weights {weights.shape} vs rows {rows.shape}")
-    if not _taping:
-        e = np.take(table.data, rows, axis=0)
-        if weights is not None:
-            np.multiply(e, weights.data[:, :, None], out=e)
-        out = e.reshape(b, n * d) @ w_map.data
-        out += bias.data
-        return Tensor(out)
     if table._backward is not None:
         raise ValueError("lookup_affine adds to its table's gradient after the backward "
                          "pass, so the table must be a leaf")
     if out_of_range(rows, table.shape[0]):
         raise IndexError(f"row out of range [0, {table.shape[0]})")
-    if flat or 2 * d < h:
-        def scatter(g):
-            return lambda: scatter_rows(table, rows.reshape(-1), g.reshape(-1, d))
-
-        e = Tensor(np.take(table.data, rows, axis=0), parents=(table,), backward=scatter)
-        if weights is not None:
-            e = scale_embeddings(e, weights)
-        return affine(e.reshape(b, n * d), w_map, bias)
-
     uniq, slot = distinct_rows(rows.reshape(-1), table.shape[0])
     r = uniq.size
     # pair ids ascend by column, so each column's pairs are one run

@@ -114,17 +114,21 @@ class MLPPredictor(_Backbone):
 
     def from_rows(self, table: Tensor, rows: np.ndarray, weights: Tensor | None,
                   training: bool, embedded) -> Tensor:
-        """As the default, with the rows, their weights and the first layer
-        through `lookup_affine`: in training over the batch's distinct
-        (column, row) pairs, without the (B, F * d) input, unless the rows
-        are too narrow for that to pay; otherwise with the bits of
-        `__call__` on the weighted embeddings."""
+        """In training, with rows at least half as wide as the first layer
+        (``2 * d >= h``), the rows, their weights and the first layer go
+        through `lookup_affine`, over the batch's distinct (column, row)
+        pairs and without the (B, F * d) input; `embedded()` is not called.
+        Otherwise (scoring, or narrower rows, whose pairs cost more than the
+        input) this is the default composition."""
+        first = self.tower.layers[0]
+        if not training or 2 * self.config.emb_dim < first.weight.shape[1]:
+            return super().from_rows(table, rows, weights, training, embedded)
         if rows.ndim != 2 or rows.shape[1] != self.config.input_fields \
                 or table.shape[1] != self.config.emb_dim:
             raise DimensionError(f"rows {rows.shape} of a table of width {table.shape[1]}, "
                                  f"expected (*, {self.config.input_fields}) of width "
                                  f"{self.config.emb_dim}")
-        h = lookup_affine(table, rows, weights, self.tower.layers[0], flat=not training)
+        h = lookup_affine(table, rows, weights, first)
         return sigmoid(self.tower.past_first(h)).reshape(rows.shape[0])
 
     def named_params(self, prefix: str = ""):

@@ -88,6 +88,8 @@ class TrainConfig:
             raise ConfigError(f"n_cross_layers must be at least 1, got {self.n_cross_layers}")
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if self.min_freq < 1:
+            raise ConfigError(f"min_freq must be at least 1, got {self.min_freq}")
 
     def to_text(self) -> str:
         lines = []
@@ -246,8 +248,9 @@ def build_model(vocab_sizes: Sequence[int], config: TrainConfig,
     try:
         model = build()
     except MemoryError as exc:  # a dimension far too large
-        raise ConfigError(f"d1 and d2 too large: the model's tables cannot be allocated "
-                          f"({exc})") from None
+        hidden = ",".join(str(h) for h in config.hidden_dims)
+        raise ConfigError(f"d1={config.d1}, d2={config.d2}, hidden_dims={hidden} too large: "
+                          f"the model cannot be allocated ({exc})") from None
     return FittedModel(model=model, k=k)
 
 

@@ -186,11 +186,10 @@ def take_rows(table, rows):
     return Tensor(table.data[rows], parents=(table,), backward=bw)
 
 
-def composed_lookup_affine(table, rows, weights, linear, flat=False):
+def composed_lookup_affine(table, rows, weights, linear):
     """``numerics.lookup_affine`` as the package composed it: the rows
     gathered (`take_rows`), weighted by `scale_embeddings` unless `weights`
-    is None, reshaped to (B, n * d) and mapped by `linear`. Every forward is
-    flat, so `flat` changes nothing."""
+    is None, reshaped to (B, n * d) and mapped by `linear`."""
     rows = np.asarray(rows)
     b, n = rows.shape
     e = take_rows(table, rows)
@@ -461,8 +460,8 @@ class AefsTrace:
 
 def aefs_trace(pair, x, training: bool) -> AefsTrace:
     """`aefs_forward` with the controller logits it passes on recorded, then
-    the auxiliary branch as `DualModel.loss` builds it (its forward flat
-    outside training, as the main branch's is). The scaled embeddings of
+    the auxiliary branch as `DualModel.loss` builds it (composed outside
+    training, as the main branch's is). The scaled embeddings of
     both sides are recorded apart from the predictions' graph: the rows
     read from each table, weighted by `scale_embeddings`."""
     seen = {}

@@ -194,6 +194,8 @@ class TestTrain:
         ([], "hidden_dims=0\n"),
         ([], "backbone_main=dcn\nn_cross_layers=-1\n"),
         (["--lr", "-1"], None),
+        (["--min-freq", "-3"], None),
+        (["--min-freq", "0"], None),
     ])
     def test_invalid_config_value_exits_1(self, synth_dir, tmp_path, capsys, flags,
                                           config_text):
@@ -497,8 +499,22 @@ class TestFailedRunManifest:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("config error: d1 and d2 too large: the model's tables cannot "
-                              "be allocated (")
+        assert err.startswith(f"config error: d1={d1}, d2=4, hidden_dims=16,16 too large: "
+                              "the model cannot be allocated (")
+        manifest = self.read_manifest(out)
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
+            ("failed", 1, err.strip())
+
+    def test_unallocatable_hidden_width_is_named(self, synth_dir, tmp_path, capsys):
+        # xavier_init refuses a 2**62-wide layer before allocating anything
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"hidden_dims={2**62}\n")
+        out = tmp_path / "runs"
+        assert main(train_args(synth_dir, out, "--config", str(cfg))) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: d1=8, d2=2, hidden_dims={2**62} too large: the "
+                              "model cannot be allocated (")
         manifest = self.read_manifest(out)
         assert (manifest["status"], manifest["exit_code"], manifest["error"]) == \
             ("failed", 1, err.strip())

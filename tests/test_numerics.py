@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aefs import numerics
+from aefs import predictors as predictors_mod
 from aefs.numerics import (
     Adam,
     AdamState,
@@ -24,15 +25,16 @@ from aefs.numerics import (
     no_tape,
     normalized_affine,
     relu,
+    scale_embeddings,
     sigmoid,
     softmax,
     scatter_rows,
     xavier_init,
 )
-from aefs.predictors import Controller
+from aefs.predictors import Controller, MLPPredictor, PredictorConfig
 from oracles import adam_step, add_at_gather_fields, boolean_mask_sigmoid, \
     composed_lookup_affine, controller_scores, dense_scatter, embed_per_row, exp, grad_check, \
-    reference_controller, same_bits, use_reference_tape
+    reference_controller, same_bits, take_rows, use_reference_tape
 
 
 def matmul_oracle(a, b):
@@ -689,13 +691,13 @@ def lookup_affine_inputs(rng, t, d, b, n, h, weighted=True):
     return table, rows, weights, lin
 
 
-def lookup_affine_value_and_grads(node, table, rows, weights, lin, upstream, flat=False):
+def lookup_affine_value_and_grads(node, table, rows, weights, lin, upstream):
     """The value of `node` and the gradients of its sum against `upstream`
     for the table (dense), the map, the bias and the weights."""
     params = [table, lin.weight, lin.bias] + ([weights] if weights is not None else [])
     for p in params:
         p.grad = None
-    out = node(table, rows, weights, lin, flat=flat)
+    out = node(table, rows, weights, lin)
     (out * Tensor(upstream)).sum().backward()
     return [out.data] + [p.grad.dense() if isinstance(p.grad, RowGrad) else p.grad
                          for p in params]
@@ -703,13 +705,14 @@ def lookup_affine_value_and_grads(node, table, rows, weights, lin, upstream, fla
 
 class TestLookupAffine:
     """`lookup_affine` against the lookup, weighting, reshape and affine
-    map it replaces (`composed_lookup_affine`): to rounding in training,
-    bit for bit in its flat forward."""
+    map it replaces (`composed_lookup_affine`), to rounding; and the mlp
+    predictor's choice between the two."""
 
     # row 2 twice in column 0 and again in column 1; row 4 in every column
     ROWS = np.array([[2, 4, 0], [2, 2, 4], [4, 0, 4], [1, 4, 3], [2, 2, 4]])
 
-    # d = 3 against h = 2 runs over pairs; d = 1 against h = 4 composes
+    # the node takes any widths: d = 1 against h = 4 is narrower than the
+    # rows `MLPPredictor.from_rows` sends it
     @pytest.mark.parametrize("d,h", [(3, 2), (1, 4)])
     @pytest.mark.parametrize("weighted", [True, False])
     def test_gradients_match_finite_differences(self, weighted, d, h):
@@ -746,23 +749,49 @@ class TestLookupAffine:
 
     @pytest.mark.parametrize("weighted", [True, False])
     @pytest.mark.parametrize("d,h", [(8, 5), (2, 5)])
-    def test_flat_forward_is_the_composition(self, weighted, d, h):
+    def test_from_rows_composes_unless_training_wide_rows(self, weighted, d, h, monkeypatch):
+        # scoring, without the tape or on it, and training with 2 * d < h are
+        # bit for bit `__call__` on the weighted embeddings; training on wider
+        # rows calls the node, which ends up within rounding of the same
         rng = np.random.default_rng(9)
-        table, rows, weights, lin = lookup_affine_inputs(rng, 40, d, 64, 6, h, weighted)
+        table, rows, weights, _ = lookup_affine_inputs(rng, 40, d, 64, 6, h, weighted)
+        mlp = MLPPredictor(PredictorConfig("mlp", 6, d, (h, 3)), rng)
+        lin = mlp.tower.layers[0]
+        lin.bias.data[:] = rng.normal(size=h)
+        calls = []
+
+        def node(*args):
+            calls.append(args)
+            return lookup_affine(*args)
+
+        monkeypatch.setattr(predictors_mod, "lookup_affine", node)
+
+        def from_rows(training):
+            return lambda table, rows, weights, lin: mlp.from_rows(
+                table, rows, weights, training, lambda: take_rows(table, rows))
+
+        def composed(table, rows, weights, lin):
+            e = take_rows(table, rows)
+            return mlp(e if weights is None else scale_embeddings(e, weights))
+
         with no_tape():
-            untaped = lookup_affine(table, rows, weights, lin)
-            composed = composed_lookup_affine(table, rows, weights, lin)
-        assert not untaped.requires_grad and same_bits(untaped.data, composed.data)
-        # on the tape, flat (and 2 * d < h) is the composition, in both directions
-        upstream = rng.normal(size=(64, h))
-        taped = lookup_affine_value_and_grads(composed_lookup_affine, table, rows, weights, lin,
-                                              upstream)
-        flat = lookup_affine_value_and_grads(lookup_affine, table, rows, weights, lin, upstream,
-                                             flat=True)
-        node = lookup_affine_value_and_grads(lookup_affine, table, rows, weights, lin, upstream)
-        for a, b in zip(flat, taped):
-            assert same_bits(a, b)
-        assert same_bits(node[0], taped[0]) == (2 * d < h)
+            untaped = from_rows(False)(table, rows, weights, lin)
+            want = composed(table, rows, weights, lin)
+        assert not untaped.requires_grad and same_bits(untaped.data, want.data)
+        upstream = rng.normal(size=64)
+        taped = lookup_affine_value_and_grads(composed, table, rows, weights, lin, upstream)
+        scoring = lookup_affine_value_and_grads(from_rows(False), table, rows, weights, lin,
+                                                upstream)
+        assert not calls and all(same_bits(a, b) for a, b in zip(scoring, taped))
+        training = lookup_affine_value_and_grads(from_rows(True), table, rows, weights, lin,
+                                                 upstream)
+        assert len(calls) == (2 * d >= h)
+        for got, want in zip(training, taped):
+            if calls:
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+            else:
+                assert same_bits(got, want)
 
     def test_constant_operands_get_no_gradient(self):
         rng = np.random.default_rng(13)

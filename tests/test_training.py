@@ -82,6 +82,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lr must be positive and finite"):
             TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize("text", ["min_freq=0\n", "min_freq=-3\n"])
+    def test_min_freq_must_be_positive(self, text):
+        with pytest.raises(ConfigError, match="min_freq must be at least 1"):
+            parse_config_text(text)
+
     def test_hash_ignores_seed(self):
         a = small_config(seed=1)
         b = small_config(seed=99)
@@ -936,21 +941,24 @@ class TestLookupAffineTraining:
     replaces (`composed_lookup_affine`: lookup, weighting, reshape, affine
     map) ends, to rounding: in training the node sums each instance's
     projections over its distinct (column, row) pairs. Every top-k
-    selection, in training and in validation, is the same."""
+    selection, in training and in validation, is the same. Only training
+    reaches the node, and only on rows at least half as wide as the first
+    layer: the main predictor's d1 = 8 under h = 8, not the auxiliary
+    predictor's d2 = 2."""
 
     @pytest.mark.parametrize("method", ["none", "randomhalf", "aefs"])
     def test_training_matches_composed_first_layer(self, many_row_data, method, monkeypatch):
         cfg = small_config(method=method, max_epochs=2, batch_size=64, pretrain_epochs=1)
         node, node_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
-        calls = []
+        widths = set()
 
-        def composed(table, rows, weights, linear, flat=False):
-            calls.append(flat)
+        def composed(table, rows, weights, linear):
+            widths.add(table.shape[1])
             return composed_lookup_affine(table, rows, weights, linear)
 
         monkeypatch.setattr(predictors_mod, "lookup_affine", composed)
         composed_run, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
-        assert False in calls and True in calls  # training and validation
+        assert widths == {cfg.d1}
         assert bool(node_picks) == (method == "aefs")
         assert_trained_alike(node, node_picks, composed_run, composed_picks)
 
