@@ -570,60 +570,119 @@ def scale_embeddings(e_sel: Tensor, weights: Tensor) -> Tensor:
                   backward=bw)
 
 
+class _LookupPairs:
+    """The distinct (column, row) pairs of the (B, n) `rows` of the (T, d)
+    leaf `table`, which the nodes over a batch's pairs read: column j of a
+    (B, n * d) input ``table[rows].reshape(B, n * d)`` meets rows ``j*d``
+    to ``(j+1)*d`` of a map W, its block W_j.
+
+    The pairs are found over the distinct rows' compact ids, so their
+    scratch holds at most B * n * n entries whatever the table's size, and
+    pair ids ascend by column, so each column's pairs are one run. ``e``
+    holds each pair's row, ``of`` the (B, n) pair of each lookup. The
+    nodes take the table's rows after every closure of the backward pass
+    has run, so after a lookup's scatter: the table must be a leaf. `node`
+    names the node in the error that says so.
+    """
+
+    def __init__(self, table: Tensor, rows: Array, node: str):
+        if rows.ndim != 2 or table.ndim != 2:
+            raise DimensionError(f"rows {rows.shape} of table {table.shape}")
+        if table._backward is not None:
+            raise ValueError(f"{node} adds to its table's gradient after the backward pass, "
+                             "so the table must be a leaf")
+        if out_of_range(rows, table.shape[0]):
+            raise IndexError(f"row out of range [0, {table.shape[0]})")
+        b, n = rows.shape
+        d = table.shape[1]
+        uniq, slot = distinct_rows(rows.reshape(-1), table.shape[0])
+        r = uniq.size
+        pairs, pair_of = distinct_rows((slot.reshape(b, n) + r * np.arange(n)).reshape(-1), r * n)
+        column = pairs // r
+        self.slot = pairs - column * r  # each pair's row among `uniq`
+        cuts = np.searchsorted(column, np.arange(n + 1)).tolist()
+        # per column: its pairs, and its block of a map's rows
+        self.blocks = [(slice(cuts[j], cuts[j + 1]), slice(j * d, (j + 1) * d)) for j in range(n)]
+        self.e = np.take(table.data, uniq[self.slot], axis=0)
+        self.of = pair_of.reshape(b, n)
+        self.table, self.uniq = table, uniq
+
+    def project(self, w_map: Array) -> Array:
+        """Each lookup's projection ``table[rows_ij] @ W_j``, (B, n, h):
+        each pair's row projected once through its column's block."""
+        proj = np.empty((self.e.shape[0], w_map.shape[1]))
+        for at, block in self.blocks:
+            np.matmul(self.e[at], w_map[block], out=proj[at])
+        return np.take(proj, self.of, axis=0)
+
+    def sums(self, g: Array, weights: Array | None = None) -> Array:
+        """Per pair p, S_p: the sum of ``w_ij * g_i`` (weights None: of
+        ``g_i``) over its lookups (i, j), (P, h). One bincount per column
+        of the (B, h) `g`, B * n * h terms in all."""
+        keys = self.of.reshape(-1)
+        terms = np.empty(self.of.shape)
+        s = np.empty((g.shape[1], self.e.shape[0]))
+        for c, g_c in enumerate(g.T):
+            if weights is None:
+                terms[...] = g_c[:, None]
+            else:
+                np.multiply(weights, g_c[:, None], out=terms)
+            s[c] = np.bincount(keys, weights=terms.reshape(-1), minlength=self.e.shape[0])
+        return s.T
+
+    def map_grad(self, s: Array) -> Array:
+        """``x.T @ G`` for the (B, n * d) input x: block j is ``E_j.T @ S_j``,
+        E_j the rows of column j's pairs and S the pairs' `sums` of G."""
+        out = np.zeros((self.e.shape[1] * len(self.blocks), s.shape[1]))
+        for at, block in self.blocks:
+            np.matmul(self.e[at].T, s[at], out=out[block])
+        return out
+
+    def pair_grads(self, s: Array, w_map: Array) -> Array:
+        """Each pair's share ``S_p @ W_j.T`` of its row's gradient, (P, d)."""
+        out = np.empty(self.e.shape)
+        for at, block in self.blocks:
+            np.matmul(s[at], w_map[block].T, out=out[at])
+        return out
+
+    def merge(self, pair_grads: Array) -> Callable[[], None]:
+        """A function that adds each row's pairs' `pair_grads`, column by
+        column, to the table's gradient through `add_rows`: for a backward
+        closure to return, so that it runs after every closure."""
+        # a column's pairs have distinct rows, so each adds without a scatter
+        de = np.zeros((self.uniq.size, self.e.shape[1]))
+        for at, _ in self.blocks:
+            de[self.slot[at]] += pair_grads[at]
+        return lambda: add_rows(self.table, self.uniq, de)
+
+
 def lookup_affine(table: Tensor, rows: Array, weights: Tensor | None, linear: "Linear") -> Tensor:
     """An affine map over weighted table rows:
     ``(w[..., None] * table[rows]).reshape(B, n * d) @ W + b`` for the
-    (B, n) `rows` of the (T, d) `table`, their (B, n) `weights` w (None:
-    unweighted) and `linear`'s (n * d, h) map W and bias b, as one tape
-    node. The table must be a leaf: it takes its rows once every closure of
-    the backward pass has run, so after a lookup's scatter.
+    (B, n) `rows` of the (T, d) leaf `table`, their (B, n) `weights` w
+    (None: unweighted) and `linear`'s (n * d, h) map W and bias b, as one
+    tape node over the batch's distinct (column, row) pairs
+    (`_LookupPairs`).
 
-    Column j meets rows ``j*d`` to ``(j+1)*d`` of W, its block W_j, so
-    instance i's output is ``sum_j w_ij * (table[rows_ij] @ W_j) + b``. The
-    node runs over the batch's distinct (column, row) pairs. It finds the
-    distinct rows, then the pairs over their compact ids (so the pairs'
-    scratch holds at most B * n * n entries, whatever the table's size),
-    projects each pair's row once through its column's block, and sums each
-    instance's weighted projections. With G the upstream gradient and S_p
-    the sum of ``w_ij * G_i`` over the lookups (i, j) of pair p (one
-    bincount per output column, B * n * h entries in all), the backward
-    gives W_j ``E_j.T @ S_j`` (E_j the rows of column j's pairs), b
-    ``sum(G)``, each weight ``G_i . P_p`` (P_p the pair's projection) and
-    each distinct row the sum of ``S_p @ W_j.T`` over its pairs, column by
-    column, through `add_rows`. Neither direction forms an array of
-    B * n * d entries. Equal to the composition of lookup,
-    `scale_embeddings`, reshape and `affine` up to rounding.
+    Instance i's output is ``sum_j w_ij * (table[rows_ij] @ W_j) + b``:
+    each pair's row is projected once through its column's block, and each
+    instance sums its weighted projections. With G the upstream gradient
+    and S_p the sum of ``w_ij * G_i`` over the lookups (i, j) of pair p,
+    the backward gives W_j ``E_j.T @ S_j`` (E_j the rows of column j's
+    pairs), b ``sum(G)``, each weight ``G_i . P_p`` (P_p the pair's
+    projection) and each distinct row the sum of ``S_p @ W_j.T`` over its
+    pairs. Neither direction forms an array of B * n * d entries. Equal to
+    the composition of lookup, `scale_embeddings`, reshape and `affine` up
+    to rounding.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or table.ndim != 2:
-        raise DimensionError(f"rows {rows.shape} of table {table.shape}")
-    b, n = rows.shape
-    d = table.shape[1]
+    pairs = _LookupPairs(table, np.asarray(rows), "lookup_affine")
+    b, n = pairs.of.shape
     w_map, bias = linear.weight, linear.bias
-    h = w_map.shape[1]
-    if w_map.shape[0] != n * d:
-        raise DimensionError(f"map {w_map.shape} cannot take {n} rows of width {d}")
-    if weights is not None and weights.shape != rows.shape:
-        raise DimensionError(f"weights {weights.shape} vs rows {rows.shape}")
-    if table._backward is not None:
-        raise ValueError("lookup_affine adds to its table's gradient after the backward "
-                         "pass, so the table must be a leaf")
-    if out_of_range(rows, table.shape[0]):
-        raise IndexError(f"row out of range [0, {table.shape[0]})")
-    uniq, slot = distinct_rows(rows.reshape(-1), table.shape[0])
-    r = uniq.size
-    # pair ids ascend by column, so each column's pairs are one run
-    pairs, pair_of = distinct_rows((slot.reshape(b, n) + r * np.arange(n)).reshape(-1), r * n)
-    column = pairs // r
-    pair_slot = pairs - column * r  # the pair's row among `uniq`
-    cuts = np.searchsorted(column, np.arange(n + 1)).tolist()
-    blocks = [(slice(cuts[j], cuts[j + 1]), slice(j * d, (j + 1) * d)) for j in range(n)]
-    e = np.take(table.data, uniq[pair_slot], axis=0)
-    proj = np.empty((pairs.size, h))
-    for at, block in blocks:
-        np.matmul(e[at], w_map.data[block], out=proj[at])
-    pair_of = pair_of.reshape(b, n)
-    per_lookup = np.take(proj, pair_of, axis=0)  # (B, n, h)
+    if w_map.shape[0] != n * table.shape[1]:
+        raise DimensionError(f"map {w_map.shape} cannot take {n} rows of width {table.shape[1]}")
+    if weights is not None and weights.shape != (b, n):
+        raise DimensionError(f"weights {weights.shape} vs rows {(b, n)}")
+    per_lookup = pairs.project(w_map.data)  # (B, n, h)
     if weights is None:
         out = np.einsum("bnh->bh", per_lookup)
     else:
@@ -635,30 +694,78 @@ def lookup_affine(table: Tensor, rows: Array, weights: Tensor | None, linear: "L
             _accum(bias, g.sum(axis=0), owned=True)
         if weights is not None and weights.requires_grad:
             _accum(weights, np.einsum("bh,bnh->bn", g, per_lookup), owned=True)
-        keys = pair_of.reshape(-1)
-        terms = np.empty((b, n))
-        s = np.empty((h, pairs.size))
-        for c, g_c in enumerate(g.T):
-            if weights is None:
-                terms[...] = g_c[:, None]
-            else:
-                np.multiply(weights.data, g_c[:, None], out=terms)
-            s[c] = np.bincount(keys, weights=terms.reshape(-1), minlength=pairs.size)
-        s = s.T
+        s = pairs.sums(g, None if weights is None else weights.data)
         if w_map.requires_grad:
-            dw = np.zeros(w_map.shape)
-            for at, block in blocks:
-                np.matmul(e[at].T, s[at], out=dw[block])
-            _accum(w_map, dw, owned=True)
+            _accum(w_map, pairs.map_grad(s), owned=True)
         if table.requires_grad:
-            # a column's pairs have distinct rows, so each adds without a scatter
-            de = np.zeros((r, d))
-            for at, block in blocks:
-                de[pair_slot[at]] += s[at] @ w_map.data[block].T
-            return lambda: add_rows(table, uniq, de)
+            return pairs.merge(pairs.pair_grads(s, w_map.data))
 
     parents = (table, w_map, bias) + ((weights,) if weights is not None else ())
     return Tensor(out, parents=parents, backward=bw)
+
+
+def lookup_normalized_affine(table: Tensor, rows: Array, gamma: Tensor, beta: Tensor,
+                             linear: "Linear", eps: float) -> tuple[Tensor, Array, Array]:
+    """Training-mode batch normalization, then an affine map, over table
+    rows: `normalized_affine` of ``x = table[rows].reshape(B, n * d)`` by
+    x's own moments, for the (B, n) `rows` of the (T, d) leaf `table`, the
+    (n * d,) scale `gamma` and shift `beta`, `linear`'s (n * d, h) map and
+    bias, and the variance offset `eps`, as one tape node over the batch's
+    distinct (column, row) pairs (`_LookupPairs`). Returns the (B, h)
+    output and x's per-column mean and biased variance. B >= 2.
+
+    With c_p the lookups of pair p and e_p its row, column j's moments are
+    ``mean_j = sum(c_p * e_p) / B`` and ``var_j = sum(c_p * (e_p -
+    mean_j)**2) / B`` over its pairs. The two and the map fold into one
+    (`fold_normalization`): each pair's row is projected once through its
+    column's block ws_j of the folded map, and each instance sums its
+    projections. With S_p the sum of the upstream G over pair p's lookups,
+    ``x.T @ G`` is ``E_j.T @ S_j`` per block, from which the parameters
+    take `normalized_affine`'s gradients; each distinct row takes the sum
+    over its pairs of ``S_p @ ws_j.T + c_p * (e_p * c1_j + c0_j)``, the
+    input gradient of `normalized_affine` summed over the pair's lookups.
+    Neither direction forms an array of B * n * d entries. Equal to the
+    composition of lookup, reshape, `batch_moments` and
+    `normalized_affine` up to rounding.
+    """
+    pairs = _LookupPairs(table, np.asarray(rows), "lookup_normalized_affine")
+    b, n = pairs.of.shape
+    if b < 2:
+        raise DegenerateBatchError("batch statistics need a batch of at least 2 rows")
+    w, bias = linear.weight, linear.bias
+    width = n * table.shape[1]
+    if w.shape[0] != width or gamma.shape != (width,) or beta.shape != (width,):
+        raise DimensionError(f"map {w.shape}, scale {gamma.shape} and shift {beta.shape} "
+                             f"cannot take {n} rows of width {table.shape[1]}")
+    count = np.bincount(pairs.of.reshape(-1), minlength=pairs.e.shape[0]).astype(np.float64)
+    mean, var = np.empty(width), np.empty(width)
+    for at, block in pairs.blocks:
+        e = pairs.e[at]
+        mean[block] = count[at] @ e / b
+        dev = e - mean[block]
+        dev *= dev
+        var[block] = count[at] @ dev / b
+    std = np.sqrt(var + eps)
+    ws, offset = fold_normalization(gamma.data, beta.data, w.data, bias.data, mean, std)
+    out = np.einsum("bnh->bh", pairs.project(ws))
+    out += offset
+
+    def bw(g):
+        g_sum = g.sum(axis=0)
+        s = pairs.sums(g)
+        d_gamma, d_beta = _normalized_affine_params(pairs.map_grad(s), g_sum, gamma, beta, w,
+                                                    bias, mean, std)
+        if table.requires_grad:
+            c1, c0 = _batch_stat_terms(gamma.data, std, mean, d_gamma, d_beta, b)
+            grads = pairs.pair_grads(s, ws)
+            for at, block in pairs.blocks:
+                t = pairs.e[at] * c1[block]
+                t += c0[block]
+                t *= count[at, None]
+                grads[at] += t
+            return pairs.merge(grads)
+
+    return Tensor(out, parents=(table, gamma, beta, w, bias), backward=bw), mean, var
 
 
 def xavier_init(rows: int, cols: int, seed) -> Array:
@@ -748,31 +855,46 @@ def normalized_affine(x: Tensor, gamma: Tensor, beta: Tensor, w: Tensor, bias: T
 
     def bw(g):
         g_sum = g.sum(axis=0)
-        xn_g = x.data.T @ g
-        xn_g -= np.outer(mean, g_sum)
-        xn_g /= std[:, None]
-        d_gamma = (w.data * xn_g).sum(axis=1)
-        d_beta = w.data @ g_sum
+        d_gamma, d_beta = _normalized_affine_params(x.data.T @ g, g_sum, gamma, beta, w, bias,
+                                                    mean, std)
         if x.requires_grad:
             dx = g @ ws.T
             if batch_stats:
-                n = x.shape[0]
-                s = gamma.data / std
-                c1 = -s * d_gamma / (n * std)
-                c0 = -s * d_beta / n - mean * c1
+                c1, c0 = _batch_stat_terms(gamma.data, std, mean, d_gamma, d_beta, x.shape[0])
                 for rows in _row_blocks(dx):  # a cache-sized temporary per block
                     t = x.data[rows] * c1
                     t += c0
                     dx[rows] += t
             _accum(x, dx, owned=True)
-        xn_g *= gamma.data[:, None]
-        xn_g += np.outer(beta.data, g_sum)
-        _accum(w, xn_g, owned=True)
-        _accum(gamma, d_gamma, owned=True)
-        _accum(beta, d_beta, owned=True)
-        _accum(bias, g_sum, owned=True)
 
     return Tensor(out, parents=(x, gamma, beta, w, bias), backward=bw)
+
+
+def _normalized_affine_params(x_g: Array, g_sum: Array, gamma: Tensor, beta: Tensor,
+                               w: Tensor, bias: Tensor, mean: Array, std: Array):
+    """Give `normalized_affine`'s four parameters their gradients from
+    ``x.T @ G`` (`x_g`, whose buffer becomes w's) and ``sum(G)``; returns
+    ``(dgamma, dbeta)``."""
+    x_g -= np.outer(mean, g_sum)
+    x_g /= std[:, None]  # xn.T @ G
+    d_gamma = (w.data * x_g).sum(axis=1)
+    d_beta = w.data @ g_sum
+    x_g *= gamma.data[:, None]
+    x_g += np.outer(beta.data, g_sum)
+    _accum(w, x_g, owned=True)
+    _accum(gamma, d_gamma, owned=True)
+    _accum(beta, d_beta, owned=True)
+    _accum(bias, g_sum, owned=True)
+    return d_gamma, d_beta
+
+
+def _batch_stat_terms(gamma: Array, std: Array, mean: Array, d_gamma: Array, d_beta: Array,
+                      n: int) -> tuple[Array, Array]:
+    """The coefficients (c1, c0) of the input gradient's batch-statistics
+    term ``x * c1 + c0`` in `normalized_affine`, for a batch of n rows."""
+    s = gamma / std
+    c1 = -s * d_gamma / (n * std)
+    return c1, -s * d_beta / n - mean * c1
 
 
 @dataclass

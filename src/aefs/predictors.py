@@ -21,6 +21,7 @@ from .numerics import (
     fold_normalization,
     log,
     lookup_affine,
+    lookup_normalized_affine,
     normalized_affine,
     relu,
     scale_embeddings,
@@ -218,12 +219,13 @@ class Controller:
     scores; top-k selection with re-weighting reads the logits alone
     (`selection.topk_softmax`).
 
-    The batch norm and the affine map run as one `normalized_affine` node.
-    Training mode normalizes by the batch's statistics (biased variance)
-    and moves the running statistics toward them; inference mode
-    normalizes by the running statistics. Training needs a batch of at
-    least 2 rows. Within `folded`, inference mode reads the two folded
-    into one map once, on entry.
+    The batch norm and the affine map run as one `normalized_affine` node,
+    or, from table rows in training, as one `lookup_normalized_affine`
+    node (`from_rows`). Training mode normalizes by the batch's statistics
+    (biased variance) and moves the running statistics toward them;
+    inference mode normalizes by the running statistics. Training needs a
+    batch of at least 2 rows. Within `folded`, inference mode reads the two
+    folded into one map once, on entry.
     """
 
     momentum = 0.1
@@ -249,9 +251,7 @@ class Controller:
         flat = e.reshape(b, self.n_fields * self.emb_dim)
         if training:
             mean, var = batch_moments(flat.data)
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean
-            self.running_var = (1.0 - m) * self.running_var + m * var
+            self._track(mean, var)
         elif self._folded is not None:
             w, offset = self._folded
             out = flat.data @ w
@@ -261,6 +261,31 @@ class Controller:
             mean, var = self.running_mean, self.running_var
         return normalized_affine(flat, self.gamma, self.beta, self.fc.weight, self.fc.bias,
                                  mean, np.sqrt(var + self.eps), batch_stats=training)
+
+    def from_rows(self, table: Tensor, rows: np.ndarray, training: bool, embedded) -> Tensor:
+        """The (B, N) logits of the (B, N) rows `rows` of the embedding
+        table `table`. `embedded()` returns their (B, N, d) embeddings as a
+        tape node; the caller counts the lookups. In training, with rows at
+        least half as wide as the N logits (``2 * d >= N``, the width rule
+        of `MLPPredictor.from_rows`), the batch norm and the affine map go
+        through `lookup_normalized_affine`, over the batch's distinct
+        (column, row) pairs and without the (B, N * d) input; `embedded()`
+        is not called. Otherwise this is ``logits(embedded(), training)``."""
+        if not training or 2 * self.emb_dim < self.n_fields:
+            return self.logits(embedded(), training)
+        if rows.ndim != 2 or rows.shape[1] != self.n_fields or table.shape[1] != self.emb_dim:
+            raise DimensionError(f"rows {rows.shape} of a table of width {table.shape[1]}, "
+                                 f"expected (*, {self.n_fields}) of width {self.emb_dim}")
+        out, mean, var = lookup_normalized_affine(table, rows, self.gamma, self.beta, self.fc,
+                                                  self.eps)
+        self._track(mean, var)
+        return out
+
+    def _track(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Move the running statistics toward a training batch's."""
+        m = self.momentum
+        self.running_mean = (1.0 - m) * self.running_mean + m * mean
+        self.running_var = (1.0 - m) * self.running_var + m * var
 
     @contextlib.contextmanager
     def folded(self):

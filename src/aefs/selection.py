@@ -8,6 +8,8 @@ joint training.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .embedding import EmbeddingSet, SelectionIndexError
@@ -193,9 +195,15 @@ class LateSelectionModel(_OnePredictor):
 
     def forward(self, x: np.ndarray, training: bool, soft: bool = False):
         """Returns (prediction, controller logits, hard-selection indices or
-        None), in the model's own mode, or in soft mode if `soft`."""
-        e = self.main_embeddings.embed(x)
-        logits = self.controller.logits(e, training)
+        None), in the model's own mode, or in soft mode if `soft`. The
+        controller and the predictor take the batch's rows of the table
+        (`from_rows`) and share one lookup of them, read when the first of
+        the two asks for it."""
+        main = self.main_embeddings
+        rows = main.rows(x)
+        main.count(rows)
+        embedded = functools.cache(lambda: main.read(rows))
+        logits = self.controller.from_rows(main.weight, rows, training, embedded)
         if soft or self.mode == "soft":
             weights = softmax(logits, axis=1)
             indices = None
@@ -203,7 +211,8 @@ class LateSelectionModel(_OnePredictor):
             indices, sel = _top_k(logits, self.k, self.reweight)
             # kept weights return to their field positions, zeros elsewhere
             weights = _scatter_weights(sel, indices, logits.shape)
-        return self.predictor(scale_embeddings(e, weights)), logits, indices
+        p = self.predictor.from_rows(main.weight, rows, weights, training, embedded)
+        return p, logits, indices
 
     def warmup_params(self):
         """A soft-mode phase before hard selection starts trains every

@@ -102,15 +102,18 @@ def batchnorm_reference(ctrl, x, training):
             raise DegenerateBatchError("batch statistics need a batch of at least 2 rows")
         mu = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        std = np.sqrt(var + ctrl.eps)
-        xn = (x.data - mu) / std
         m = ctrl.momentum
         ctrl.running_mean = (1.0 - m) * ctrl.running_mean + m * mu
         ctrl.running_var = (1.0 - m) * ctrl.running_var + m * var
-    else:
-        std = np.sqrt(ctrl.running_var + ctrl.eps)
-        xn = (x.data - ctrl.running_mean) / std
-    gamma, beta = ctrl.gamma, ctrl.beta
+        return textbook_batchnorm(x, ctrl.gamma, ctrl.beta, mu, np.sqrt(var + ctrl.eps), True)
+    return textbook_batchnorm(x, ctrl.gamma, ctrl.beta, ctrl.running_mean,
+                              np.sqrt(ctrl.running_var + ctrl.eps), False)
+
+
+def textbook_batchnorm(x, gamma, beta, mu, std, batch_stats):
+    """``(x - mu) / std * gamma + beta`` as one tape node, one array per op;
+    `batch_stats` says that mu and std are x's own."""
+    xn = (x.data - mu) / std
     out = gamma.data * xn + beta.data
 
     def bw(g):
@@ -118,7 +121,7 @@ def batchnorm_reference(ctrl, x, training):
         copying_accum(beta, g.sum(axis=0))
         if x.requires_grad:
             dxn = g * gamma.data
-            if training:
+            if batch_stats:
                 dx = (dxn - dxn.mean(axis=0) - xn * (dxn * xn).mean(axis=0)) / std
             else:
                 dx = dxn / std
@@ -135,6 +138,21 @@ def reference_controller_logits(ctrl, e, training):
     flat = e.reshape(e.shape[0], ctrl.n_fields * ctrl.emb_dim)
     h = batchnorm_reference(ctrl, flat, training)
     return h @ ctrl.fc.weight + ctrl.fc.bias
+
+
+def composed_lookup_normalized_affine(table, rows, gamma, beta, linear, eps):
+    """``numerics.lookup_normalized_affine`` as separate tape nodes: the
+    rows gathered (`take_rows`) and reshaped to (B, n * d), the textbook
+    batch normalization by np.mean and np.var, matmul, add. Returns the
+    output and the moments."""
+    rows = np.asarray(rows)
+    b, n = rows.shape
+    x = take_rows(table, rows).reshape(b, n * table.shape[1])
+    if b < 2:
+        raise DegenerateBatchError("batch statistics need a batch of at least 2 rows")
+    mu, var = x.data.mean(axis=0), x.data.var(axis=0)
+    h = textbook_batchnorm(x, gamma, beta, mu, np.sqrt(var + eps), True)
+    return h @ linear.weight + linear.bias, mu, var
 
 
 def controller_scores(ctrl, e, training):

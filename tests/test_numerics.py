@@ -22,6 +22,7 @@ from aefs.numerics import (
     distinct_rows,
     gather_fields,
     lookup_affine,
+    lookup_normalized_affine,
     no_tape,
     normalized_affine,
     relu,
@@ -825,6 +826,106 @@ class TestLookupAffine:
         tracemalloc.start()
         try:
             lookup_affine(table, rows, weights, lin).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.size * 32 * 8 // 2
+        assert isinstance(table.grad, RowGrad) and table.grad.shape == (16, 32)
+
+
+def normalized_affine_inputs(rng, t, d, n, h):
+    """A (t, d) table, (n * d,) scale and shift and an (n * d, h) map,
+    every operand a leaf that takes a gradient."""
+    table = Tensor(rng.normal(size=(t, d)), requires_grad=True)
+    gamma = Tensor(rng.normal(1.0, 0.2, size=n * d), requires_grad=True)
+    beta = Tensor(rng.normal(size=n * d), requires_grad=True)
+    lin = Linear(n * d, h, rng)
+    lin.bias.data[:] = rng.normal(size=h)
+    return table, gamma, beta, lin
+
+
+def over_a_lookup(table, rows, gamma, beta, lin, eps):
+    """`lookup_normalized_affine` as the lookup, reshape, `batch_moments`
+    and `normalized_affine` it replaces."""
+    b, n = rows.shape
+    x = take_rows(table, rows).reshape(b, n * table.shape[1])
+    mean, var = batch_moments(x.data)
+    out = normalized_affine(x, gamma, beta, lin.weight, lin.bias, mean, np.sqrt(var + eps),
+                            batch_stats=True)
+    return out, mean, var
+
+
+def normalized_value_and_grads(node, table, rows, gamma, beta, lin, upstream):
+    """Output, moments and the five gradients of the sum against `upstream`."""
+    params = [table, gamma, beta, lin.weight, lin.bias]
+    for p in params:
+        p.grad = None
+    out, mean, var = node(table, rows, gamma, beta, lin, 1e-5)
+    (out * Tensor(upstream)).sum().backward()
+    return [out.data, mean, var] + [p.grad.dense() if isinstance(p.grad, RowGrad) else p.grad
+                                    for p in params]
+
+
+class TestLookupNormalizedAffine:
+    """`lookup_normalized_affine` against the lookup, batch moments and
+    `normalized_affine` it replaces (`over_a_lookup`), to rounding."""
+
+    NAMES = ["out", "mean", "var", "table", "gamma", "beta", "weight", "bias"]
+
+    @pytest.mark.parametrize("rows", [
+        # row 2 twice in column 0 and again in column 1; row 4 in every column
+        np.array([[2, 4, 0], [2, 2, 4], [4, 0, 4], [1, 4, 3], [2, 2, 4]]),
+        # every row read once
+        np.arange(15).reshape(5, 3)])
+    def test_matches_normalized_affine_over_a_lookup(self, rows):
+        rng = np.random.default_rng(23)
+        table, gamma, beta, lin = normalized_affine_inputs(rng, 15, 4, 3, 5)
+        upstream = rng.normal(size=(5, 5))
+        node = normalized_value_and_grads(lookup_normalized_affine, table, rows, gamma, beta,
+                                          lin, upstream)
+        want = normalized_value_and_grads(over_a_lookup, table, rows, gamma, beta, lin, upstream)
+        for name, a, b in zip(self.NAMES, node, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max(), err_msg=name)
+        assert isinstance(table.grad, RowGrad)
+        np.testing.assert_array_equal(table.grad.rows, np.unique(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 4), st.integers(2, 12),
+           st.integers(1, 4), st.integers(1, 5))
+    def test_equals_composition(self, seed, t, d, b, n, h):
+        rng = np.random.default_rng(seed)
+        table, gamma, beta, lin = normalized_affine_inputs(rng, t, d, n, h)
+        rows = rng.integers(0, t, size=(b, n))
+        upstream = rng.normal(size=(b, h))
+        node = normalized_value_and_grads(lookup_normalized_affine, table, rows, gamma, beta,
+                                          lin, upstream)
+        want = normalized_value_and_grads(over_a_lookup, table, rows, gamma, beta, lin, upstream)
+        for name, a, b in zip(self.NAMES, node, want):
+            # a column that reads one row has zero variance: its normalized
+            # values are rounding noise over eps, in either computation
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9 * max(np.abs(b).max(), 1.0),
+                                       err_msg=name)
+
+    def test_batch_of_one_and_interior_table_rejected(self):
+        rng = np.random.default_rng(29)
+        table, gamma, beta, lin = normalized_affine_inputs(rng, 6, 2, 3, 4)
+        with pytest.raises(DegenerateBatchError):
+            lookup_normalized_affine(table, np.array([[0, 1, 2]]), gamma, beta, lin, 1e-5)
+        with pytest.raises(ValueError, match="must be a leaf"):
+            lookup_normalized_affine(table * 1.0, np.array([[0, 1, 2], [3, 4, 5]]), gamma, beta,
+                                     lin, 1e-5)
+        with pytest.raises(DimensionError):
+            lookup_normalized_affine(table, np.array([[0, 1], [3, 4]]), gamma, beta, lin, 1e-5)
+
+    def test_forms_no_array_of_the_lookups_size(self):
+        # 32,768 lookups of 16 rows at d = 32: a (B, n * d) array takes 8 MiB
+        rng = np.random.default_rng(31)
+        table, gamma, beta, lin = normalized_affine_inputs(rng, 16, 32, 8, 8)
+        rows = rng.integers(0, 16, size=(4096, 8))
+        tracemalloc.start()
+        try:
+            out, _, _ = lookup_normalized_affine(table, rows, gamma, beta, lin, 1e-5)
+            out.sum().backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import aefs.embedding as embedding_mod
+import aefs.numerics as numerics_mod
 import aefs.predictors as predictors_mod
 import aefs.selection as selection_mod
 import aefs.training as training_mod
@@ -27,7 +28,7 @@ from aefs.training import (
     train,
 )
 from oracles import ActivationLedger, PlainModel, aefs_trace, composed_embedding_alignment_loss, \
-    composed_lookup_affine, composed_scale_embeddings, composed_topk_softmax, dense_scatter, \
+    composed_lookup_affine, composed_lookup_normalized_affine, composed_scale_embeddings, composed_topk_softmax, dense_scatter, \
     embed_per_row, embedding_discrepancy, prediction_discrepancy, record_batch_activation, \
     reference_adam_step, reference_controller_logits, same_bits, use_reference_tape
 
@@ -845,9 +846,12 @@ def assert_trained_alike(run, picks, ref, ref_picks):
 class TestFoldedController:
     """Training with the folded controller ends where training with the
     textbook one (`reference_controller_logits`: batch norm, matmul and add
-    as separate nodes) ends, to rounding: the two differ in the last bits of
-    each step, so they are held to a tolerance, not to bit identity. Every
-    top-k selection, in training and in validation, is the same."""
+    as separate nodes; from table rows, `composed_lookup_normalized_affine`,
+    the rows' lookup before them) ends, to rounding: the two differ in the
+    last bits of each step, so they are held to a tolerance, not to bit
+    identity. Every top-k selection, in training and in validation, is the
+    same. `adafs` (d = 8, N = 6) trains through the pairs node, `aefs`'s
+    controller (d2 = 2) through `Controller.logits`."""
 
     @pytest.mark.parametrize("method,mode", [("adafs", "soft"), ("adafs", "hard"),
                                              ("aefs", "soft")])
@@ -856,15 +860,24 @@ class TestFoldedController:
         cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
                            pretrain_epochs=1)
         folded, folded_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
-        calls = []
+        calls, node_calls = [], []
 
         def textbook_logits(ctrl, e, training):
             calls.append(training)
             return reference_controller_logits(ctrl, e, training)
 
+        def textbook_node(*args):
+            node_calls.append(args[0].shape[1])
+            return composed_lookup_normalized_affine(*args)
+
         monkeypatch.setattr(Controller, "logits", textbook_logits)
+        monkeypatch.setattr(predictors_mod, "lookup_normalized_affine", textbook_node)
         textbook, textbook_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
-        assert True in calls and False in calls
+        if method == "adafs":
+            assert node_calls and set(node_calls) == {cfg.d1} and True not in calls
+        else:
+            assert not node_calls and True in calls
+        assert False in calls
         assert bool(folded_picks) == (mode == "hard" or method == "aefs")
         assert_trained_alike(folded, folded_picks, textbook, textbook_picks)
 
@@ -873,19 +886,31 @@ class TestScaleNodeTraining:
     """Training with the one-node field weighting ends where training with
     the reshape and broadcast multiply (`composed_scale_embeddings`) ends,
     to rounding: the weight gradients differ in the last bits. Every top-k
-    selection, in training and in validation, is the same."""
+    selection, in training and in validation, is the same. An mlp over
+    `adafs`'s wide rows weights its rows inside `lookup_affine` in training,
+    so the `adafs` cases train a dcn predictor, which weights its
+    embeddings through `scale_embeddings`."""
 
     @pytest.mark.parametrize("method,mode", [("adafs", "soft"), ("adafs", "hard"),
                                              ("aefs", "soft")])
     def test_training_matches_composed_weighting(self, many_row_data, method, mode,
                                                  monkeypatch):
         cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
-                           pretrain_epochs=1)
+                           pretrain_epochs=1,
+                           backbone_main="dcn" if method == "adafs" else "mlp")
         node, node_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
-        monkeypatch.setattr(selection_mod, "scale_embeddings", composed_scale_embeddings)
-        composed, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        taped = []
+
+        def composed(e_sel, weights):
+            taped.append(numerics_mod._taping)
+            return composed_scale_embeddings(e_sel, weights)
+
+        for module in (selection_mod, predictors_mod):
+            monkeypatch.setattr(module, "scale_embeddings", composed)
+        composed_run, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        assert True in taped  # reached in training
         assert bool(node_picks) == (mode == "hard" or method == "aefs")
-        assert_trained_alike(node, node_picks, composed, composed_picks)
+        assert_trained_alike(node, node_picks, composed_run, composed_picks)
 
 
 class TestTopkSoftmaxTraining:
@@ -960,6 +985,38 @@ class TestLookupAffineTraining:
         composed_run, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
         assert widths == {cfg.d1}
         assert bool(node_picks) == (method == "aefs")
+        assert_trained_alike(node, node_picks, composed_run, composed_picks)
+
+
+class TestLookupNormalizedAffineTraining:
+    """`adafs` training whose controller reads its rows through the
+    `lookup_normalized_affine` node ends where training through the
+    composition it replaces (`composed_lookup_normalized_affine`: lookup,
+    reshape, batch moments, batch norm, affine map) ends, to rounding, with
+    the same top-k at every selection, in training and in validation. Only
+    training reaches the node, and only on rows at least half as wide as
+    the N = 6 logits: `adafs`'s d1 = 8, whatever the predictor (a dcn
+    composes its own input), not `aefs`'s d2 = 2."""
+
+    @pytest.mark.parametrize("method,mode,main", [("adafs", "soft", "mlp"),
+                                                  ("adafs", "hard", "mlp"),
+                                                  ("adafs", "soft", "dcn"),
+                                                  ("aefs", "soft", "mlp")])
+    def test_training_matches_composed_controller(self, many_row_data, method, mode, main,
+                                                  monkeypatch):
+        cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
+                           pretrain_epochs=1, backbone_main=main)
+        node, node_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        widths = []
+
+        def composed(table, *args):
+            widths.append(table.shape[1])
+            return composed_lookup_normalized_affine(table, *args)
+
+        monkeypatch.setattr(predictors_mod, "lookup_normalized_affine", composed)
+        composed_run, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
+        assert set(widths) == ({cfg.d1} if method == "adafs" else set())
+        assert bool(node_picks) == (mode == "hard" or method == "aefs")
         assert_trained_alike(node, node_picks, composed_run, composed_picks)
 
 
