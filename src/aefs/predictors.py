@@ -265,13 +265,13 @@ class Controller:
     def from_rows(self, table: Tensor, rows: np.ndarray, training: bool, embedded) -> Tensor:
         """The (B, N) logits of the (B, N) rows `rows` of the embedding
         table `table`. `embedded()` returns their (B, N, d) embeddings as a
-        tape node; the caller counts the lookups. In training, with rows at
-        least half as wide as the N logits (``2 * d >= N``, the width rule
-        of `MLPPredictor.from_rows`), the batch norm and the affine map go
-        through `lookup_normalized_affine`, over the batch's distinct
-        (column, row) pairs and without the (B, N * d) input; `embedded()`
-        is not called. Otherwise this is ``logits(embedded(), training)``."""
-        if not training or 2 * self.emb_dim < self.n_fields:
+        tape node; the caller counts the lookups. In training the batch norm
+        and the affine map go through `lookup_normalized_affine`, over the
+        batch's distinct (column, row) pairs and without the (B, N * d)
+        input; `embedded()` is not called. In scoring this is
+        ``logits(embedded(), training)``. `aefs`'s controller does not come
+        here: `DualModel` calls `logits` on the auxiliary lookup."""
+        if not training:
             return self.logits(embedded(), training)
         if rows.ndim != 2 or rows.shape[1] != self.n_fields or table.shape[1] != self.emb_dim:
             raise DimensionError(f"rows {rows.shape} of a table of width {table.shape[1]}, "

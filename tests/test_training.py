@@ -993,19 +993,20 @@ class TestLookupNormalizedAffineTraining:
     `lookup_normalized_affine` node ends where training through the
     composition it replaces (`composed_lookup_normalized_affine`: lookup,
     reshape, batch moments, batch norm, affine map) ends, to rounding, with
-    the same top-k at every selection, in training and in validation. Only
-    training reaches the node, and only on rows at least half as wide as
-    the N = 6 logits: `adafs`'s d1 = 8, whatever the predictor (a dcn
-    composes its own input), not `aefs`'s d2 = 2."""
+    the same top-k at every selection, in training and in validation.
+    Every training step reaches the node, whatever the predictor (a dcn
+    composes its own input) and whatever the width: d1 = 8 and d1 = 2
+    under the N = 6 logits alike. `aefs`'s controller never does; it calls
+    `Controller.logits` on the auxiliary lookup."""
 
-    @pytest.mark.parametrize("method,mode,main", [("adafs", "soft", "mlp"),
-                                                  ("adafs", "hard", "mlp"),
-                                                  ("adafs", "soft", "dcn"),
-                                                  ("aefs", "soft", "mlp")])
-    def test_training_matches_composed_controller(self, many_row_data, method, mode, main,
+    @pytest.mark.parametrize("mode,main,d1", [("soft", "mlp", 8),
+                                              ("hard", "mlp", 8),
+                                              ("soft", "dcn", 8),
+                                              ("soft", "mlp", 2)])
+    def test_training_matches_composed_controller(self, many_row_data, mode, main, d1,
                                                   monkeypatch):
-        cfg = small_config(method=method, mode=mode, max_epochs=2, batch_size=64,
-                           pretrain_epochs=1, backbone_main=main)
+        cfg = small_config(method="adafs", mode=mode, max_epochs=2, batch_size=64,
+                           pretrain_epochs=1, backbone_main=main, d1=d1)
         node, node_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
         widths = []
 
@@ -1015,8 +1016,8 @@ class TestLookupNormalizedAffineTraining:
 
         monkeypatch.setattr(predictors_mod, "lookup_normalized_affine", composed)
         composed_run, composed_picks = train_recording_picks(many_row_data, cfg, monkeypatch)
-        assert set(widths) == ({cfg.d1} if method == "adafs" else set())
-        assert bool(node_picks) == (mode == "hard" or method == "aefs")
+        assert widths and set(widths) == {d1}
+        assert bool(node_picks) == (mode == "hard")
         assert_trained_alike(node, node_picks, composed_run, composed_picks)
 
 
