@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
-Criteria 6 (AEFS AUC close to no selection across seeds) and 7
-(informative-field selection precision) have no test yet; they are open
-(ROADMAP item 4). Every test here is fast. Run with
+Criteria 6 (AEFS AUC close to no selection on every seed) and 7
+(informative-field selection precision) share one fixture that trains each
+(method, seed) once on a 64k-record synthetic dataset; it is the one slow
+part of this suite. Run with
 `pytest tests/test_acceptance.py -v -s` to see the pass lines.
 """
 from fractions import Fraction
@@ -24,7 +25,7 @@ from aefs.predictors import (
     fm_pairwise_interaction,
 )
 from aefs.selection import aefs_forward
-from aefs.training import prepare
+from aefs.training import TrainConfig, evaluate, prepare, train
 from oracles import aefs_trace, compose_activated_params, embed_per_row, grad_check
 
 
@@ -194,6 +195,50 @@ def test_criterion_5_welch_textbook():
     p = welch_t_test(a, b)
     assert p == pytest.approx(0.00845273, abs=1e-3)
     ok("5c Welch textbook example", f"p = {p:.6f} within 1e-3 of the worked value")
+
+
+# -------------------------------------------------------------------------
+# criteria 6 and 7: quality at a fixed training budget
+
+QUALITY_SEEDS = (0, 1)
+
+
+@pytest.fixture(scope="module")
+def quality_runs():
+    """Test metrics at the best-validation epoch of each (method, seed):
+    the default synthetic dataset at 64k records, 16 epochs of the default
+    configuration with soft adafs."""
+    sd = generate_synthetic(SyntheticSpec(n_records=64_000))
+    data = prepare(sd.columns, sd.schema, seed=0, min_freq=10,
+                   informative_fields=sd.informative_fields)
+    runs = {}
+    for method in ("none", "adafs", "aefs"):
+        for seed in QUALITY_SEEDS:
+            config = TrainConfig(method=method, max_epochs=16, min_freq=10, seed=seed)
+            fitted = train(data, config).fitted
+            runs[method, seed] = evaluate(fitted, data.test, config.batch_size,
+                                          informative_fields=data.informative_fields)
+    return runs
+
+
+def test_criterion_6_aefs_auc_close_to_no_selection(quality_runs):
+    lines = []
+    for seed in QUALITY_SEEDS:
+        none, adafs, aefs = (quality_runs[m, seed].auc for m in ("none", "adafs", "aefs"))
+        assert aefs >= adafs - 0.005, f"seed {seed}: aefs {aefs:.4f}, adafs {adafs:.4f}"
+        assert aefs >= none - 0.02, f"seed {seed}: aefs {aefs:.4f}, none {none:.4f}"
+        lines.append(f"seed {seed}: aefs {aefs:.4f}, adafs {adafs:.4f}, none {none:.4f}")
+    ok("6 AEFS AUC close to no selection",
+       "test AUC >= soft adafs - 0.005 and >= none - 0.02; " + "; ".join(lines))
+
+
+def test_criterion_7_selection_precision(quality_runs):
+    precisions = [quality_runs["aefs", seed].selection_precision for seed in QUALITY_SEEDS]
+    for seed, precision in zip(QUALITY_SEEDS, precisions):
+        assert precision >= 0.58, f"seed {seed}: precision {precision:.4f}"
+    ok("7 informative-field selection precision",
+       "per-instance share of aefs selections on planted fields >= 0.58 (chance 0.5): "
+       + ", ".join(f"{p:.4f}" for p in precisions))
 
 
 # -------------------------------------------------------------------------
