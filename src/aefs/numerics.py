@@ -920,14 +920,18 @@ class Adam:
     """Adam over a list of parameter tensors, updated in place.
 
     Each step applies the bias-corrected update ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*g*g``, ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` to
-    every entry, evaluated op for op in that order. A parameter is swept in
-    blocks of whole rows, each block taken through every op before the
-    next, so a large table streams through memory once per step instead of
-    once per op, with the intermediates in two block-sized buffers reused
-    across steps. A RowGrad adds its gradient terms to its rows only; every
-    row's moments still decay and every row still moves, exactly as under
-    the equal dense gradient.
+    ``v = b2*v + (1-b2)*g*g``, ``p -= lr * m_hat / (sqrt(v_hat) + eps)``,
+    evaluated op for op in that order. A dense gradient updates every
+    entry: the parameter is swept in blocks of whole rows, each block taken
+    through every op before the next, so a large table streams through
+    memory once per step instead of once per op. A RowGrad updates only
+    its rows, as TF Addons' LazyAdam and PyTorch's SparseAdam do: every
+    other row keeps its value and both moments bit for bit, and each of
+    its rows takes the ops a dense gradient gives it. The rows go through
+    in chunks of about BLOCK_ELEMS entries, each gathered, updated and
+    written back. Either way the intermediates live in two block-sized
+    buffers reused across steps. Bias correction counts the parameter's
+    steps, whichever rows they reached.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
@@ -964,24 +968,47 @@ class Adam:
         g2 *= g
         c1 = 1.0 - st.beta1 ** st.t
         c2 = 1.0 - st.beta2 ** st.t
-        if sparse:  # the ascending rows that fall in each block
-            cuts = np.searchsorted(grad.rows, [b.stop for b in blocks]).tolist()
-        for n, block in enumerate(blocks):
-            m, v, p = st.m[block], st.v[block], param[block]
-            if sparse:
-                lo, hi = cuts[n - 1] if n else 0, cuts[n]
-                at, gs = grad.rows[lo:hi] - block.start, slice(lo, hi)
-            else:
-                at, gs = Ellipsis, block
+        if sparse and grad.rows.size < param.shape[0]:
+            # gather each chunk of rows into the scratch buffers, update it
+            # there, and write it back; distinct rows make each write exact.
+            # A RowGrad's rows lie in [0, n), so `take` needs no bounds
+            # check ("clip"), which with `out` would also buffer the copy
+            for chunk in _row_blocks(g):
+                rows, g1_rows = grad.rows[chunk], g1[chunk]
+                m, v = (buf[:g1_rows.size].reshape(g1_rows.shape) for buf in self._scratch)
+                np.take(st.m, rows, axis=0, out=m, mode="clip")
+                m *= st.beta1
+                m += g1_rows
+                st.m[rows] = m
+                np.take(st.v, rows, axis=0, out=v, mode="clip")
+                v *= st.beta2
+                v += g2[chunk]
+                st.v[rows] = v
+                step = _adam_step(m, v, st, c1, c2, m, v)
+                np.take(param, rows, axis=0, out=v, mode="clip")
+                v -= step
+                param[rows] = v
+            return
+        # a RowGrad of every row holds the dense gradient in row order
+        for block in blocks:
+            m, v = st.m[block], st.v[block]
             m *= st.beta1
-            m[at] += g1[gs]
+            m += g1[block]
             v *= st.beta2
-            v[at] += g2[gs]
+            v += g2[block]
             step, denom = (buf[:m.size].reshape(m.shape) for buf in self._scratch)
-            np.divide(m, c1, out=step)
-            np.divide(v, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += st.eps
-            step *= st.lr
-            step /= denom
-            p -= step
+            p = param[block]
+            p -= _adam_step(m, v, st, c1, c2, step, denom)
+
+
+def _adam_step(m: Array, v: Array, st: AdamState, c1: float, c2: float,
+               step: Array, denom: Array) -> Array:
+    """``lr * (m / c1) / (sqrt(v / c2) + eps)`` into `step`, with `denom`
+    as scratch; either may be the array it replaces."""
+    np.divide(m, c1, out=step)
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += st.eps
+    step *= st.lr
+    step /= denom
+    return step

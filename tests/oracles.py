@@ -5,8 +5,8 @@ The bit-for-bit references are the allocating formulations the package used
 before embedding gradients became row-sparse, Adam became in place and the
 tape began handing gradient buffers to their parents: a dense zero gradient
 scattered into with ``np.add.at``, an Adam update that builds a new array
-per operation, and a gradient accumulator that copies every first
-gradient. So are the no-selection model that embedded every field with its own lookup, and
+per operation (over a row gradient's rows alone), and a gradient
+accumulator that copies every first gradient. So are the no-selection model that embedded every field with its own lookup, and
 the activation ledger that counted every selected index per batch. So is
 the per-record data path that `prepare` replaced with per-field encoding: a
 vocabulary counted token by token, and one `Instance` per record. So are the
@@ -59,25 +59,42 @@ def dense_scatter(table, ids, g):
     np.add.at(table.grad, ids, g)
 
 
+def reference_scatter_rows(table, ids, g):
+    """`scatter_rows` by ``np.add.at`` into a dense copy of the gradient,
+    which then keeps only the rows touched so far as a RowGrad; a dense
+    gradient stays dense."""
+    prior = table.grad
+    if isinstance(prior, np.ndarray):
+        np.add.at(prior, ids, g)
+        return
+    dense = np.zeros_like(table.data) if prior is None else prior.dense()
+    np.add.at(dense, ids, g)
+    rows = np.unique(ids) if prior is None else np.union1d(prior.rows, ids)
+    table.grad = RowGrad(rows, dense[rows], table.shape[0])
+
+
 def adam_step(param, grad, state: AdamState):
-    """One bias-corrected Adam update, in place on `param` and `state`."""
-    if param.shape != grad.shape or param.shape != state.m.shape:
-        raise DimensionError(f"adam_step shapes param={param.shape} grad={grad.shape}")
+    """One bias-corrected Adam update, in place on `param` and `state`. A
+    RowGrad updates its rows alone: the other rows keep their values and
+    moments."""
+    rows, g = (grad.rows, grad.values) if isinstance(grad, RowGrad) else (Ellipsis, grad)
+    if param[rows].shape != g.shape or param.shape != state.m.shape:
+        raise DimensionError(f"adam_step shapes param={param.shape} grad={g.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = state.beta1 * state.m[rows] + (1.0 - state.beta1) * g
+    v = state.beta2 * state.v[rows] + (1.0 - state.beta2) * g * g
+    state.m[rows], state.v[rows] = m, v
+    m_hat = m / (1.0 - state.beta1 ** state.t)
+    v_hat = v / (1.0 - state.beta2 ** state.t)
+    param[rows] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return param, state
 
 
 def reference_adam_step(opt):
-    """`Adam.step` by the reference formula, on densified gradients."""
+    """`Adam.step` by the reference formula."""
     for p, st in zip(opt.params, opt.states):
         if p.grad is not None:
-            g = p.grad.dense() if isinstance(p.grad, RowGrad) else p.grad
-            adam_step(p.data, g, st)
+            adam_step(p.data, p.grad, st)
 
 
 def copying_accum(t, g, owned=False):

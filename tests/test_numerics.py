@@ -35,7 +35,7 @@ from aefs.numerics import (
 from aefs.predictors import Controller, MLPPredictor, PredictorConfig
 from oracles import adam_step, add_at_gather_fields, boolean_mask_sigmoid, \
     composed_lookup_affine, controller_scores, dense_scatter, embed_per_row, exp, grad_check, \
-    reference_controller, same_bits, take_rows, use_reference_tape
+    reference_controller, reference_scatter_rows, same_bits, take_rows, use_reference_tape
 
 
 def matmul_oracle(a, b):
@@ -430,6 +430,14 @@ def adam_on(values, **kw):
     return p, Adam([p], **kw)
 
 
+def scattered(n, d, ids, g):
+    """The RowGrad of ``g[i]`` scattered into rows ``ids[i]`` of an (n, d)
+    table, by the reference."""
+    t = Tensor(np.zeros((n, d)), requires_grad=True)
+    reference_scatter_rows(t, ids, g)
+    return t.grad
+
+
 class TestAdam:
     def test_zero_grad_is_identity(self):
         p, opt = adam_on([[1.0, -2.0]])
@@ -501,30 +509,50 @@ class TestAdamMatchesReference:
         rng = np.random.default_rng(2)
         n, d = 50, 4
         p, opt, ref, ref_state = self.twin((n, d), lr=0.02)
+        init = ref.copy()
         for step in range(self.STEPS):
             # rows 0-9 every step; row 45 at steps 1 and 35 only; 10-44 never
             ids = rng.integers(0, 10, size=12)
             if step in (0, 34):
                 ids = np.append(ids, 45)
             g = rng.normal(size=(ids.size, d))
-            dense = Tensor(np.zeros((n, d)), requires_grad=True)
-            dense_scatter(dense, ids, g)
             p.grad = None
             scatter_rows(p, ids, g)
             assert isinstance(p.grad, RowGrad)
             opt.step()
-            adam_step(ref, dense.grad, ref_state)
+            adam_step(ref, scattered(n, d, ids, g), ref_state)
+            st = opt.states[0]
             assert same_bits(p.data, ref), f"step {step + 1}"
-            if step == 1:
-                row_45 = p.data[45].copy()
-            if step == 33:
-                # untouched since step 1, its decaying moments still move it
-                assert not np.array_equal(p.data[45], row_45)
+            assert same_bits(st.m, ref_state.m) and same_bits(st.v, ref_state.v)
+            if step == 0:
+                row_45 = p.data[45].copy(), st.m[45].copy(), st.v[45].copy()
+            if 0 < step < 34:
+                # no gradient since step 1: value and moments stand still
+                assert all(same_bits(a, b) for a, b in zip((p.data[45], st.m[45], st.v[45]),
+                                                           row_45))
+            assert same_bits(p.data[10:45], init[10:45])
+            assert not st.m[10:45].any() and not st.v[10:45].any()
+        assert st.t == self.STEPS
+        assert not same_bits(p.data[45], row_45[0])
+
+    def test_row_gradient_of_every_row_is_the_dense_update(self):
+        rng = np.random.default_rng(5)
+        p, opt, ref, ref_state = self.twin((7, 3), lr=0.01)
+        for step in range(self.STEPS):
+            g = rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-6, 3)
+            g[rng.random(g.shape) < 0.3] = 0.0
+            p.grad = RowGrad(np.arange(7), g.copy(), 7)
+            opt.step()
+            adam_step(ref, g, ref_state)
+            assert same_bits(p.data, ref), f"step {step + 1}"
+            assert same_bits(opt.states[0].m, ref_state.m)
+            assert same_bits(opt.states[0].v, ref_state.v)
 
     @pytest.mark.parametrize("shape", [(37, 3), (29,), (), (0, 3)])
     def test_blocked_sweep(self, monkeypatch, shape):
-        # blocks of at most 8 entries: the table spans many blocks, and a
-        # row gradient leaves some blocks untouched and fills others
+        # blocks of at most 8 entries: a dense gradient sweeps the table in
+        # many blocks, and a row gradient of up to 8 rows (an odd step) or
+        # of every row (every fourth) goes through in chunks of 2 rows
         monkeypatch.setattr(numerics, "BLOCK_ELEMS", 8)
         rng = np.random.default_rng(4)
         p, opt, ref, ref_state = self.twin(shape, lr=0.01)
@@ -533,12 +561,13 @@ class TestAdamMatchesReference:
             if len(shape) == 2 and shape[0] and step % 2:
                 ids = rng.choice([0, 1, 2, 5, 13, 14, 35, 36], size=9)
                 g = rng.normal(size=(ids.size, shape[1]))
-                dense = Tensor(np.zeros(shape), requires_grad=True)
-                dense_scatter(dense, ids, g)
                 p.grad = None
                 scatter_rows(p, ids, g)
                 assert isinstance(p.grad, RowGrad)
-                grad = dense.grad
+                grad = scattered(*shape, ids, g)
+            elif len(shape) == 2 and shape[0] and step % 4 == 2:
+                grad = RowGrad(np.arange(shape[0]), rng.normal(size=shape), shape[0])
+                p.grad = RowGrad(grad.rows, grad.values.copy(), shape[0])
             else:
                 grad = rng.normal(size=shape)
                 p.grad = grad.copy()
@@ -570,12 +599,13 @@ class TestAdamMatchesReference:
             idx = np.argsort(rng.random((5, 3)), axis=1)[:, :2]
             upstream = (x, idx, rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 2, 3)))
             with monkeypatch.context() as m:
-                m.setattr(embedding_mod, "scatter_rows", dense_scatter)
-                dense = gradient(*upstream)
+                m.setattr(embedding_mod, "scatter_rows", reference_scatter_rows)
+                expected = gradient(*upstream)
             rows = gradient(*upstream)
-            assert isinstance(rows, RowGrad) and same_bits(rows.dense(), dense)
+            assert isinstance(rows, RowGrad) and same_bits(rows.rows, expected.rows)
+            assert same_bits(rows.values, expected.values)
             opt.step()
-            adam_step(ref, dense, ref_state)
+            adam_step(ref, expected, ref_state)
             assert same_bits(es.weight.data, ref), f"step {step + 1}"
 
 

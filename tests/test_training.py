@@ -28,9 +28,10 @@ from aefs.training import (
     train,
 )
 from oracles import ActivationLedger, PlainModel, aefs_trace, composed_embedding_alignment_loss, \
-    composed_lookup_affine, composed_lookup_normalized_affine, composed_scale_embeddings, composed_topk_softmax, dense_scatter, \
+    composed_lookup_affine, composed_lookup_normalized_affine, composed_scale_embeddings, composed_topk_softmax, \
     embed_per_row, embedding_discrepancy, prediction_discrepancy, record_batch_activation, \
-    reference_adam_step, reference_controller_logits, same_bits, use_reference_tape
+    reference_adam_step, reference_controller_logits, reference_scatter_rows, same_bits, \
+    use_reference_tape
 
 METHODS = ("none", "randomhalf", "adafs", "aefs")
 
@@ -790,8 +791,8 @@ def many_row_data():
 
 
 class TestRowSparseTrainingIsExact:
-    """Training equals, bit for bit, a run on the reference code: dense
-    scatters, the allocating Adam and the copying tape. Both sides run the
+    """Training equals, bit for bit, a run on the reference code: scatters
+    through a dense gradient, the allocating Adam and the copying tape. Both sides run the
     same, folded, controller and the same embedding alignment loss;
     `TestFoldedController` and `TestAlignmentNodeTraining` hold those to
     their compositions."""
@@ -801,7 +802,7 @@ class TestRowSparseTrainingIsExact:
                                                         monkeypatch):
         cfg = small_config(method=method, max_epochs=2, batch_size=64, pretrain_epochs=1)
         fast = train(many_row_data, cfg)
-        monkeypatch.setattr(embedding_mod, "scatter_rows", dense_scatter)
+        monkeypatch.setattr(embedding_mod, "scatter_rows", reference_scatter_rows)
         monkeypatch.setattr(Adam, "step", reference_adam_step)
         use_reference_tape(monkeypatch)
         dense = train(many_row_data, cfg)
