@@ -930,8 +930,9 @@ class Adam:
     its rows takes the ops a dense gradient gives it. The rows go through
     in chunks of about BLOCK_ELEMS entries, each gathered, updated and
     written back. Either way the intermediates live in two block-sized
-    buffers reused across steps. Bias correction counts the parameter's
-    steps, whichever rows they reached.
+    buffers reused across steps. Bias correction counts the steps that gave
+    the parameter a gradient: one count per parameter, as in LazyAdam and
+    SparseAdam, not one per row.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
