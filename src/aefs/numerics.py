@@ -969,7 +969,7 @@ class Adam:
         g2 *= g
         c1 = 1.0 - st.beta1 ** st.t
         c2 = 1.0 - st.beta2 ** st.t
-        if sparse and grad.rows.size < param.shape[0]:
+        if sparse:
             # gather each chunk of rows into the scratch buffers, update it
             # there, and write it back; distinct rows make each write exact.
             # A RowGrad's rows lie in [0, n), so `take` needs no bounds
@@ -990,7 +990,6 @@ class Adam:
                 v -= step
                 param[rows] = v
             return
-        # a RowGrad of every row holds the dense gradient in row order
         for block in blocks:
             m, v = st.m[block], st.v[block]
             m *= st.beta1

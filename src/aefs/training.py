@@ -14,8 +14,6 @@ import contextlib
 import hashlib
 import json
 import math
-import os
-import sys
 import time
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
@@ -514,46 +512,44 @@ def _parse_header(line: bytes) -> tuple[str, str, tuple[int, ...]]:
 def load_checkpoint(fitted: FittedModel, path: Path) -> None:
     """Read a `save_checkpoint` file into the model's own arrays, in place.
 
-    Each tensor's bytes are read straight into its array, so no file-sized
-    buffer is built. Any file that is not exactly one well-formed entry per
-    model tensor raises a one-line ValueError naming the file and the tensor.
+    Any file that is not exactly one well-formed entry per model tensor
+    raises a one-line ValueError naming the file and the tensor.
     """
+    buf = Path(path).read_bytes()
+    if not buf.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not an {CHECKPOINT_MAGIC.decode().strip()} file")
     targets = _checkpoint_tensors(fitted)
     seen = set()
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not an {CHECKPOINT_MAGIC.decode().strip()} file")
-        pos = len(CHECKPOINT_MAGIC)
-        while pos < size:
-            if len(seen) == len(targets):
-                raise ValueError(f"{path}: {size - pos} trailing bytes after the last tensor")
-            line = fh.readline().rstrip(b"\n")
-            try:
-                kind, name, shape = _parse_header(line)
-            except ValueError:  # a UnicodeDecodeError too
-                raise ValueError(f"{path}: malformed tensor header {line[:80]!r} "
-                                 f"at byte {pos}") from None
-            if kind not in ("param", "buffer"):
-                raise ValueError(f"{path}: tensor {name}: unknown kind {kind!r}")
-            if (kind, name) not in targets:
-                raise ValueError(f"{path}: unknown {kind} {name!r}")
-            if (kind, name) in seen:
-                raise ValueError(f"{path}: {kind} {name} given twice")
-            target = targets[kind, name]
-            if target.shape != shape:
-                raise ValueError(f"{path}: shape mismatch for {name}: "
-                                 f"{shape} in file, {target.shape} in model")
-            count = math.prod(shape)
-            pos += len(line) + 1
-            if size - pos < 8 * count:
-                raise ValueError(f"{path}: {kind} {name} truncated: {size - pos} bytes "
-                                 f"of {8 * count}")
-            fh.readinto(memoryview(target).cast("B"))  # a C-contiguous float64 array
-            if sys.byteorder == "big":
-                target.byteswap(inplace=True)
-            seen.add((kind, name))
-            pos += 8 * count
+    pos = len(CHECKPOINT_MAGIC)
+    while pos < len(buf):
+        if len(seen) == len(targets):
+            raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
+        end = buf.find(b"\n", pos)
+        end = len(buf) if end < 0 else end
+        line = buf[pos:end]
+        try:
+            kind, name, shape = _parse_header(line)
+        except ValueError:  # a UnicodeDecodeError too
+            raise ValueError(f"{path}: malformed tensor header {line[:80]!r} "
+                             f"at byte {pos}") from None
+        if kind not in ("param", "buffer"):
+            raise ValueError(f"{path}: tensor {name}: unknown kind {kind!r}")
+        if (kind, name) not in targets:
+            raise ValueError(f"{path}: unknown {kind} {name!r}")
+        if (kind, name) in seen:
+            raise ValueError(f"{path}: {kind} {name} given twice")
+        target = targets[kind, name]
+        if target.shape != shape:
+            raise ValueError(f"{path}: shape mismatch for {name}: "
+                             f"{shape} in file, {target.shape} in model")
+        count = math.prod(shape)
+        pos = end + 1
+        if len(buf) - pos < 8 * count:
+            raise ValueError(f"{path}: {kind} {name} truncated: {len(buf) - pos} bytes "
+                             f"of {8 * count}")
+        target[...] = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape)
+        seen.add((kind, name))
+        pos += 8 * count
     missing = set(targets) - seen
     if missing:
         raise ValueError(f"{path}: missing tensors {sorted(name for _, name in missing)}")

@@ -550,10 +550,9 @@ class TestAdamMatchesReference:
 
     @pytest.mark.parametrize("shape", [(37, 3), (29,), (), (0, 3)])
     def test_blocked_sweep(self, monkeypatch, shape):
-        # blocks of at most 8 entries: a row gradient of up to 8 rows (odd
-        # steps) goes through in chunks of 2 rows; a dense gradient, and a
-        # row gradient of every row (every fourth step), sweep the table in
-        # many blocks
+        # blocks of at most 8 entries: a row gradient, of up to 8 rows (odd
+        # steps) or of every row (every fourth step), goes through in chunks
+        # of 2 rows; a dense gradient sweeps the table in many blocks
         monkeypatch.setattr(numerics, "BLOCK_ELEMS", 8)
         rng = np.random.default_rng(4)
         p, opt, ref, ref_state = self.twin(shape, lr=0.01)
